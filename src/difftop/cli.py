@@ -20,7 +20,7 @@ from . import subdivision as sd
 from .cellcomplex import ComplexPoint
 from .lifting import LiftError, chep, extend_lift
 from .instances import bundled_chep_instance, load_instance_file
-from .verify import RunConfig, run_suite, suite_names
+from .verify import RunConfig, run_suite, suite_names, worst
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_USAGE, _EXIT_INSTANCE = 0, 1, 2, 3
 
@@ -154,12 +154,12 @@ def _run_chep_instance(inst, cfg, rng, csv_path=None):
         x = inst.sample_point(rng)
         t = float(rng.uniform())
         Hx0, fx = H(x, 0.0), inst.f(x)
-        dev_f = max(dev_f, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
+        dev_f = worst(dev_f, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
         Hxt = H(x, t)
-        dev_p = max(dev_p, abs(Hxt[0] - inst.k(x, t)))
+        dev_p = worst(dev_p, abs(Hxt[0] - inst.k(x, t)))
         if has_base:
             Ha, ha = H(ComplexPoint.base(0.0), t), inst.h(0.0, t)
-            dev_h = max(dev_h, abs(Ha[0] - ha[0]), abs(Ha[1] - ha[1]))
+            dev_h = worst(dev_h, abs(Ha[0] - ha[0]), abs(Ha[1] - ha[1]))
         if csv_path:
             rows.append((inst.position(x), t, Hxt[0], Hxt[1]))
     if csv_path:
@@ -188,7 +188,7 @@ def _run_extend_instance(inst, cfg, rng):
     dev = 0.0
     for i in range(n):
         x = _sample_extend_point(inst.complex, rng)
-        dev = max(dev, abs(inst.oracle.project(lift(x)) - inst.bottom(x)))
+        dev = worst(dev, abs(inst.oracle.project(lift(x)) - inst.bottom(x)))
     restr = lift(ComplexPoint.base(0.0)) == inst.f(0.0)
     props = [
         {"property": "lift_projects_to_bottom", "samples": n, "worst_dev": dev,

@@ -205,11 +205,16 @@ def functional(X, Y):
 
     No generators are materialized; its structure is honored by
     construction (evaluation against charts of X), not sampled directly.
+    Equality of maps is not decidable from samples, so ``eq`` raises
+    TypeError.
     """
+    def eq(f, g):
+        raise TypeError(f"C({X.name},{Y.name}): equality of maps is not decidable")
+
     return DiffSpace(
         name=f"C({X.name},{Y.name})",
         generators=(),
-        eq=lambda f, g: NotImplemented,
+        eq=eq,
         flatten=lambda f: np.array([]),
         construction="functional",
     )

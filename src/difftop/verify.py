@@ -29,7 +29,7 @@ from .homotopy import (Homotopy, PairMapRep, concat, delta_restrict, glue_double
 from .lifting import (LiftError, chep, extend_lift, hep, product_fibration)
 from .instances import bundled_chep_instance, bundled_extend_instance
 
-__all__ = ["RunConfig", "SUITES", "run_suite", "run_all", "suite_names"]
+__all__ = ["RunConfig", "SUITES", "run_suite", "run_all", "suite_names", "worst"]
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,20 @@ class RunConfig:
         return FDConfig(tol=self.tol_fd)
 
 
-def _rec(name, samples, worst, tol, ok, note=""):
+def _rec(name, samples, worst_dev, tol, ok, note=""):
     return {"property": name, "samples": int(samples),
-            "worst_dev": float(worst), "tol": float(tol),
+            "worst_dev": float(worst_dev), "tol": float(tol),
             "pass": bool(ok), "note": note}
+
+
+def worst(*devs):
+    """The largest deviation, with every non-finite one counted as inf.
+
+    Every worst-deviation accumulation goes through here: plain max()
+    swallows NaN (max(0.0, nan) is 0.0), which would let a property whose
+    evaluation produced NaN pass.  inf fails every tolerance.
+    """
+    return max(d if math.isfinite(d) else math.inf for d in devs)
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +85,13 @@ def suite_smoothfn(cfg):
     n = cfg.count(10000)
 
     ts = np.linspace(-1.0, 2.0, n)
-    dev = max(abs(sf.lambda_fn(t) + sf.lambda_fn(1.0 - t) - 1.0) for t in ts)
+    dev = worst(*(abs(sf.lambda_fn(t) + sf.lambda_fn(1.0 - t) - 1.0) for t in ts))
     out.append(_rec("lambda_symmetry_grid", n, dev, cfg.tol_alg, dev <= cfg.tol_alg))
 
     lows = np.linspace(-3.0, 0.0, 200)
     highs = np.linspace(1.0, 4.0, 200)
-    dev = max(max(abs(sf.lambda_fn(t)) for t in lows),
-              max(abs(sf.lambda_fn(t) - 1.0) for t in highs))
+    dev = worst(*(abs(sf.lambda_fn(t)) for t in lows),
+                *(abs(sf.lambda_fn(t) - 1.0) for t in highs))
     out.append(_rec("lambda_plateaus_exact", 400, dev, 0.0, dev == 0.0,
                     "identically 0 below 0 and 1 above 1"))
 
@@ -90,7 +100,7 @@ def suite_smoothfn(cfg):
     dev = 0.0
     for pt in (0.0, 1.0):
         rep = smoothness_check(sf.lambda_fn, pt, max(orders), cfg.fd(), expected)
-        dev = max(dev, max(abs(v) for v in rep.fd_estimates.values()))
+        dev = worst(dev, *(abs(rep.fd_estimates.get(k, math.nan)) for k in orders))
     out.append(_rec("lambda_flat_at_ends_fd", 2 * len(list(orders)), dev,
                     cfg.tol_fd, dev <= cfg.tol_fd))
 
@@ -101,37 +111,37 @@ def suite_smoothfn(cfg):
                     "negative control: the checker must reject the kink"))
 
     grid = np.linspace(0.0, 1.0 / 6.0, 200)
-    dev = max(abs(sf.xi(s) - s) for s in grid)
+    dev = worst(*(abs(sf.xi(s) - s) for s in grid))
     grid = np.linspace(5.0 / 6.0, 1.0, 200)
-    dev = max(dev, max(abs(sf.xi(s) - s) for s in grid))
+    dev = worst(dev, *(abs(sf.xi(s) - s) for s in grid))
     out.append(_rec("xi_identity_plateaus_exact", 400, dev, 0.0, dev == 0.0))
 
     m = cfg.count(1000)
     grid = np.linspace(1.0 / 3.0, 2.0 / 3.0, m)
-    dev = max(abs(sf.xi(s) - (sf.lambda_fn(3.0 * s - 1.0) / 3.0 + 1.0 / 3.0))
-              for s in grid)
+    dev = worst(*(abs(sf.xi(s) - (sf.lambda_fn(3.0 * s - 1.0) / 3.0 + 1.0 / 3.0))
+                  for s in grid))
     out.append(_rec("xi_middle_branch", m, dev, cfg.tol_alg, dev <= cfg.tol_alg))
 
     grid = np.linspace(0.0, 1.0, n)
     vals = [sf.xi(s) for s in grid]
-    dev = max(0.0, -min(vals[i + 1] - vals[i] for i in range(len(vals) - 1)))
+    dev = worst(0.0, *(vals[i] - vals[i + 1] for i in range(len(vals) - 1)))
     out.append(_rec("xi_monotone_grid", n, dev, cfg.tol_alg, dev <= cfg.tol_alg))
 
-    dev = max(abs(sf.xi(w) - w) for w in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
+    dev = worst(*(abs(sf.xi(w) - w) for w in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)))
     out.append(_rec("xi_fixes_subdivision_walls", 4, dev, cfg.tol_alg,
                     dev <= cfg.tol_alg))
 
     grid = np.linspace(0.0, 1.0, m)
-    dev = max(abs(sf.xi(s) + sf.xi(1.0 - s) - 1.0) for s in grid)
+    dev = worst(*(abs(sf.xi(s) + sf.xi(1.0 - s) - 1.0) for s in grid))
     out.append(_rec("xi_reflection", m, dev, cfg.tol_alg, dev <= cfg.tol_alg))
 
-    dev = max(abs(sf.xi(sf.xi_inv(y)) - y) for y in grid)
+    dev = worst(*(abs(sf.xi(sf.xi_inv(y)) - y) for y in grid))
     out.append(_rec("xi_inv_roundtrip", m, dev, cfg.tol_rt, dev <= cfg.tol_rt))
 
     dev = 0.0
     for pt in (1.0 / 3.0, 2.0 / 3.0):
         rep = smoothness_check(sf.xi, pt, max(orders), cfg.fd(), expected)
-        dev = max(dev, max(abs(v) for v in rep.fd_estimates.values()))
+        dev = worst(dev, *(abs(rep.fd_estimates.get(k, math.nan)) for k in orders))
     out.append(_rec("xi_flat_at_walls_fd", 2 * len(list(orders)), dev,
                     cfg.tol_fd, dev <= cfg.tol_fd))
 
@@ -152,7 +162,7 @@ def suite_diskmodel(cfg):
     for i in range(n_samp):
         n = 1 + (i % 3)
         w = dm.gen_plot(n, rng.uniform(-1.5, 2.5, size=n))
-        dev = max(dev, float(np.max(np.abs(dm.Q(n, dm.section(n, w)) - w))))
+        dev = worst(dev, float(np.max(np.abs(dm.Q(n, dm.section(n, w)) - w))))
     out.append(_rec("q_section_roundtrip", n_samp, dev, tol_disk, dev <= tol_disk))
 
     m = cfg.count(1000)
@@ -161,11 +171,11 @@ def suite_diskmodel(cfg):
         n = i % 3
         v = dm.random_disk(n, rng)
         w0 = dm.q(n, v, 0.0)
-        dev0 = max(dev0, float(np.max(np.abs(w0 - np.concatenate([v, [0.0]])))))
+        dev0 = worst(dev0, float(np.max(np.abs(w0 - np.concatenate([v, [0.0]])))))
         w1 = dm.q(n, v, 1.0)
-        dev1 = max(dev1, abs(w1[-1]), abs(w1[-2] + v[-1]))
+        dev1 = worst(dev1, abs(w1[-1]), abs(w1[-2] + v[-1]))
         x = rng.uniform(-1.5, 2.5, size=n + 1)
-        devn = max(devn, abs(float(np.linalg.norm(dm.gen_plot(n + 1, x))) - 1.0))
+        devn = worst(devn, abs(float(np.linalg.norm(dm.gen_plot(n + 1, x))) - 1.0))
     out.append(_rec("q_base_inclusion_exact", m, dev0, 0.0, dev0 == 0.0))
     out.append(_rec("q_top_reflects", m, dev1, cfg.tol_alg, dev1 <= cfg.tol_alg))
     out.append(_rec("unit_norm_outputs", m, devn, cfg.tol_alg, devn <= cfg.tol_alg))
@@ -174,16 +184,16 @@ def suite_diskmodel(cfg):
     for i in range(m):
         n = i % 4
         w = dm.random_disk(n, rng)
-        dev = max(dev, float(np.max(np.abs(dm.retract(n, dm.include_k(n, w)) - w))))
+        dev = worst(dev, float(np.max(np.abs(dm.retract(n, dm.include_k(n, w)) - w))))
     out.append(_rec("retract_include_identity", m, dev, tol_disk, dev <= tol_disk))
 
     dev = 0.0
     for i in range(cfg.count(300)):
         n = i % 3
         w = dm.random_disk(n + 1, rng)
-        dev = max(dev, float(np.max(np.abs(dm.retract_homotopy(n, w, 0.0) - w))))
+        dev = worst(dev, float(np.max(np.abs(dm.retract_homotopy(n, w, 0.0) - w))))
         end = dm.include_k(n, dm.retract(n, w))
-        dev = max(dev, float(np.max(np.abs(dm.retract_homotopy(n, w, 1.0) - end))))
+        dev = worst(dev, float(np.max(np.abs(dm.retract_homotopy(n, w, 1.0) - end))))
     out.append(_rec("retract_homotopy_ends", cfg.count(300), dev, tol_disk,
                     dev <= tol_disk))
 
@@ -217,16 +227,16 @@ def suite_homotopy(cfg):
     G = Homotopy(lambda x, t: np.array([x[0] * 0.0, math.sin(1.0) + t * t]))
     H = concat(F, G, sample_points=[np.array([v]) for v in np.linspace(-2, 2, 9)])
     xs = [np.array([v]) for v in rng.uniform(-2.0, 2.0, size=m)]
-    dev = max(float(np.max(np.abs(F.fn(x, sf.lambda_fn(1.5))
-                                  - G.fn(x, sf.lambda_fn(-0.5))))) for x in xs)
+    dev = worst(*(float(np.max(np.abs(F.fn(x, sf.lambda_fn(1.5))
+                                      - G.fn(x, sf.lambda_fn(-0.5))))) for x in xs))
     out.append(_rec("concat_seam", m, dev, cfg.tol_alg, dev <= cfg.tol_alg))
 
-    dev = max(max(float(np.max(np.abs(H.fn(x, 0.0) - F.fn(x, 0.0)))),
-                  float(np.max(np.abs(H.fn(x, 1.0) - G.fn(x, 1.0))))) for x in xs)
+    dev = worst(*(worst(float(np.max(np.abs(H.fn(x, 0.0) - F.fn(x, 0.0)))),
+                        float(np.max(np.abs(H.fn(x, 1.0) - G.fn(x, 1.0))))) for x in xs))
     out.append(_rec("concat_endpoints_exact", m, dev, 0.0, dev == 0.0))
 
-    dev = max(max(float(np.max(np.abs(H.fn(x, 1.0 / 3.0) - F.fn(x, 1.0)))),
-                  float(np.max(np.abs(H.fn(x, 0.6) - G.fn(x, 0.0))))) for x in xs)
+    dev = worst(*(worst(float(np.max(np.abs(H.fn(x, 1.0 / 3.0) - F.fn(x, 1.0)))),
+                        float(np.max(np.abs(H.fn(x, 0.6) - G.fn(x, 0.0))))) for x in xs))
     out.append(_rec("concat_plateau", m, dev, cfg.tol_alg, dev <= cfg.tol_alg))
 
     # formula-level well-definedness over pole fibers: evaluate the star
@@ -243,7 +253,7 @@ def suite_homotopy(cfg):
             wa = dm.Q(n, np.concatenate([[t1], t_rest]))
             wb = dm.Q(n, np.concatenate([[t1], t_alt]))
             sa = star(n, phi, psi_r)
-            dev = max(dev, float(np.max(np.abs(sa.fn(wa) - sa.fn(wb)))))
+            dev = worst(dev, float(np.max(np.abs(sa.fn(wa) - sa.fn(wb)))))
     out.append(_rec("star_quotient_fibers", cnt, dev, 1e-9, dev <= 1e-9))
 
     dev = 0.0
@@ -253,11 +263,11 @@ def suite_homotopy(cfg):
         st = star(n, _triple_rep(n), _triple_rep(n))
         v = dm.random_sphere(n, rng)
         val = st.fn(np.concatenate([v, [0.0]]))
-        dev = max(dev, abs(val[1]))                       # boundary -> x-axis
+        dev = worst(dev, abs(val[1]))                     # boundary -> x-axis
         lower = v.copy()
         lower[-1] = -abs(lower[-1])
         val = st.fn(np.concatenate([lower, [0.0]]))
-        dev = max(dev, float(np.max(np.abs(val))))        # lower half -> origin
+        dev = worst(dev, float(np.max(np.abs(val))))      # lower half -> origin
     out.append(_rec("star_boundary_conditions", cnt, dev, 1e-9, dev <= 1e-9))
 
     e = np.array([0.7])
@@ -272,9 +282,9 @@ def suite_homotopy(cfg):
     for _ in range(cfg.count(200)):
         t_rest = rng.uniform(0.0, 1.0, size=1)
         w_half = dm.Q(2, np.concatenate([t_rest, [sf.lambda_fn(0.5)]]))
-        dev = max(dev, float(np.max(np.abs(g(w_half) - e))))
+        dev = worst(dev, float(np.max(np.abs(g(w_half) - e))))
         w0 = dm.Q(2, np.concatenate([t_rest, [0.0]]))
-        dev = max(dev, float(np.max(np.abs(g(w0) - (e + 0.1 * sf.lambda_fn(3 * w0[-1]))))))
+        dev = worst(dev, float(np.max(np.abs(g(w0) - (e + 0.1 * sf.lambda_fn(3 * w0[-1]))))))
     out.append(_rec("glue_double_seam", cfg.count(200), dev, cfg.tol_alg,
                     dev <= cfg.tol_alg))
 
@@ -382,7 +392,7 @@ def suite_subdivision(cfg):
         for s0, branches in ((1.0 / 3.0, (_phi_b1, _phi_b2)),
                              (2.0 / 3.0, (_phi_b2, _phi_b3))):
             (d_a, y_a), (d_b, y_b) = (br(n, s0, t, v) for br in branches)
-            dev = max(dev, float(np.max(np.abs(d_a - d_b))), abs(y_a - y_b))
+            dev = worst(dev, float(np.max(np.abs(d_a - d_b))), abs(y_a - y_b))
     out.append(_rec("phi_branch_agreement", m, dev, cfg.tol_alg, dev <= cfg.tol_alg))
 
     bad = 0
@@ -415,13 +425,13 @@ def suite_subdivision(cfg):
         w2 = sd.psi_inv(n, sd.psi(n, w, wrinkle=True), wrinkle=True)
         d = float(np.max(np.abs(w2 - w)))
         if d <= cfg.tol_rt:
-            dev = max(dev, d)
+            dev = worst(dev, d)
             continue
         # the wrinkle flattens bands of the chart onto the subdivision
         # walls; inside them distinct points have bit-identical images
         # and no inverse exists.  Certify: the forward images must agree.
         c1, c2 = sd.psi(n, w, wrinkle=True), sd.psi(n, w2, wrinkle=True)
-        img = max(float(np.max(np.abs(c1.disk - c2.disk))), abs(c1.time - c2.time))
+        img = worst(float(np.max(np.abs(c1.disk - c2.disk))), abs(c1.time - c2.time))
         if img <= 1e-11:
             collapsed += 1
         else:
@@ -435,7 +445,7 @@ def suite_subdivision(cfg):
         n = i % 4
         c = sd.CylPoint(dm.random_disk(n, rng), float(rng.uniform()))
         c2 = sd.psi(n, sd.psi_inv(n, c, wrinkle=True), wrinkle=True)
-        dev = max(dev, float(np.max(np.abs(c2.disk - c.disk))), abs(c2.time - c.time))
+        dev = worst(dev, float(np.max(np.abs(c2.disk - c.disk))), abs(c2.time - c.time))
     out.append(_rec("psi_roundtrip_backward", n_rt, dev, cfg.tol_rt,
                     dev <= cfg.tol_rt))
 
@@ -444,7 +454,7 @@ def suite_subdivision(cfg):
         t = float(rng.uniform())
         w = np.array([math.cos(math.pi * t), math.sin(math.pi * t)])
         c = sd.psi(0, w)
-        dev = max(dev, abs(c.time - t), float(np.max(np.abs(c.disk - np.array([1.0])))))
+        dev = worst(dev, abs(c.time - t), float(np.max(np.abs(c.disk - np.array([1.0])))))
     out.append(_rec("psi0_inverts_chart", cfg.count(200), dev, cfg.tol_alg,
                     dev <= cfg.tol_alg))
 
@@ -455,7 +465,7 @@ def suite_subdivision(cfg):
         s = float(rng.uniform())
         s = s / 6.0 if i % 2 == 0 else 5.0 / 6.0 + s / 6.0
         w = sd.source_point(n, dm.random_disk(n - 1, rng), s, float(rng.uniform()))
-        dev = max(dev, float(np.max(np.abs(sd.rho(n, w) - w))))
+        dev = worst(dev, float(np.max(np.abs(sd.rho(n, w) - w))))
     out.append(_rec("rho_fixes_outer_bands", cnt, dev, cfg.tol_rt, dev <= cfg.tol_rt))
 
     w = sd.source_point(2, dm.random_disk(1, rng), 0.25, 0.4)
@@ -638,9 +648,9 @@ def suite_lifting(cfg):
         for _ in range(3):
             wd = dm.random_disk(n, rng)
             got, want = H(dm.include_k(n, wd)), top(wd)
-            dev_top = max(dev_top, abs(got[0] - want[0]), abs(got[1] - want[1]))
+            dev_top = worst(dev_top, abs(got[0] - want[0]), abs(got[1] - want[1]))
             w = dm.random_disk(n + 1, rng)
-            dev_proj = max(dev_proj, abs(p.project(H(w)) - bottom(w)))
+            dev_proj = worst(dev_proj, abs(p.project(H(w)) - bottom(w)))
     out.append(_rec("product_lift_restriction", m, dev_top, cfg.tol_rt,
                     dev_top <= cfg.tol_rt))
     out.append(_rec("product_lift_projection", m, dev_proj, cfg.tol_rt,
@@ -676,10 +686,10 @@ def suite_lifting(cfg):
         x = inst.sample_point(rng)
         t = float(rng.uniform())
         Hx0, fx = H(x, 0.0), inst.f(x)
-        dev = max(dev, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
-        dev = max(dev, abs(H(x, t)[0] - inst.k(x, t)))
+        dev = worst(dev, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
+        dev = worst(dev, abs(H(x, t)[0] - inst.k(x, t)))
         Ha, ha = H(ComplexPoint.base(0.0), t), inst.h(0.0, t)
-        dev = max(dev, abs(Ha[0] - ha[0]), abs(Ha[1] - ha[1]))
+        dev = worst(dev, abs(Ha[0] - ha[0]), abs(Ha[1] - ha[1]))
     out.append(_rec("chep_demo_equations", m, dev, cfg.tol_lift,
                     dev <= cfg.tol_lift,
                     "H(x,0)=f, H|base=h, p(H)=k on the bundled instance"))
@@ -712,9 +722,9 @@ def suite_lifting(cfg):
         x = inst.sample_point(rng)
         t = float(rng.uniform())
         Hx0, fx = Hh(x, 0.0), inst.f(x)
-        dev = max(dev, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
+        dev = worst(dev, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
         Ha, ha = Hh(ComplexPoint.base(0.0), t), inst.h(0.0, t)
-        dev = max(dev, abs(Ha[0] - ha[0]), abs(Ha[1] - ha[1]))
+        dev = worst(dev, abs(Ha[0] - ha[0]), abs(Ha[1] - ha[1]))
     out.append(_rec("hep_contract", cfg.count(400), dev, cfg.tol_lift,
                     dev <= cfg.tol_lift, "H(x,0)=f and H over the base = h"))
 
@@ -725,7 +735,7 @@ def suite_lifting(cfg):
     m = cfg.count(500)
     for i in range(m):
         x = _extend_sample(einst.complex, rng)
-        dev = max(dev, abs(einst.oracle.project(lift(x)) - einst.bottom(x)))
+        dev = worst(dev, abs(einst.oracle.project(lift(x)) - einst.bottom(x)))
     fa = lift(ComplexPoint.base(0.0))
     restr = fa == einst.f(0.0)
     out.append(_rec("extend_lift_demo", m, dev, cfg.tol_lift,
@@ -806,7 +816,7 @@ def _chep_order_independence(cfg):
             x = ComplexPoint.in_cell(edge, np.array([math.cos(math.pi * s),
                                                      math.sin(math.pi * s)]))
             vals.append(H(x, t))
-        dev = max(dev, abs(vals[0][0] - vals[1][0]), abs(vals[0][1] - vals[1][1]))
+        dev = worst(dev, abs(vals[0][0] - vals[1][0]), abs(vals[0][1] - vals[1][1]))
     return dev
 
 
@@ -831,7 +841,7 @@ def _chep_stationary(cfg):
         x = inst.sample_point(rng)
         t = float(rng.uniform())
         Hx = H(x, t)
-        dev = max(dev, abs(Hx[0] - k(x, t)), abs(Hx[1] - fiber_c))
+        dev = worst(dev, abs(Hx[0] - k(x, t)), abs(Hx[1] - fiber_c))
     return dev
 
 

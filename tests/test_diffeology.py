@@ -104,6 +104,12 @@ def test_functional_space_is_chartless():
     assert F.construction == "functional"
 
 
+def test_functional_space_equality_raises():
+    F = functional(R, R)
+    with pytest.raises(TypeError):
+        F.eq(lambda x: x, lambda x: x)
+
+
 def test_open_sample_halfopen_interval():
     ok, _ = d_topology_open_sample(ITILDE, lambda y: 0.0 <= float(y) < 0.5,
                                    probes=[np.array([0.2])])

@@ -91,16 +91,32 @@ def test_xi_inv_examples_and_errors():
         xi_inv(-0.2)
 
 
+# denormal and near-1 inputs, plus the band walls of xi
+EXTREME_YS = [5e-324, 1e-300, 1.0 - 2.0 ** -53,
+              1.0 / 6.0, 1.0 / 3.0, 2.0 / 3.0, 5.0 / 6.0]
+INVERSE_GRID = np.concatenate([np.linspace(0.0, 1.0, 10001), EXTREME_YS])
+
+
 def test_xi_inv_roundtrip():
-    for y in np.linspace(0.0, 1.0, 251):
-        assert abs(xi(xi_inv(y)) - y) < 1e-10
+    for y in INVERSE_GRID:
+        assert abs(xi(xi_inv(y)) - y) <= 1e-13
 
 
 def test_lambda_inv_roundtrip_and_errors():
-    for y in np.linspace(0.0, 1.0, 101):
-        assert abs(lambda_fn(lambda_inv(y)) - y) < 1e-10
+    for y in INVERSE_GRID:
+        assert abs(lambda_fn(lambda_inv(y)) - y) <= 1e-15
     with pytest.raises(ValueError):
         lambda_inv(2.0)
+    with pytest.raises(ValueError):
+        lambda_inv(-1e-300)
+
+
+@pytest.mark.parametrize("inv", [lambda_inv, xi_inv])
+def test_inverses_monotone(inv):
+    ys = np.sort(INVERSE_GRID)
+    vals = [inv(y) for y in ys]
+    assert all(a <= b for a, b in zip(vals, vals[1:]))
+    assert 0.0 <= vals[0] and vals[-1] <= 1.0
 
 
 def test_fd_weights_standard_stencils():

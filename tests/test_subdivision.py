@@ -139,6 +139,33 @@ def test_psi_inv_domain_errors():
         psi_inv(1, CylPoint(np.array([5.0, 0.0]), 0.5))
 
 
+def _bad_points(dim):
+    """Points that violate disk^dim membership, one per kind of fault."""
+    w = np.full(dim + 1, 1.0 / math.sqrt(dim + 1))
+    nan = w.copy()
+    nan[0] = math.nan
+    lower = w.copy()
+    lower[-1] = -lower[-1]
+    return {"wrong_length": np.append(w, 0.0), "off_sphere": 1.5 * w,
+            "nan": nan, "lower_hemisphere": lower}
+
+
+@pytest.mark.parametrize("kind", ["wrong_length", "off_sphere", "nan",
+                                  "lower_hemisphere"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_membership_contract(n, kind):
+    # one check per input array remains, and it rejects every kind of fault
+    with pytest.raises(DomainError):
+        psi(n, _bad_points(n + 1)[kind])
+    with pytest.raises(DomainError):
+        psi_inv(n, CylPoint(_bad_points(n)[kind], 0.5))
+    with pytest.raises(DomainError):
+        rho(n, _bad_points(n + 1)[kind])
+    if n >= 1:  # phi_map's v lives in disk^(n-1)
+        with pytest.raises(DomainError):
+            phi_map(n, 0.5, 0.5, _bad_points(n - 1)[kind])
+
+
 def test_in_L_examples():
     assert in_L(1, CylPoint(np.array([0.6, 0.8]), 0.0))
     assert in_L(1, CylPoint(np.array([1.0, 0.0]), 0.7))
