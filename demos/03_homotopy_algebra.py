@@ -23,14 +23,14 @@ A = Homotopy(lambda x, t: np.array([t]))
 B = Homotopy(lambda x, t: np.array([1.0 + t]))
 H = concat(A, B, sample_points=[None])
 for t in (0.0, 0.3, 1 / 3, 0.5, 2 / 3, 0.75, 1.0):
-    print(f"  H(t={t:.3f}) = {float(H(None, t)):.6f}")
+    print(f"  H(t={t:.3f}) = {float(H(None, t)[0]):.6f}")
 
 print("\n=== the class product splits the first chart slot ===")
 phi = PairMapRep(1, lambda w: np.array([section(1, w)[0]]))
 psi = PairMapRep(1, lambda w: np.array([2.0 + section(1, w)[0]]))
 st = star(1, phi, psi)
 for t1 in (0.1, 0.25, 0.5, 0.75, 0.9):
-    print(f"  t1={t1:.2f} -> {float(st(Q(1, [t1]))):.6f}")
+    print(f"  t1={t1:.2f} -> {float(st(Q(1, [t1]))[0]):.6f}")
 
 print("\n=== boundary restriction ===")
 rep = PairMapRep(2, lambda w: w.copy())

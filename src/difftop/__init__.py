@@ -1,21 +1,26 @@
 """Numerical toolkit for smooth homotopy constructions on diffeological spaces.
 
-The package is organized around seven pieces:
+The package is organized around ten modules:
 
 * ``smoothfn``    -- flat smoothing profiles (gamma, lambda, xi) and the
                      finite-difference smoothness checker,
 * ``diskmodel``   -- the hemisphere model of disks/spheres with its
                      iterated-quotient chart and canonical section,
+* ``cellcomplex`` -- finite relative cell complexes built by attaching
+                     hemisphere disks, and canonical point loci,
 * ``homotopy``    -- endpoint-flat homotopy algebra and path components,
 * ``subdivision`` -- the smooth bijection disk^(n+1) -> disk^n x [0,1]
                      built from a piecewise chart and a wrinkle,
 * ``diffeology``  -- plot-generated spaces, smooth-map checking, the
                      exponential law, the plot-final topology test, and
                      the irrational torus,
-* ``lifting``     -- cell complexes and the cell-by-cell covering
+* ``lifting``     -- fibration oracles and the cell-by-cell covering
                      homotopy extension and lift-extension algorithms,
-* ``verify``      -- seed-reproducible property suites behind the
-                     ``difftop`` command line.
+* ``instances``   -- JSON instance files (expressions, spaces, complexes,
+                     fibrations) and the bundled lifting instances,
+* ``verify``      -- seed-reproducible property suites and the instance
+                     checks they share with the command line,
+* ``cli``         -- the ``difftop`` command line.
 """
 
 from .smoothfn import (
@@ -42,6 +47,6 @@ from .lifting import (
     Fibration, LiftError, TrivialProductFibration, chep, extend_lift, hep,
     point_fibration, product_fibration, transfinite_extension,
 )
-from .verify import RunConfig, run_all, run_suite
+from .verify import RunConfig, run_suite
 
 __version__ = "0.1.0"

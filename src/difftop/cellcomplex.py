@@ -92,21 +92,19 @@ class CellComplex:
                 raise DomainError("canonicalization failed to terminate")
         return pt
 
-    def eq(self, p1, p2, tol=1e-9, base_eq=None):
-        """Point equality after canonicalization, with coordinate slack."""
+    def eq(self, p1, p2):
+        """Point equality after canonicalization, with 1e-9 coordinate slack."""
         a, b = self.canonicalize(p1), self.canonicalize(p2)
         if a.kind != b.kind:
             return False
         if a.kind == "base":
-            if base_eq is not None:
-                return base_eq(a.point, b.point)
             if self.base is not None and hasattr(self.base, "eq"):
                 return self.base.eq(a.point, b.point)
             return bool(np.allclose(np.asarray(a.point, float),
-                                    np.asarray(b.point, float), atol=tol))
+                                    np.asarray(b.point, float), atol=1e-9))
         if a.cell != b.cell:
             return False
-        return bool(np.max(np.abs(a.point - b.point)) <= tol)
+        return bool(np.max(np.abs(a.point - b.point)) <= 1e-9)
 
     def zero_cells(self):
         return [i for i, c in enumerate(self.cells) if c.dim == 0]

@@ -9,7 +9,6 @@ records.
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -17,10 +16,10 @@ import numpy as np
 from . import smoothfn as sf
 from . import diskmodel as dm
 from . import subdivision as sd
-from .cellcomplex import ComplexPoint
-from .lifting import LiftError, chep, extend_lift
+from .lifting import LiftError
 from .instances import bundled_chep_instance, load_instance_file
-from .verify import RunConfig, run_suite, suite_names, worst
+from .verify import (RunConfig, _rec, _report, check_chep_instance,
+                     check_extend_instance, run_suite, suite_names)
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_USAGE, _EXIT_INSTANCE = 0, 1, 2, 3
 
@@ -132,83 +131,38 @@ def cmd_chep(args):
     rng = np.random.default_rng(cfg.seed)
     try:
         if kind == "chep":
-            report = _run_chep_instance(inst, cfg, rng, args.csv)
+            props = _chep_props(inst, cfg, rng, args.csv)
         else:
-            report = _run_extend_instance(inst, cfg, rng)
+            props = _extend_props(inst, cfg, rng)
     except LiftError as exc:
         print(f"instance precondition violated: {exc}", file=sys.stderr)
         return _EXIT_INSTANCE
+    report = _report(f"{kind}-instance", {"seed": cfg.seed, "tol_lift": cfg.tol_lift,
+                                          "samples": cfg.samples}, props)
     _emit(report, args.report)
     return _EXIT_PASS if report["passed"] else _EXIT_FAIL
 
 
-def _run_chep_instance(inst, cfg, rng, csv_path=None):
-    pre = [(inst.sample_point(rng), float(rng.uniform())) for _ in range(50)]
-    H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k,
-             precheck=pre, tol=cfg.tol_lift)
-    n = cfg.count(1000)
-    dev_f = dev_h = dev_p = 0.0
-    rows = []
-    has_base = inst.complex.base is not None
-    for _ in range(n):
-        x = inst.sample_point(rng)
-        t = float(rng.uniform())
-        Hx0, fx = H(x, 0.0), inst.f(x)
-        dev_f = worst(dev_f, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
-        Hxt = H(x, t)
-        dev_p = worst(dev_p, abs(Hxt[0] - inst.k(x, t)))
-        if has_base:
-            Ha, ha = H(ComplexPoint.base(0.0), t), inst.h(0.0, t)
-            dev_h = worst(dev_h, abs(Ha[0] - ha[0]), abs(Ha[1] - ha[1]))
-        if csv_path:
-            rows.append((inst.position(x), t, Hxt[0], Hxt[1]))
+def _chep_props(inst, cfg, rng, csv_path=None):
+    (dev_f, dev_h, dev_p), rows = check_chep_instance(inst, cfg, rng)
     if csv_path:
         with open(csv_path, "w") as fh:
             fh.write("position,t,H_base,H_fiber\n")
-            for row in rows:
+            for x, t, Hxt in rows:
+                row = (inst.position(x), t, Hxt[0], Hxt[1])
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
-    props = [
-        {"property": "H_at_time_zero_is_f", "samples": n, "worst_dev": dev_f,
-         "tol": cfg.tol_lift, "pass": dev_f <= cfg.tol_lift, "note": ""},
-        {"property": "H_over_base_is_h", "samples": n, "worst_dev": dev_h,
-         "tol": cfg.tol_lift, "pass": dev_h <= cfg.tol_lift,
-         "note": "" if has_base else "vacuous: the complex has no base"},
-        {"property": "projection_of_H_is_k", "samples": n, "worst_dev": dev_p,
-         "tol": cfg.tol_lift, "pass": dev_p <= cfg.tol_lift, "note": ""},
-    ]
-    return {"suite": "chep-instance", "config": {"seed": cfg.seed,
-            "tol_lift": cfg.tol_lift, "samples": cfg.samples},
-            "properties": props, "passed": all(p["pass"] for p in props)}
+    n, tol = cfg.count(1000), cfg.tol_lift
+    note = "" if inst.complex.base is not None else "vacuous: the complex has no base"
+    return [_rec("H_at_time_zero_is_f", n, dev_f, tol, dev_f <= tol),
+            _rec("H_over_base_is_h", n, dev_h, tol, dev_h <= tol, note),
+            _rec("projection_of_H_is_k", n, dev_p, tol, dev_p <= tol)]
 
 
-def _run_extend_instance(inst, cfg, rng):
-    lift = extend_lift(inst.oracle, inst.complex, inst.f, inst.bottom,
-                       precheck=[ComplexPoint.base(0.0)], tol=cfg.tol_lift)
-    n = cfg.count(500)
-    dev = 0.0
-    for i in range(n):
-        x = _sample_extend_point(inst.complex, rng)
-        dev = worst(dev, abs(inst.oracle.project(lift(x)) - inst.bottom(x)))
-    restr = lift(ComplexPoint.base(0.0)) == inst.f(0.0)
-    props = [
-        {"property": "lift_projects_to_bottom", "samples": n, "worst_dev": dev,
-         "tol": cfg.tol_lift, "pass": dev <= cfg.tol_lift, "note": ""},
-        {"property": "lift_restricts_to_f", "samples": 1,
-         "worst_dev": 0.0 if restr else 1.0, "tol": 0.0, "pass": restr, "note": ""},
-    ]
-    return {"suite": "extend-instance", "config": {"seed": cfg.seed,
-            "tol_lift": cfg.tol_lift, "samples": cfg.samples},
-            "properties": props, "passed": all(p["pass"] for p in props)}
-
-
-def _sample_extend_point(cx, rng):
-    candidates = []
-    if cx.base is not None:
-        candidates.append(ComplexPoint.base(0.0))
-    for i, cell in enumerate(cx.cells):
-        w = dm.random_disk(cell.dim, rng)
-        candidates.append(ComplexPoint.in_cell(i, w))
-    return candidates[int(rng.integers(len(candidates)))]
+def _extend_props(inst, cfg, rng):
+    dev, restr = check_extend_instance(inst, cfg, rng)
+    tol = cfg.tol_lift
+    return [_rec("lift_projects_to_bottom", cfg.count(500), dev, tol, dev <= tol),
+            _rec("lift_restricts_to_f", 1, 0.0 if restr else 1.0, 0.0, restr)]
 
 
 def cmd_dump(args):

@@ -76,17 +76,6 @@ class DiffSpace:
     construction: str = "euclidean"
     tolerance: float = 1e-9
 
-    def sample_points(self, rng, count):
-        pts = []
-        if not self.generators:
-            return pts
-        for _ in range(count):
-            g = self.generators[int(rng.integers(len(self.generators)))]
-            us = g.sample(rng, 1)
-            if us:
-                pts.append(g(us[0]))
-        return pts
-
 
 @dataclass(frozen=True)
 class MapEvaluator:
@@ -266,6 +255,24 @@ def _grid_samples(gen, cfg, margin):
     return pts
 
 
+def _distinct_starts(vals, count):
+    """Indices of the ``count`` smallest values, one per distinct value.
+
+    Values are told apart by log10 to six decimals, so a flat plateau
+    cannot eat the whole multistart budget.
+    """
+    seen, starts = set(), []
+    for i in sorted(range(len(vals)), key=vals.__getitem__):
+        key = round(math.log10(vals[i] + 1e-300), 6)
+        if key in seen:
+            continue
+        seen.add(key)
+        starts.append(i)
+        if len(starts) >= count:
+            break
+    return starts
+
+
 def _factors_through(y_flat, target, cfg, rng):
     """Search a target chart for a local preimage of the flattened point.
 
@@ -289,23 +296,11 @@ def _factors_through(y_flat, target, cfg, rng):
         thresh = cfg.factor_tol ** 2
 
         if g.dim == 1:
-            # bracketed scalar search around the best coarse nodes; ties are
-            # collapsed so a flat plateau cannot eat the whole start budget
+            # bracketed scalar search around the best coarse nodes
             nodes = np.linspace(lo[0], hi[0], 81)
             vals = [dist2(np.array([a])) for a in nodes]
-            order = sorted(range(len(nodes)), key=lambda i: vals[i])
             step = nodes[1] - nodes[0]
-            seen = set()
-            starts = []
-            for i in order:
-                key = round(math.log10(vals[i] + 1e-300), 6)
-                if key in seen:
-                    continue
-                seen.add(key)
-                starts.append(i)
-                if len(starts) >= cfg.factor_multistart:
-                    break
-            for i in starts:
+            for i in _distinct_starts(vals, cfg.factor_multistart):
                 if vals[i] < thresh:
                     return True
                 res = optimize.minimize_scalar(
@@ -318,21 +313,11 @@ def _factors_through(y_flat, target, cfg, rng):
 
         cloud = [0.5 * (lo + hi)]
         cloud += [rng.uniform(lo, hi) for _ in range(40)]
-        cloud.sort(key=dist2)
-        tried = set()
-        starts = []
-        for u0 in cloud:
-            key = round(math.log10(dist2(u0) + 1e-300), 6)
-            if key in tried:
-                continue
-            tried.add(key)
-            starts.append(u0)
-            if len(starts) >= cfg.factor_multistart:
-                break
-        for u0 in starts:
-            if dist2(u0) < thresh:
+        vals = [dist2(u) for u in cloud]
+        for i in _distinct_starts(vals, cfg.factor_multistart):
+            if vals[i] < thresh:
                 return True
-            res = optimize.minimize(dist2, u0, method="L-BFGS-B",
+            res = optimize.minimize(dist2, cloud[i], method="L-BFGS-B",
                                     bounds=list(zip(lo, hi)),
                                     options={"ftol": 1e-18, "gtol": 1e-14})
             if res.fun < thresh:

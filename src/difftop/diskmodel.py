@@ -23,7 +23,7 @@ from .smoothfn import lambda_fn
 
 __all__ = [
     "DomainError", "POINT_TOL",
-    "disk_dim", "check_disk", "check_sphere", "disk_point",
+    "check_disk", "check_sphere",
     "point_to_json", "point_from_json",
     "q", "Q", "gen_plot", "section",
     "include_j", "include_k", "reflect", "retract", "retract_homotopy",
@@ -39,27 +39,12 @@ class DomainError(ValueError):
     """A point violates the membership contract of an operation."""
 
 
-def disk_dim(w):
-    return len(w) - 1
-
-
-def disk_point(coords):
-    """Validate and return an upper-hemisphere point as an array."""
-    w = np.asarray(coords, dtype=float)
-    check_disk(w)
-    return w
-
-
 def check_disk(w, n=None, tol=POINT_TOL):
     """Assert w lies on the upper hemisphere (of dimension n if given)."""
     w = np.asarray(w, dtype=float)
     if n is not None and len(w) != n + 1:
         raise DomainError(f"expected dim {n} (length {n + 1}), got length {len(w)}")
-    if not np.all(np.isfinite(w)):
-        raise DomainError(f"non-finite coordinates {w!r}")
-    r = np.linalg.norm(w)
-    if abs(r - 1.0) > tol:
-        raise DomainError(f"|point| = {r!r} is not 1 within {tol}")
+    check_sphere(w, tol)
     if w[-1] < -tol:
         raise DomainError(f"last coordinate {w[-1]!r} < 0: not in the upper hemisphere")
     return w

@@ -45,9 +45,6 @@ class Homotopy:
     def __call__(self, x, t):
         return self.fn(x, t)
 
-    def at(self, t):
-        return lambda x: self.fn(x, t)
-
 
 def to_tilde_homotopy(F):
     """Reparameterize an "R" or "I" homotopy into the endpoint-flat kind.
@@ -61,19 +58,22 @@ def to_tilde_homotopy(F):
     return Homotopy(lambda x, t: F.fn(x, lambda_fn(t)), "I_tilde", F.source, F.target)
 
 
-def concat(F, G, sample_points=(), eq=None, tol=1e-9):
+def _close(a, b):
+    """Numeric agreement within 1e-9, the slack of the gluing checks."""
+    return np.allclose(np.asarray(a, float), np.asarray(b, float), atol=1e-9)
+
+
+def concat(F, G, sample_points=()):
     """Concatenation: run F on [0,1/2], G on [1/2,1], lambda-reclocked.
 
     The composite is F(x, lambda(3t)) then G(x, lambda(3t-2)); both
     branches sit at the common middle map F(.,1) = G(.,0) throughout
     [1/3, 2/3], so the seam is flat.  End maps are preserved exactly.
-    Compatibility F(x,1) = G(x,0) is checked on ``sample_points`` (with
-    ``eq`` or numeric closeness) and a failing witness is reported.
+    Compatibility F(x,1) = G(x,0) is checked on ``sample_points`` and a
+    failing witness is reported.
     """
-    if eq is None:
-        eq = lambda a, b: np.allclose(np.asarray(a, float), np.asarray(b, float), atol=tol)
     for x in sample_points:
-        if not eq(F.fn(x, 1.0), G.fn(x, 0.0)):
+        if not _close(F.fn(x, 1.0), G.fn(x, 0.0)):
             raise DomainError(
                 f"concat: end of first homotopy differs from start of second at x={x!r}: "
                 f"{F.fn(x, 1.0)!r} vs {G.fn(x, 0.0)!r}")
@@ -104,10 +104,8 @@ class PairMapRep:
         return self.fn(w)
 
 
-def _same_basepoint(a, b, tol=1e-9):
-    if a is None or b is None:
-        return True
-    return np.allclose(np.asarray(a, float), np.asarray(b, float), atol=tol)
+def _same_basepoint(a, b):
+    return a is None or b is None or _close(a, b)
 
 
 def star(n, phi, psi_rep):
@@ -151,7 +149,7 @@ def delta_restrict(n, phi):
     return PairMapRep(n - 1, fn, phi.basepoint)
 
 
-def glue_double(n, phi0, phi1, sample_points=(), eq=None, tol=1e-9):
+def glue_double(n, phi0, phi1, sample_points=()):
     """Two-sided doubling: phi0 on the bottom half slot, phi1 mirrored.
 
     At the point with cube coordinates (t, lambda(u)) the result is
@@ -161,15 +159,13 @@ def glue_double(n, phi0, phi1, sample_points=(), eq=None, tol=1e-9):
     from either side; the constancy is checked on ``sample_points``
     (points of that half-disk) with a failing witness reported.
     """
-    if eq is None:
-        eq = lambda a, b: np.allclose(np.asarray(a, float), np.asarray(b, float), atol=tol)
     base_val = None
     for w in sample_points:
         for rep in (phi0, phi1):
             val = rep.fn(w)
             if base_val is None:
                 base_val = val
-            elif not eq(val, base_val):
+            elif not _close(val, base_val):
                 raise DomainError(
                     f"glue_double: representative not constant on the lower "
                     f"half-disk, witness {w!r}: {val!r} vs {base_val!r}")

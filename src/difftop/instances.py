@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .smoothfn import gamma, lambda_fn, xi
-from .diskmodel import section
+from .diskmodel import random_disk, section
 from .diffeology import (euclidean, product, coproduct, subspace, quotient,
                          irrational_torus)
 from .cellcomplex import CellComplex, ComplexPoint
@@ -115,10 +115,24 @@ def space_from_json(desc):
     raise InstanceError(f"unknown space kind {kind!r}")
 
 
-def _attach_target(t):
+def _field(desc, key):
+    if key not in desc:
+        raise InstanceError(f"missing field {key!r} in {desc!r:.80}")
+    return desc[key]
+
+
+def _target_cell(at, cx, dim):
+    """The cell index ``at`` names; it must be an earlier cell of dimension dim."""
+    cell = int(_field(at, "cell"))
+    if not 0 <= cell < len(cx) or cx.cells[cell].dim != dim:
+        raise InstanceError(f"attach target {cell} is not an earlier {dim}-cell")
+    return cell
+
+
+def _attach_target(t, cx):
     if t.get("base"):
         return ComplexPoint.base(0.0)
-    return ComplexPoint.in_cell(int(t["cell"]), np.array([1.0]))
+    return ComplexPoint.in_cell(_target_cell(t, cx, 0), np.array([1.0]))
 
 
 def complex_from_json(desc):
@@ -126,18 +140,18 @@ def complex_from_json(desc):
     base = desc.get("base")
     cx = CellComplex(base=base)
     for spec in desc.get("cells", []):
-        dim = int(spec["dim"])
+        dim = int(_field(spec, "dim"))
         if dim == 0:
             cx = cx.attach(0)
             continue
         at = spec.get("attach", {})
         kind = at.get("kind")
         if dim == 1 and kind == "endpoints":
-            pos = _attach_target(at["pos"])
-            neg = _attach_target(at["neg"])
+            pos = _attach_target(_field(at, "pos"), cx)
+            neg = _attach_target(_field(at, "neg"), cx)
             cx = cx.attach(1, (lambda pos, neg: lambda v: pos if v[0] > 0 else neg)(pos, neg))
         elif dim == 2 and kind == "wrap":
-            edge = int(at["cell"])
+            edge = _target_cell(at, cx, 1)
 
             def wrap(u, edge=edge):
                 s = abs(math.atan2(u[1], u[0])) / math.pi
@@ -146,8 +160,8 @@ def complex_from_json(desc):
 
             cx = cx.attach(2, wrap)
         elif kind == "expr":
-            cell = int(at["cell"])
-            coords = [compile_expr(c) for c in at["coords"]]
+            coords = [compile_expr(c) for c in _field(at, "coords")]
+            cell = _target_cell(at, cx, len(coords) - 1)
 
             def gen_attach(u, cell=cell, coords=coords):
                 w = np.array([c(u) for c in coords])
@@ -156,6 +170,8 @@ def complex_from_json(desc):
             cx = cx.attach(dim, gen_attach)
         else:
             raise InstanceError(f"unsupported attach spec {at!r} for a {dim}-cell")
+    if base is None and not cx.cells:
+        raise InstanceError("a complex with no base and no cells has no points")
     return cx
 
 
@@ -257,10 +273,10 @@ class ChepInstance:
 def chep_instance_from_json(desc):
     return ChepInstance(
         fibration=fibration_from_json(desc.get("fibration", {"kind": "product"})),
-        cx=complex_from_json(desc["complex"]),
-        k_expr=desc["k"],
-        fiber0_expr=desc["fiber0"],
-        fiber_base_expr=desc["fiber_base"],
+        cx=complex_from_json(_field(desc, "complex")),
+        k_expr=_field(desc, "k"),
+        fiber0_expr=_field(desc, "fiber0"),
+        fiber_base_expr=_field(desc, "fiber_base"),
         k_offset=float(desc.get("k_offset", 0.0)),
     )
 
@@ -283,12 +299,20 @@ class ExtendInstance:
     def f(self, a):
         return (self._bottom([0.0]), self._f_fiber.copy())
 
+    def sample_point(self, rng):
+        """One random disk point per cell plus the base point; pick one."""
+        cx = self.complex
+        candidates = [ComplexPoint.base(0.0)] if cx.base is not None else []
+        candidates += [ComplexPoint.in_cell(i, random_disk(cell.dim, rng))
+                       for i, cell in enumerate(cx.cells)]
+        return candidates[int(rng.integers(len(candidates)))]
+
 
 def extend_instance_from_json(desc):
     return ExtendInstance(
         oracle=fibration_from_json(desc.get("oracle", {"kind": "trivial_product"})),
-        cx=complex_from_json(desc["complex"]),
-        bottom_expr=desc["bottom"],
+        cx=complex_from_json(_field(desc, "complex")),
+        bottom_expr=_field(desc, "bottom"),
         f_fiber=desc.get("f_fiber", [0.4]),
     )
 
@@ -355,6 +379,8 @@ def bundled_extend_instance():
 def load_instance_file(path):
     with open(path) as fh:
         desc = json.load(fh)
+    if not isinstance(desc, dict):
+        raise InstanceError(f"instance file {path!r} does not hold a JSON object")
     if "fibration" in desc or "k" in desc:
         return "chep", chep_instance_from_json(desc)
     if "oracle" in desc or "bottom" in desc:

@@ -90,7 +90,7 @@ def _flat(p):
     return np.atleast_1d(np.asarray(p, dtype=float))
 
 
-def _default_flatten_total(e):
+def _flat_total(e):
     if isinstance(e, tuple):
         return np.concatenate([_flat(c) for c in e])
     return _flat(e)
@@ -101,8 +101,7 @@ def _close(u, v, tol):
     return u.shape == v.shape and bool(np.max(np.abs(u - v), initial=0.0) <= tol)
 
 
-def chep(p, complex_, f, h, k, precheck=None, tol=1e-6,
-         flatten_total=None, flatten_base=None):
+def chep(p, complex_, f, h, k, precheck=None, tol=1e-6):
     """Covering homotopy extension over a finite relative cell complex.
 
     Inputs: ``f`` maps complex points into the total space; ``h`` is a
@@ -117,19 +116,16 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6,
     time) pairs on which the compatibility equations are verified first;
     a violation raises LiftError with the witness.
     """
-    fe = flatten_total or _default_flatten_total
-    fb = flatten_base or _flat
-
     if precheck:
         for x, t in precheck:
-            if not _close(fb(k(x, 0.0)), fb(p.project(f(x))), tol):
+            if not _close(_flat(k(x, 0.0)), _flat(p.project(f(x))), tol):
                 raise LiftError(f"chep precondition k(x,0) = p(f(x)) fails at {x!r}: "
                                 f"{k(x, 0.0)!r} vs {p.project(f(x))!r}")
             if x.kind == "base":
                 a = x.point
-                if not _close(fe(h(a, 0.0)), fe(f(x)), tol):
+                if not _close(_flat_total(h(a, 0.0)), _flat_total(f(x)), tol):
                     raise LiftError(f"chep precondition h(a,0) = f(a) fails at {a!r}")
-                if not _close(fb(p.project(h(a, t))), fb(k(x, t)), tol):
+                if not _close(_flat(p.project(h(a, t))), _flat(k(x, t)), tol):
                     raise LiftError(f"chep precondition p(h(a,t)) = k(a,t) fails "
                                     f"at {a!r}, t={t!r}")
 
@@ -170,14 +166,13 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6,
     return Homotopy(H_eval, "I_tilde")
 
 
-def hep(complex_, f, h, precheck=None, tol=1e-6, flatten_total=None):
+def hep(complex_, f, h, precheck=None, tol=1e-6):
     """Homotopy extension: chep against the projection to the point."""
     return chep(point_fibration(), complex_, f, h, k=lambda x, t: 0.0,
-                precheck=precheck, tol=tol, flatten_total=flatten_total)
+                precheck=precheck, tol=tol)
 
 
-def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6,
-                flatten_total=None, flatten_base=None):
+def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6):
     """Extend a lift over a complex against a boundary-inclusion oracle.
 
     ``g`` must expose ``lift_j(n, top, square_bottom)`` solving squares
@@ -187,12 +182,10 @@ def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6,
     complex points restricting to ``f`` over the base and projecting to
     ``bottom``, up to the oracle's accuracy.
     """
-    fe = flatten_total or _default_flatten_total
-    fb = flatten_base or _flat
     if precheck:
         for x in precheck:
             if x.kind == "base":
-                if not _close(fb(g.project(f(x.point))), fb(bottom(x)), tol):
+                if not _close(_flat(g.project(f(x.point))), _flat(bottom(x)), tol):
                     raise LiftError(
                         f"extend_lift precondition p(f(a)) = bottom(a) fails at {x!r}")
 

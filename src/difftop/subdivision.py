@@ -38,7 +38,8 @@ from .smoothfn import lambda_fn, lambda_inv, xi, xi_inv
 from .diskmodel import DomainError, Q, check_disk, q, section
 
 __all__ = [
-    "CylPoint", "source_point", "phi_map", "region_classify",
+    "CylPoint", "source_point", "PHI_BRANCHES", "phi_branch", "target_walls",
+    "phi_map", "region_classify",
     "rho", "psi", "psi_inv", "in_L",
 ]
 
@@ -57,6 +58,27 @@ def source_point(n, v, s, t):
     return Q(n + 1, np.concatenate([e, [lambda_fn(s), lambda_fn(t)]]))
 
 
+# target parameters (a, b) of phi on each slab of s, in slab order: the
+# image is (q(n-1, v, lambda(a)), lambda(b))
+PHI_BRANCHES = (
+    lambda s, t: (s * t, 1.0 - 3.0 * s * (1.0 - t)),
+    lambda s, t: ((3.0 - 2.0 * t) * s + t - 1.0, t),
+    lambda s, t: (1.0 - (1.0 - s) * t, 1.0 - 3.0 * (1.0 - s) * (1.0 - t)),
+)
+
+
+def phi_branch(s):
+    """Index into PHI_BRANCHES of the slab of s; a wall joins the slab below."""
+    if s <= 1.0 / 3.0:
+        return 0
+    return 1 if s <= 2.0 / 3.0 else 2
+
+
+def target_walls(t):
+    """The walls s = t/3 and s = 1 - t/3 between the target regions."""
+    return t / 3.0, 1.0 - t / 3.0
+
+
 def phi_map(n, s, t, v):
     """Piecewise cylinder chart, branch by the slab containing s.
 
@@ -67,16 +89,8 @@ def phi_map(n, s, t, v):
     """
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise DomainError(f"parameters s={s!r}, t={t!r} outside [0,1]")
-    if s <= 1.0 / 3.0:
-        disk = q(n - 1, v, lambda_fn(s * t))
-        time = lambda_fn(1.0 - 3.0 * s * (1.0 - t))
-    elif s <= 2.0 / 3.0:
-        disk = q(n - 1, v, lambda_fn((3.0 - 2.0 * t) * s + t - 1.0))
-        time = lambda_fn(t)
-    else:
-        disk = q(n - 1, v, lambda_fn(1.0 - (1.0 - s) * t))
-        time = lambda_fn(1.0 - 3.0 * (1.0 - s) * (1.0 - t))
-    return CylPoint(disk, time)
+    a, b = PHI_BRANCHES[phi_branch(s)](s, t)
+    return CylPoint(q(n - 1, v, lambda_fn(a)), lambda_fn(b))
 
 
 def region_classify(s, t, side, tol=0.0):
@@ -88,23 +102,19 @@ def region_classify(s, t, side, tol=0.0):
     s >= 1 - t/3.  Points within ``tol`` of a wall carry both adjacent
     tags; the result is a sorted tuple.
     """
-    tags = []
     if side == "V":
-        if s <= 1.0 / 3.0 + tol:
-            tags.append(1)
-        if 1.0 / 3.0 - tol <= s <= 2.0 / 3.0 + tol:
-            tags.append(2)
-        if s >= 2.0 / 3.0 - tol:
-            tags.append(3)
+        lo, hi = 1.0 / 3.0, 2.0 / 3.0
     elif side == "W":
-        if s <= t / 3.0 + tol:
-            tags.append(1)
-        if t / 3.0 - tol <= s <= 1.0 - t / 3.0 + tol:
-            tags.append(2)
-        if s >= 1.0 - t / 3.0 - tol:
-            tags.append(3)
+        lo, hi = target_walls(t)
     else:
         raise ValueError(f"side must be 'V' or 'W', got {side!r}")
+    tags = []
+    if s <= lo + tol:
+        tags.append(1)
+    if lo - tol <= s <= hi + tol:
+        tags.append(2)
+    if s >= hi - tol:
+        tags.append(3)
     return tuple(tags)
 
 
@@ -161,10 +171,11 @@ def psi_inv(n, cyl, wrinkle=True):
         return Q(1, [y])
     a = lambda_inv(e[n - 1])
     b = lambda_inv(y)
-    if a <= b / 3.0:
+    lo, hi = target_walls(b)
+    if a <= lo:
         sw = (1.0 + 3.0 * a - b) / 3.0
         t = a / sw if sw > 0.0 else 0.0
-    elif a >= 1.0 - b / 3.0:
+    elif a >= hi:
         a1 = 1.0 - a
         s1 = (1.0 + 3.0 * a1 - b) / 3.0
         t = a1 / s1 if s1 > 0.0 else 0.0

@@ -24,12 +24,13 @@ from . import subdivision as sd
 from . import diffeology as dg
 from .smoothfn import FDConfig, smoothness_check
 from .cellcomplex import CellComplex, ComplexPoint
-from .homotopy import (Homotopy, PairMapRep, concat, delta_restrict, glue_double,
-                       path_components, star)
+from .homotopy import (Homotopy, PairMapRep, concat, glue_double, path_components,
+                       star)
 from .lifting import (LiftError, chep, extend_lift, hep, product_fibration)
 from .instances import bundled_chep_instance, bundled_extend_instance
 
-__all__ = ["RunConfig", "SUITES", "run_suite", "run_all", "suite_names", "worst"]
+__all__ = ["RunConfig", "SUITES", "run_suite", "suite_names", "worst",
+           "check_chep_instance", "check_extend_instance"]
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,13 @@ def _rec(name, samples, worst_dev, tol, ok, note=""):
     return {"property": name, "samples": int(samples),
             "worst_dev": float(worst_dev), "tol": float(tol),
             "pass": bool(ok), "note": note}
+
+
+def _report(name, config, props):
+    """The report envelope shared by the suites and ``difftop chep``."""
+    props = sorted(props, key=lambda r: r["property"])
+    return {"suite": name, "config": config, "properties": props,
+            "passed": all(r["pass"] for r in props)}
 
 
 def worst(*devs):
@@ -302,8 +310,8 @@ def suite_homotopy(cfg):
     # permuting independent chains must not change the partition shape
     diffs = 0
     for _ in range(cfg.count(50)):
-        sizes1 = sorted(len(g) for g in path_components(_two_chain_complex(False)))
-        sizes2 = sorted(len(g) for g in path_components(_two_chain_complex(True)))
+        sizes1 = sorted(len(g) for g in path_components(_pair_complex(False)[0]))
+        sizes2 = sorted(len(g) for g in path_components(_pair_complex(True)[0]))
         if sizes1 != sizes2:
             diffs += 1
     out.append(_rec("path_components_order_independent", cfg.count(50), diffs,
@@ -321,9 +329,7 @@ def _random_complex(rng, max_cells=20):
     total = int(rng.integers(n0, max_cells + 1))
     while len(cx) < total:
         a, b = int(rng.integers(n0)), int(rng.integers(n0))
-        cx = cx.attach(1, (lambda a, b: lambda v:
-                           ComplexPoint.in_cell(a if v[0] > 0 else b,
-                                                np.array([1.0])))(a, b))
+        cx = cx.attach(1, _edge(a, b))
         edges.append((a, b))
     return cx, edges
 
@@ -362,16 +368,20 @@ def _components_oracle(cx):
     return sorted(c for c in comps if c)
 
 
-def _two_chain_complex(swapped):
+def _edge(a, b):
+    """Attaching map of a 1-cell running from 0-cell a (at +1) to b (at -1)."""
+    return lambda v: ComplexPoint.in_cell(a if v[0] > 0 else b, np.array([1.0]))
+
+
+def _pair_complex(swapped):
+    """Four 0-cells and two disjoint edges; returns (complex, chain of each edge)."""
     cx = CellComplex()
     for _ in range(4):
         cx = cx.attach(0)
     pairs = [(0, 1), (2, 3)] if not swapped else [(2, 3), (0, 1)]
     for a, b in pairs:
-        cx = cx.attach(1, (lambda a, b: lambda v:
-                           ComplexPoint.in_cell(a if v[0] > 0 else b,
-                                                np.array([1.0])))(a, b))
-    return cx
+        cx = cx.attach(1, _edge(a, b))
+    return cx, ([0, 1] if not swapped else [1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +399,19 @@ def suite_subdivision(cfg):
         n = 1 + (i % 3)
         v = dm.random_disk(n - 1, rng)
         t = float(rng.uniform())
-        for s0, branches in ((1.0 / 3.0, (_phi_b1, _phi_b2)),
-                             (2.0 / 3.0, (_phi_b2, _phi_b3))):
-            (d_a, y_a), (d_b, y_b) = (br(n, s0, t, v) for br in branches)
-            dev = worst(dev, float(np.max(np.abs(d_a - d_b))), abs(y_a - y_b))
+        for s0, branches in ((1.0 / 3.0, sd.PHI_BRANCHES[:2]),
+                             (2.0 / 3.0, sd.PHI_BRANCHES[1:])):
+            (a1, b1), (a2, b2) = (br(s0, t) for br in branches)
+            d1, d2 = (dm.q(n - 1, v, sf.lambda_fn(a)) for a in (a1, a2))
+            dev = worst(dev, float(np.max(np.abs(d1 - d2))),
+                        abs(sf.lambda_fn(b1) - sf.lambda_fn(b2)))
     out.append(_rec("phi_branch_agreement", m, dev, cfg.tol_alg, dev <= cfg.tol_alg))
 
     bad = 0
     for i in range(m):
         s, t = float(rng.uniform()), float(rng.uniform())
         src = sd.region_classify(s, t, "V")
-        sp, tp = _phi_target_params(s, t)
+        sp, tp = sd.PHI_BRANCHES[sd.phi_branch(s)](s, t)
         tgt = sd.region_classify(sp, tp, "W", tol=1e-9)
         if not set(src) & set(tgt):
             bad += 1
@@ -499,28 +511,6 @@ def suite_subdivision(cfg):
                     "negative control: raw chart must break at the walls"))
 
     return out
-
-
-def _phi_b1(n, s, t, v):
-    return dm.q(n - 1, v, sf.lambda_fn(s * t)), sf.lambda_fn(1 - 3 * s * (1 - t))
-
-
-def _phi_b2(n, s, t, v):
-    return (dm.q(n - 1, v, sf.lambda_fn((3 - 2 * t) * s + t - 1)),
-            sf.lambda_fn(t))
-
-
-def _phi_b3(n, s, t, v):
-    return (dm.q(n - 1, v, sf.lambda_fn(1 - (1 - s) * t)),
-            sf.lambda_fn(1 - 3 * (1 - s) * (1 - t)))
-
-
-def _phi_target_params(s, t):
-    if s <= 1.0 / 3.0:
-        return s * t, 1.0 - 3.0 * s * (1.0 - t)
-    if s <= 2.0 / 3.0:
-        return (3.0 - 2.0 * t) * s + t - 1.0, t
-    return 1.0 - (1.0 - s) * t, 1.0 - 3.0 * (1.0 - s) * (1.0 - t)
 
 
 def _seam_coord(n, v, t, j, wrinkle):
@@ -677,20 +667,9 @@ def suite_lifting(cfg):
     out.append(_rec("canonicalize_idempotent", cnt, bad, 0.0, bad == 0))
 
     inst, _ = bundled_chep_instance()
-    pre = [(inst.sample_point(rng), float(rng.uniform())) for _ in range(30)]
-    H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k,
-             precheck=pre, tol=cfg.tol_lift)
-    m = cfg.count(1000)
-    dev = 0.0
-    for _ in range(m):
-        x = inst.sample_point(rng)
-        t = float(rng.uniform())
-        Hx0, fx = H(x, 0.0), inst.f(x)
-        dev = worst(dev, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
-        dev = worst(dev, abs(H(x, t)[0] - inst.k(x, t)))
-        Ha, ha = H(ComplexPoint.base(0.0), t), inst.h(0.0, t)
-        dev = worst(dev, abs(Ha[0] - ha[0]), abs(Ha[1] - ha[1]))
-    out.append(_rec("chep_demo_equations", m, dev, cfg.tol_lift,
+    devs, _ = check_chep_instance(inst, cfg, rng, n_pre=30)
+    dev = worst(*devs)
+    out.append(_rec("chep_demo_equations", cfg.count(1000), dev, cfg.tol_lift,
                     dev <= cfg.tol_lift,
                     "H(x,0)=f, H|base=h, p(H)=k on the bundled instance"))
 
@@ -716,7 +695,7 @@ def suite_lifting(cfg):
                     "constant-in-time data lifts to the hand formula"))
 
     Hh = hep(inst.complex, inst.f, inst.h,
-             precheck=pre, tol=cfg.tol_lift)
+             precheck=[(ComplexPoint.base(0.0), 0.0)], tol=cfg.tol_lift)
     dev = 0.0
     for _ in range(cfg.count(400)):
         x = inst.sample_point(rng)
@@ -729,16 +708,8 @@ def suite_lifting(cfg):
                     dev <= cfg.tol_lift, "H(x,0)=f and H over the base = h"))
 
     einst, _ = bundled_extend_instance()
-    lift = extend_lift(einst.oracle, einst.complex, einst.f, einst.bottom,
-                       precheck=[ComplexPoint.base(0.0)], tol=cfg.tol_lift)
-    dev = 0.0
-    m = cfg.count(500)
-    for i in range(m):
-        x = _extend_sample(einst.complex, rng)
-        dev = worst(dev, abs(einst.oracle.project(lift(x)) - einst.bottom(x)))
-    fa = lift(ComplexPoint.base(0.0))
-    restr = fa == einst.f(0.0)
-    out.append(_rec("extend_lift_demo", m, dev, cfg.tol_lift,
+    dev, restr = check_extend_instance(einst, cfg, rng)
+    out.append(_rec("extend_lift_demo", cfg.count(500), dev, cfg.tol_lift,
                     dev <= cfg.tol_lift and restr,
                     "projection equation plus exact restriction to the base"))
 
@@ -750,56 +721,26 @@ def suite_lifting(cfg):
     return out
 
 
-def _extend_sample(cx, rng):
-    r = rng.uniform()
-    if r < 0.15:
-        return ComplexPoint.base(0.0)
-    if r < 0.3:
-        return ComplexPoint.in_cell(0, np.array([1.0]))
-    if r < 0.6:
-        s = float(rng.uniform())
-        return ComplexPoint.in_cell(1, np.array([math.cos(math.pi * s),
-                                                 math.sin(math.pi * s)]))
-    return ComplexPoint.in_cell(2, dm.random_disk(2, rng))
-
-
-def _independent_pair_data():
-    """Two disjoint edges; data keyed by which chain a point is in."""
-    def build(swapped):
-        cx = CellComplex()
-        for _ in range(4):
-            cx = cx.attach(0)
-        pairs = [(0, 1), (2, 3)] if not swapped else [(2, 3), (0, 1)]
-        chain_of_edge = [0, 1] if not swapped else [1, 0]
-        for a, b in pairs:
-            cx = cx.attach(1, (lambda a, b: lambda v:
-                               ComplexPoint.in_cell(a if v[0] > 0 else b,
-                                                    np.array([1.0])))(a, b))
-        return cx, chain_of_edge
-
-    def coords(cx, chain_of_edge, x):
-        x = cx.canonicalize(x)
-        if cx.cells[x.cell].dim == 0:
-            return (0 if x.cell in (0, 1) else 1), float(x.cell % 2)
-        chain = chain_of_edge[x.cell - 4]
-        return chain, float(dm.section(1, x.point)[0])
-
-    return build, coords
+def _pair_coords(cx, chain_of_edge, x):
+    """(chain, position along it) of a point of ``_pair_complex``."""
+    x = cx.canonicalize(x)
+    if cx.cells[x.cell].dim == 0:
+        return (0 if x.cell in (0, 1) else 1), float(x.cell % 2)
+    return chain_of_edge[x.cell - 4], float(dm.section(1, x.point)[0])
 
 
 def _chep_order_independence(cfg):
     rng = cfg.rng("lifting-order")
-    build, coords = _independent_pair_data()
     results = []
     for swapped in (False, True):
-        cx, chain_of_edge = build(swapped)
+        cx, chain_of_edge = _pair_complex(swapped)
 
         def k(x, t, cx=cx, ce=chain_of_edge):
-            ch, s = coords(cx, ce, x)
+            ch, s = _pair_coords(cx, ce, x)
             return 0.3 * math.sin(2.0 * s + ch) + 0.2 * sf.lambda_fn(t)
 
         def f(x, cx=cx, ce=chain_of_edge, k=k):
-            ch, s = coords(cx, ce, x)
+            ch, s = _pair_coords(cx, ce, x)
             return (k(x, 0.0), math.cos(1.3 * s) + 0.5 * ch)
 
         H = chep(product_fibration("R", "R"), cx, f, None, k, tol=cfg.tol_lift)
@@ -845,6 +786,55 @@ def _chep_stationary(cfg):
     return dev
 
 
+# ---------------------------------------------------------------------------
+# instance checks, shared by the lifting suite and ``difftop chep``
+# ---------------------------------------------------------------------------
+
+def check_chep_instance(inst, cfg, rng, n_pre=50):
+    """Lift a chep instance and sample its three equations.
+
+    Draws ``n_pre`` precheck pairs, builds H by ``chep`` (which raises
+    LiftError on incompatible data), then samples cfg.count(1000) pairs
+    (x, t).  Returns the worst deviations of H(x, 0) = f(x), of H = h
+    over the base (0 when the complex has no base) and of
+    p(H(x, t)) = k(x, t), plus the sampled rows (x, t, H(x, t)).
+    """
+    pre = [(inst.sample_point(rng), float(rng.uniform())) for _ in range(n_pre)]
+    H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k,
+             precheck=pre, tol=cfg.tol_lift)
+    has_base = inst.complex.base is not None
+    dev_f = dev_h = dev_p = 0.0
+    rows = []
+    for _ in range(cfg.count(1000)):
+        x = inst.sample_point(rng)
+        t = float(rng.uniform())
+        Hx0, fx = H(x, 0.0), inst.f(x)
+        dev_f = worst(dev_f, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
+        Hxt = H(x, t)
+        dev_p = worst(dev_p, abs(Hxt[0] - inst.k(x, t)))
+        if has_base:
+            Ha, ha = H(ComplexPoint.base(0.0), t), inst.h(0.0, t)
+            dev_h = worst(dev_h, abs(Ha[0] - ha[0]), abs(Ha[1] - ha[1]))
+        rows.append((x, t, Hxt))
+    return (dev_f, dev_h, dev_p), rows
+
+
+def check_extend_instance(inst, cfg, rng):
+    """Lift an extend instance and sample its projection equation.
+
+    Returns the worst deviation of p(lift(x)) = bottom(x) over
+    cfg.count(500) points from ``inst.sample_point``, and whether the
+    lift restricts exactly to f over the base.
+    """
+    lift = extend_lift(inst.oracle, inst.complex, inst.f, inst.bottom,
+                       precheck=[ComplexPoint.base(0.0)], tol=cfg.tol_lift)
+    dev = 0.0
+    for _ in range(cfg.count(500)):
+        x = inst.sample_point(rng)
+        dev = worst(dev, abs(inst.oracle.project(lift(x)) - inst.bottom(x)))
+    return dev, lift(ComplexPoint.base(0.0)) == inst.f(0.0)
+
+
 SUITES = {
     "smoothfn": suite_smoothfn,
     "diskmodel": suite_diskmodel,
@@ -873,14 +863,4 @@ def run_suite(name, cfg=None):
         props = SUITES[name](cfg)
     else:
         raise KeyError(name)
-    props = sorted(props, key=lambda r: r["property"])
-    return {
-        "suite": name,
-        "config": asdict(cfg),
-        "properties": props,
-        "passed": all(r["pass"] for r in props),
-    }
-
-
-def run_all(cfg=None):
-    return run_suite("all", cfg)
+    return _report(name, asdict(cfg), props)

@@ -151,3 +151,43 @@ def test_eval_json_points(capsys):
     obj = json.loads(out)
     assert obj["dim"] == 2 and len(obj["coords"]) == 3
     assert obj["coords"][2] == pytest.approx(1.0)
+
+
+def test_chep_no_base_is_vacuous_over_base(tmp_path, capsys):
+    _, desc = bundled_chep_instance(relative=False)
+    path = tmp_path / "absolute.json"
+    path.write_text(json.dumps(desc))
+    code, out, _ = run_cli(["chep", str(path), "--samples", "0.2"], capsys)
+    assert code == 0
+    rec = {p["property"]: p for p in json.loads(out)["properties"]}["H_over_base_is_h"]
+    assert rec["pass"] and rec["worst_dev"] == 0.0
+    assert rec["note"] == "vacuous: the complex has no base"
+
+
+def test_chep_instance_missing_fields_exits_2(tmp_path, capsys):
+    path = tmp_path / "k_only.json"
+    path.write_text(json.dumps({"k": 1}))
+    code, out, err = run_cli(["chep", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "missing field 'complex'" in err
+
+
+def test_chep_instance_without_points_exits_2(tmp_path, capsys):
+    _, desc = bundled_extend_instance()
+    desc["complex"] = {"base": None, "cells": []}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli(["chep", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "no base and no cells" in err
+
+
+@pytest.mark.parametrize("target", [5, 1])  # missing, and the edge itself
+def test_chep_attach_to_later_cell_exits_2(tmp_path, capsys, target):
+    _, desc = bundled_chep_instance()
+    desc["complex"]["cells"][1]["attach"]["neg"] = {"cell": target}
+    path = tmp_path / "dangling.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli(["chep", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert f"attach target {target} is not an earlier 0-cell" in err

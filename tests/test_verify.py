@@ -1,7 +1,10 @@
 import math
 
 import difftop.smoothfn
-from difftop.verify import RunConfig, suite_smoothfn, worst
+from difftop.cli import _chep_props
+from difftop.instances import bundled_chep_instance
+from difftop.lifting import Fibration
+from difftop.verify import RunConfig, check_chep_instance, suite_smoothfn, worst
 
 
 def _props(records):
@@ -31,3 +34,22 @@ def test_nan_inverse_fails_roundtrip_property(monkeypatch):
     rec = _props(suite_smoothfn(cfg))["xi_inv_roundtrip"]
     assert not rec["pass"]
     assert rec["worst_dev"] == math.inf
+
+
+def test_nan_lift_fails_chep_check():
+    # negative control: an oracle whose lifts carry a NaN fiber must fail
+    # the instance check shared by the lifting suite and `difftop chep`
+    inst, _ = bundled_chep_instance()
+    p = inst.fibration
+
+    def lift_k(n, top, bottom):
+        lifted = p.lift_k(n, top, bottom)
+        return lambda w: (lifted(w)[0], math.nan)
+
+    inst.fibration = Fibration(p.total, p.base, p.project, lift_k)
+    cfg = RunConfig(samples=0.05)
+    devs, _ = check_chep_instance(inst, cfg, cfg.rng("nan-oracle"))
+    assert worst(*devs) == math.inf
+    rec = {r["property"]: r for r in _chep_props(inst, cfg, cfg.rng("nan-oracle"))}
+    assert rec["H_at_time_zero_is_f"]["worst_dev"] == math.inf
+    assert not rec["H_at_time_zero_is_f"]["pass"]
