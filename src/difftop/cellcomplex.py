@@ -49,10 +49,9 @@ class Cell(NamedTuple):
 class CellComplex:
     """Base space plus ordered cells; immutable, extended by ``attach``."""
 
-    def __init__(self, base=None, cells=(), tol=BOUNDARY_TOL):
+    def __init__(self, base=None, cells=()):
         self.base = base
         self.cells = tuple(cells)
-        self.tol = tol
 
     def __len__(self):
         return len(self.cells)
@@ -66,7 +65,7 @@ class CellComplex:
             raise DomainError("cell dimension must be >= 0")
         if dim > 0 and attaching is None:
             raise DomainError(f"a {dim}-cell needs an attaching map")
-        return CellComplex(self.base, self.cells + (Cell(dim, attaching),), self.tol)
+        return CellComplex(self.base, self.cells + (Cell(dim, attaching),))
 
     def cell_point(self, idx, w):
         if not 0 <= idx < len(self.cells):
@@ -80,7 +79,7 @@ class CellComplex:
         while pt.kind == "cell":
             cell = self.cells[pt.cell]
             w = pt.point
-            if cell.dim == 0 or abs(w[-1]) > self.tol:
+            if cell.dim == 0 or abs(w[-1]) > BOUNDARY_TOL:
                 return pt  # interior of an open cell
             nxt = cell.attach(np.asarray(w[:-1], dtype=float))
             if nxt.kind == "cell" and nxt.cell >= pt.cell:

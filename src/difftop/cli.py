@@ -9,7 +9,9 @@ records.
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -18,18 +20,16 @@ from . import diskmodel as dm
 from . import subdivision as sd
 from .lifting import LiftError
 from .instances import bundled_chep_instance, load_instance_file
-from .verify import (RunConfig, _rec, _report, check_chep_instance,
+from .verify import (RunConfig, _holds, _report, _within, check_chep_instance,
                      check_extend_instance, run_suite, suite_names)
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_USAGE, _EXIT_INSTANCE = 0, 1, 2, 3
 
 
 def _config_from(args):
-    return RunConfig(
-        tol_alg=args.tol_alg, tol_rt=args.tol_rt, tol_fd=args.tol_fd,
-        tol_lift=args.tol_lift, samples=args.samples, fd_order=args.fd_order,
-        seed=args.seed, disable_wrinkle=getattr(args, "disable_wrinkle", False),
-    )
+    """The RunConfig the flags of a subcommand set; the rest keep their defaults."""
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                        if hasattr(args, f.name)})
 
 
 def _emit(report, fmt, stream=None):
@@ -73,8 +73,10 @@ def _print_point(w, as_json):
 
 
 def cmd_eval(args):
-    name, params = args.map, [float(a) for a in args.args]
+    name = args.map
+    wrinkle = not _config_from(args).disable_wrinkle
     try:
+        params = [float(a) for a in args.args]
         if name in _SCALAR_MAPS:
             if len(params) != 1:
                 raise ValueError(f"{name} takes one argument")
@@ -94,7 +96,7 @@ def cmd_eval(args):
             _print_point(sd.rho(n, params[1:]), args.json_points)
         elif name == "psi":
             n = int(params[0])
-            c = sd.psi(n, params[1:], wrinkle=not args.disable_wrinkle)
+            c = sd.psi(n, params[1:], wrinkle=wrinkle)
             if args.json_points:
                 print(json.dumps({"disk": dm.point_to_json(c.disk),
                                   "time": float(c.time)}, sort_keys=True))
@@ -103,8 +105,7 @@ def cmd_eval(args):
         elif name == "psi_inv":
             n = int(params[0])
             c = sd.CylPoint(np.asarray(params[1:n + 2]), params[n + 2])
-            _print_point(sd.psi_inv(n, c, wrinkle=not args.disable_wrinkle),
-                         args.json_points)
+            _print_point(sd.psi_inv(n, c, wrinkle=wrinkle), args.json_points)
         else:
             print(f"unknown map {name!r}; choices: "
                   f"{sorted(_SCALAR_MAPS) + ['Q', 'gen_plot', 'q', 'section', 'rho', 'psi', 'psi_inv']}",
@@ -153,16 +154,15 @@ def _chep_props(inst, cfg, rng, csv_path=None):
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
     n, tol = cfg.count(1000), cfg.tol_lift
     note = "" if inst.complex.base is not None else "vacuous: the complex has no base"
-    return [_rec("H_at_time_zero_is_f", n, dev_f, tol, dev_f <= tol),
-            _rec("H_over_base_is_h", n, dev_h, tol, dev_h <= tol, note),
-            _rec("projection_of_H_is_k", n, dev_p, tol, dev_p <= tol)]
+    return [_within("H_at_time_zero_is_f", n, dev_f, tol),
+            _within("H_over_base_is_h", n, dev_h, tol, note),
+            _within("projection_of_H_is_k", n, dev_p, tol)]
 
 
 def _extend_props(inst, cfg, rng):
     dev, restr = check_extend_instance(inst, cfg, rng)
-    tol = cfg.tol_lift
-    return [_rec("lift_projects_to_bottom", cfg.count(500), dev, tol, dev <= tol),
-            _rec("lift_restricts_to_f", 1, 0.0 if restr else 1.0, 0.0, restr)]
+    return [_within("lift_projects_to_bottom", cfg.count(500), dev, cfg.tol_lift),
+            _holds("lift_restricts_to_f", 1, restr)]
 
 
 def cmd_dump(args):
@@ -178,8 +178,7 @@ def cmd_dump(args):
             v = dm.random_disk(n - 1, rng)
             s, t = float(rng.uniform()), float(rng.uniform())
             tags = sd.region_classify(s, t, "V")
-            c = sd.psi(n, sd.source_point(n, v, s, t),
-                       wrinkle=not args.disable_wrinkle)
+            c = sd.psi(n, sd.source_point(n, v, s, t), wrinkle=not cfg.disable_wrinkle)
             row = ([str(n), "%.17g" % s, "%.17g" % t]
                    + ["%.17g" % x for x in v]
                    + ["|".join(map(str, tags))]
@@ -191,19 +190,44 @@ def cmd_dump(args):
     return _EXIT_PASS
 
 
-def _add_common(p):
-    p.add_argument("--tol-alg", type=float, default=1e-12, dest="tol_alg")
-    p.add_argument("--tol-rt", type=float, default=1e-8, dest="tol_rt")
-    p.add_argument("--tol-fd", type=float, default=1e-4, dest="tol_fd")
-    p.add_argument("--tol-lift", type=float, default=1e-6, dest="tol_lift")
-    p.add_argument("--samples", type=float, default=1.0,
-                   help="sample-count multiplier")
-    p.add_argument("--fd-order", type=int, default=3, dest="fd_order")
-    p.add_argument("--seed", type=int, default=20570)
-    p.add_argument("--report", choices=("json", "text"), default="json")
-    p.add_argument("--disable-wrinkle", action="store_true",
-                   dest="disable_wrinkle",
-                   help="debug: run the subdivision bijection without the wrinkle")
+def _checked(convert, ok, what):
+    """An argparse type: convert the text, then require ok(value)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
+                      "a finite tolerance >= 0")
+_multiplier = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
+                       "a finite number > 0")
+_positive = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+# flags that set a RunConfig field of the same name; when a flag is not
+# given, the field keeps its RunConfig default
+_CONFIG_FLAGS = {
+    "--tol-alg": {"type": _tolerance},
+    "--tol-rt": {"type": _tolerance},
+    "--tol-fd": {"type": _tolerance},
+    "--tol-lift": {"type": _tolerance},
+    "--samples": {"type": _multiplier, "help": "sample-count multiplier"},
+    "--fd-order": {"type": _positive},
+    "--seed": {"type": _seed},
+    "--disable-wrinkle": {"action": "store_true", "help": "debug: run the "
+                          "subdivision bijection without the wrinkle"},
+}
+
+
+def _add_config_flags(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, default=argparse.SUPPRESS, **_CONFIG_FLAGS[flag])
 
 
 def build_parser():
@@ -215,7 +239,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=suite_names())
-    _add_common(p)
+    _add_config_flags(p, *_CONFIG_FLAGS)
+    p.add_argument("--report", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate a named map at coordinates")
@@ -223,21 +248,22 @@ def build_parser():
     p.add_argument("args", nargs="*")
     p.add_argument("--json-points", action="store_true", dest="json_points",
                    help="emit points as {dim, coords} JSON objects")
-    _add_common(p)
+    _add_config_flags(p, "--disable-wrinkle")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("chep", help="run a lifting instance file "
                                     "(or 'bundled')")
     p.add_argument("instance")
     p.add_argument("--csv", default=None, help="write sampled H values as CSV")
-    _add_common(p)
+    _add_config_flags(p, "--tol-lift", "--samples", "--seed")
+    p.add_argument("--report", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_chep)
 
     p = sub.add_parser("dump", help="CSV sample dump of the subdivision map")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_positive, default=2)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_config_flags(p, "--seed", "--disable-wrinkle")
     p.set_defaults(func=cmd_dump)
 
     return ap

@@ -16,7 +16,7 @@ proofs.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
@@ -31,6 +31,10 @@ __all__ = [
     "exponential_alpha", "exponential_alpha_inv",
     "d_topology_open_sample", "irrational_torus",
 ]
+
+# coordinate slack of point equality in euclidean spaces, quotients and
+# the irrational torus
+EQ_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,6 @@ class DiffSpace:
     eq: object
     flatten: object                 # point -> 1-d float array, for numerics
     construction: str = "euclidean"
-    tolerance: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,8 @@ def euclidean(n, window=5.0):
     return DiffSpace(
         name=f"R^{n}",
         generators=(gen,),
-        eq=lambda a, b: bool(np.allclose(np.asarray(a, float), np.asarray(b, float), atol=1e-9)),
+        eq=lambda a, b: bool(np.allclose(np.asarray(a, float), np.asarray(b, float),
+                                         atol=EQ_TOL)),
         flatten=lambda p: np.atleast_1d(np.asarray(p, dtype=float)),
         construction="euclidean",
     )
@@ -120,7 +124,6 @@ def product(X, Y):
         eq=lambda a, b: X.eq(a[0], b[0]) and Y.eq(a[1], b[1]),
         flatten=lambda p: np.concatenate([X.flatten(p[0]), Y.flatten(p[1])]),
         construction="product",
-        tolerance=min(X.tolerance, Y.tolerance),
     )
 
 
@@ -142,8 +145,7 @@ def coproduct(X, Y):
         inner = (X if p[0] == 0 else Y).flatten(p[1])
         return np.concatenate([[float(p[0])], inner])
 
-    return DiffSpace(f"({X.name} + {Y.name})", gens, eq, flatten, "coproduct",
-                     min(X.tolerance, Y.tolerance))
+    return DiffSpace(f"({X.name} + {Y.name})", gens, eq, flatten, "coproduct")
 
 
 def subspace(Y, membership, name=None):
@@ -159,10 +161,10 @@ def subspace(Y, membership, name=None):
         for g in Y.generators
     )
     return DiffSpace(name or f"{{{Y.name} | membership}}", gens, Y.eq, Y.flatten,
-                     "subspace", Y.tolerance)
+                     "subspace")
 
 
-def quotient(Y, canonicalizer, name=None, tolerance=None):
+def quotient(Y, canonicalizer, name=None):
     """Quotient of Y along a canonicalizing projection.
 
     The projection must send every ambient point of a class to one
@@ -172,7 +174,6 @@ def quotient(Y, canonicalizer, name=None, tolerance=None):
     projection is not assumed idempotent, so it is never re-applied to
     quotient points).
     """
-    tol = Y.tolerance if tolerance is None else tolerance
     gens = tuple(
         Parameterization(g.lo, g.hi, (lambda g: lambda u: canonicalizer(g(u)))(g),
                          valid=g.valid)
@@ -182,11 +183,11 @@ def quotient(Y, canonicalizer, name=None, tolerance=None):
     def eq(a, b):
         fa = np.atleast_1d(np.asarray(a, dtype=float))
         fb = np.atleast_1d(np.asarray(b, dtype=float))
-        return bool(np.allclose(fa, fb, atol=tol))
+        return bool(np.allclose(fa, fb, atol=EQ_TOL))
 
     return DiffSpace(name or f"{Y.name}/~", gens, eq,
                      lambda p: np.atleast_1d(np.asarray(p, dtype=float)),
-                     "quotient", tol)
+                     "quotient")
 
 
 def functional(X, Y):
@@ -213,16 +214,22 @@ def functional(X, Y):
 # Smooth-map checking
 # ---------------------------------------------------------------------------
 
+# smooth_check tests first derivatives along the axes and this many random
+# directions per sample
+_LINE_ORDER = 1
+_DIRECTIONS = 2
+# a sampled image factors through a target chart when some parameter
+# lands within FACTOR_TOL of it; the local search starts from at most
+# _MULTISTART distinct coarse candidates per chart
+FACTOR_TOL = 1e-7
+_MULTISTART = 4
+
+
 @dataclass(frozen=True)
 class SmoothCheckConfig:
     samples_per_generator: int = 6
     grid_per_axis: int = 5          # odd counts include box centers
-    max_order: int = 1
-    directions: int = 2             # random directions on top of the axes
     fd: FDConfig = field(default_factory=FDConfig)
-    factor_check: bool = True
-    factor_tol: float = 1e-7
-    factor_multistart: int = 4
     seed: int = 20570
 
 
@@ -273,7 +280,7 @@ def _distinct_starts(vals, count):
     return starts
 
 
-def _factors_through(y_flat, target, cfg, rng):
+def _factors_through(y_flat, target, rng):
     """Search a target chart for a local preimage of the flattened point.
 
     A coarse scan seeds the local optimizer: charts built from the flat
@@ -282,7 +289,7 @@ def _factors_through(y_flat, target, cfg, rng):
     """
     for g in target.generators:
         if g.dim == 0:
-            if np.allclose(target.flatten(g(np.zeros(0))), y_flat, atol=cfg.factor_tol):
+            if np.allclose(target.flatten(g(np.zeros(0))), y_flat, atol=FACTOR_TOL):
                 return True
             continue
 
@@ -293,14 +300,14 @@ def _factors_through(y_flat, target, cfg, rng):
                 return np.inf
 
         lo, hi = np.asarray(g.lo), np.asarray(g.hi)
-        thresh = cfg.factor_tol ** 2
+        thresh = FACTOR_TOL ** 2
 
         if g.dim == 1:
             # bracketed scalar search around the best coarse nodes
             nodes = np.linspace(lo[0], hi[0], 81)
             vals = [dist2(np.array([a])) for a in nodes]
             step = nodes[1] - nodes[0]
-            for i in _distinct_starts(vals, cfg.factor_multistart):
+            for i in _distinct_starts(vals, _MULTISTART):
                 if vals[i] < thresh:
                     return True
                 res = optimize.minimize_scalar(
@@ -314,7 +321,7 @@ def _factors_through(y_flat, target, cfg, rng):
         cloud = [0.5 * (lo + hi)]
         cloud += [rng.uniform(lo, hi) for _ in range(40)]
         vals = [dist2(u) for u in cloud]
-        for i in _distinct_starts(vals, cfg.factor_multistart):
+        for i in _distinct_starts(vals, _MULTISTART):
             if vals[i] < thresh:
                 return True
             res = optimize.minimize(dist2, cloud[i], method="L-BFGS-B",
@@ -346,14 +353,14 @@ def smooth_check(f, config=None):
     cfg = config or SmoothCheckConfig()
     rng = np.random.default_rng(cfg.seed)
     report = SmoothCheckReport(map_name=f.name or "<map>")
-    margin = cfg.fd.base_step * (cfg.max_order + 2)
+    margin = cfg.fd.base_step * (_LINE_ORDER + 2)
 
     for gi, gen in enumerate(f.source.generators):
         samples = _grid_samples(gen, cfg, margin)
         samples += gen.sample(rng, cfg.samples_per_generator, margin=margin)
         for u in samples:
             dirs = [np.eye(gen.dim)[a] for a in range(gen.dim)]
-            for _ in range(cfg.directions if gen.dim > 0 else 0):
+            for _ in range(_DIRECTIONS if gen.dim > 0 else 0):
                 d = rng.standard_normal(gen.dim)
                 dirs.append(d / np.linalg.norm(d))
 
@@ -372,7 +379,7 @@ def smooth_check(f, config=None):
                 for coord in range(len(y_flat)):
                     def line(s, d=d, coord=coord):
                         return composite(u + s * d)[coord]
-                    rep = smoothness_check(line, 0.0, cfg.max_order, config=cfg.fd)
+                    rep = smoothness_check(line, 0.0, _LINE_ORDER, config=cfg.fd)
                     if rep.inconclusive:
                         report.inconclusive = True
                         report.add_failure("inconclusive", {
@@ -382,10 +389,9 @@ def smooth_check(f, config=None):
                             "generator": gi, "u": list(u), "coord": coord,
                             "direction": list(d), "estimates": rep.side_estimates})
 
-            if cfg.factor_check and f.target.generators:
-                if not _factors_through(y_flat, f.target, cfg, rng):
-                    report.add_failure("factorization", {
-                        "generator": gi, "u": list(u), "image": list(y_flat)})
+            if f.target.generators and not _factors_through(y_flat, f.target, rng):
+                report.add_failure("factorization", {
+                    "generator": gi, "u": list(u), "image": list(y_flat)})
     if report.inconclusive:
         report.passed = False
     return report
@@ -417,43 +423,43 @@ def exponential_alpha_inv(g, source=None, target=None):
 # D-topology and the irrational torus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OpenSampleConfig:
-    probes_per_generator: int = 12
-    ball_samples: int = 40
-    radius_start: float = 0.25
-    min_radius: float = 1e-6
-    seed: int = 31415
+# d_topology_open_sample: auto-sampled probes per generator, samples per
+# ball, the radius ladder (halved from _RADIUS_START down to _MIN_RADIUS)
+# and the seed of its own generator
+_PROBES_PER_GENERATOR = 12
+_BALL_SAMPLES = 40
+_RADIUS_START = 0.25
+_MIN_RADIUS = 1e-6
+_OPEN_SAMPLE_SEED = 31415
 
 
-def d_topology_open_sample(X, set_membership, probes=None, config=None):
+def d_topology_open_sample(X, set_membership, probes=None):
     """Evidence that a set is open in the plot-final topology.
 
     A set is open iff its preimage under every plot is open.  For each
     generator and each probe parameter inside the preimage, shrinking
     balls are sampled until one stays inside; a probe that still sees
-    outside points at ``min_radius`` is a counterexample.  Auto-sampled
+    outside points at radius 1e-6 is a counterexample.  Auto-sampled
     probes only find fat sets, so thin ones (a singleton has sampling
     probability zero) should be probed explicitly through ``probes``, a
     list of parameter vectors offered to every generator of matching
     dimension.  Returns (verdict, witnesses).
     """
-    cfg = config or OpenSampleConfig()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_OPEN_SAMPLE_SEED)
     witnesses = []
     for gi, gen in enumerate(X.generators):
         if gen.dim == 0:
             continue
         explicit = [np.atleast_1d(np.asarray(u, dtype=float)) for u in (probes or [])]
         explicit = [u for u in explicit if len(u) == gen.dim and set_membership(gen(u))]
-        sampled = [u for u in gen.sample(rng, 4 * cfg.probes_per_generator)
-                   if set_membership(gen(u))][: cfg.probes_per_generator]
+        sampled = [u for u in gen.sample(rng, 4 * _PROBES_PER_GENERATOR)
+                   if set_membership(gen(u))][:_PROBES_PER_GENERATOR]
         for u in explicit + sampled:
-            r = cfg.radius_start
+            r = _RADIUS_START
             interior = False
-            while r >= cfg.min_radius:
+            while r >= _MIN_RADIUS:
                 bad = False
-                for _ in range(cfg.ball_samples):
+                for _ in range(_BALL_SAMPLES):
                     d = rng.standard_normal(gen.dim)
                     d *= rng.uniform() ** (1.0 / gen.dim) / np.linalg.norm(d)
                     if not set_membership(gen(u + r * d)):
@@ -465,16 +471,17 @@ def d_topology_open_sample(X, set_membership, probes=None, config=None):
                 r *= 0.5
             if not interior:
                 witnesses.append({"generator": gi, "u": list(u),
-                                  "radius": cfg.min_radius})
+                                  "radius": _MIN_RADIUS})
     return len(witnesses) == 0, witnesses
 
 
-def irrational_torus(theta, coeff_bound=50, tolerance=1e-9):
+def irrational_torus(theta, coeff_bound=50):
     """The line modulo the subgroup generated by 1 and theta.
 
-    Point equality identifies x and y when x - y = m + n*theta for some
-    integers with |m|, |n| <= coeff_bound.  The subgroup is dense, so the
-    bound is what keeps equality from degenerating to "always true";
+    Point equality identifies x and y when x - y = m + n*theta, up to
+    EQ_TOL, for some integers with |m|, |n| <= coeff_bound.  The subgroup
+    is dense, so the bound is what keeps equality from degenerating to
+    "always true";
     it is an explicit approximation knob, not a hidden constant.  A theta
     within 1e-12 of a fraction p/q with q <= coeff_bound is rejected.
     """
@@ -488,7 +495,7 @@ def irrational_torus(theta, coeff_bound=50, tolerance=1e-9):
         d = float(x) - float(y)
         for nn in range(-coeff_bound, coeff_bound + 1):
             m = round(d - nn * theta)
-            if abs(m) <= coeff_bound and abs(d - nn * theta - m) < tolerance:
+            if abs(m) <= coeff_bound and abs(d - nn * theta - m) < EQ_TOL:
                 return True
         return False
 
@@ -499,5 +506,4 @@ def irrational_torus(theta, coeff_bound=50, tolerance=1e-9):
         eq=eq,
         flatten=lambda p: np.array([float(p)]),
         construction="quotient",
-        tolerance=tolerance,
     )

@@ -39,13 +39,13 @@ class DomainError(ValueError):
     """A point violates the membership contract of an operation."""
 
 
-def check_disk(w, n=None, tol=POINT_TOL):
+def check_disk(w, n=None):
     """Assert w lies on the upper hemisphere (of dimension n if given)."""
     w = np.asarray(w, dtype=float)
     if n is not None and len(w) != n + 1:
         raise DomainError(f"expected dim {n} (length {n + 1}), got length {len(w)}")
-    check_sphere(w, tol)
-    if w[-1] < -tol:
+    check_sphere(w)
+    if w[-1] < -POINT_TOL:
         raise DomainError(f"last coordinate {w[-1]!r} < 0: not in the upper hemisphere")
     return w
 
@@ -62,14 +62,14 @@ def point_from_json(obj):
     return check_disk(w, int(obj["dim"]))
 
 
-def check_sphere(v, tol=POINT_TOL):
+def check_sphere(v):
     """Assert v is a unit vector (a point of the full boundary sphere)."""
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise DomainError(f"non-finite coordinates {v!r}")
     r = np.linalg.norm(v)
-    if abs(r - 1.0) > tol:
-        raise DomainError(f"|point| = {r!r} is not 1 within {tol}")
+    if abs(r - 1.0) > POINT_TOL:
+        raise DomainError(f"|point| = {r!r} is not 1 within {POINT_TOL}")
     return v
 
 
@@ -166,24 +166,21 @@ def retract(n, w):
 def random_disk(n, rng):
     """Uniform sample of the n-disk (upper hemisphere) carrier.
 
-    Draws on the round sphere and flips into the upper hemisphere.
-    Unlike pushing uniform parameters through the lambda chart -- which
-    piles mass onto the poles and the saturation collar of lambda --
-    this sampler almost surely stays where the charts are numerically
-    invertible.
+    Draws on the round sphere in R^(n+1) and flips into the upper
+    hemisphere.  Unlike pushing uniform parameters through the lambda
+    chart -- which piles mass onto the poles and the saturation collar of
+    lambda -- this sampler almost surely stays where the charts are
+    numerically invertible.
     """
-    while True:
-        g = rng.standard_normal(n + 1)
-        r = np.linalg.norm(g)
-        if r > 1e-6:
-            break
-    w = g / r
+    w = random_sphere(n + 1, rng)
     w[-1] = abs(w[-1])
     return w
 
 
 def random_sphere(n, rng):
     """Uniform sample of the full boundary sphere in R^n (n >= 1)."""
+    if n < 1:
+        raise DomainError(f"random_sphere needs n >= 1, got {n}")
     while True:
         g = rng.standard_normal(n)
         r = np.linalg.norm(g)

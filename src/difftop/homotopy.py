@@ -39,8 +39,6 @@ class Homotopy:
     """
     fn: object
     kind: str = "I_tilde"
-    source: object = None
-    target: object = None
 
     def __call__(self, x, t):
         return self.fn(x, t)
@@ -55,7 +53,7 @@ def to_tilde_homotopy(F):
     """
     if F.kind == "I_tilde":
         return F
-    return Homotopy(lambda x, t: F.fn(x, lambda_fn(t)), "I_tilde", F.source, F.target)
+    return Homotopy(lambda x, t: F.fn(x, lambda_fn(t)), "I_tilde")
 
 
 def _close(a, b):
@@ -83,7 +81,7 @@ def concat(F, G, sample_points=()):
             return F.fn(x, lambda_fn(3.0 * t))
         return G.fn(x, lambda_fn(3.0 * t - 2.0))
 
-    return Homotopy(fn, "I_tilde", F.source, G.target)
+    return Homotopy(fn, "I_tilde")
 
 
 @dataclass(frozen=True)
@@ -92,13 +90,11 @@ class PairMapRep:
 
     ``fn`` maps the n-disk into a target space, sending the boundary
     sphere into a chosen subspace and the lower half of the boundary to
-    the basepoint.  ``in_boundary_target`` is an optional membership
-    predicate for the subspace, used by runtime checks only.
+    the basepoint.
     """
     dim: int
     fn: object
     basepoint: object = None
-    in_boundary_target: object = None
 
     def __call__(self, w):
         return self.fn(w)
@@ -130,7 +126,7 @@ def star(n, phi, psi_rep):
             return phi.fn(Q(n, np.concatenate([[lambda_fn(3.0 * t[0])], t[1:]])))
         return psi_rep.fn(Q(n, np.concatenate([[lambda_fn(3.0 * t[0] - 2.0)], t[1:]])))
 
-    return PairMapRep(n, fn, phi.basepoint, phi.in_boundary_target)
+    return PairMapRep(n, fn, phi.basepoint)
 
 
 def delta_restrict(n, phi):

@@ -52,32 +52,80 @@ _BINARY_FOLD = {
 }
 
 
+def _compile(node, nvars):
+    if isinstance(node, (int, float)):
+        value = float(node)
+        return lambda u: value
+    if not isinstance(node, dict):
+        raise InstanceError(f"expression {node!r:.80} is neither a number nor an object")
+    op = node.get("op")
+    if op in ("const", "var"):
+        try:
+            value = float(node.get("value")) if op == "const" else int(node.get("index", 0))
+        except (TypeError, ValueError):
+            raise InstanceError(f"bad {op} expression {node!r:.80}") from None
+        if op == "const":
+            return lambda u: value
+        if not 0 <= value < nvars:
+            raise InstanceError(f"var index {value} is not one of the {nvars} "
+                                "variables of this expression")
+        return lambda u: float(u[value])
+    if op not in _UNARY and op not in _BINARY_FOLD:
+        raise InstanceError(f"unknown expression op {op!r}")
+    args = node.get("args", [])
+    if not isinstance(args, list):
+        raise InstanceError(f"args of {op!r} must be a list")
+    parts = [_compile(a, nvars) for a in args]
+    if op in _UNARY:
+        if len(parts) != 1:
+            raise InstanceError(f"{op} takes one argument")
+        fn, (arg,) = _UNARY[op], parts
+        return lambda u: fn(arg(u))
+    if len(parts) < 2:
+        raise InstanceError(f"{op} takes at least two arguments")
+    fold, first, rest = _BINARY_FOLD[op], parts[0], parts[1:]
+
+    def folded(u):
+        out = first(u)
+        for part in rest:
+            out = fold(out, part(u))
+        return out
+
+    return folded
+
+
+def compile_expr(node, nvars):
+    """The evaluator of an expression AST over nvars variables.
+
+    Ops, arity and var indices are checked here, when the instance is
+    loaded, so evaluation never meets a malformed node.
+    """
+    fn = _compile(node, nvars)
+    return lambda u: fn(np.atleast_1d(u))
+
+
 def eval_expr(node, u):
     """Evaluate an expression AST at the variable vector u."""
-    if isinstance(node, (int, float)):
-        return float(node)
-    op = node.get("op")
-    if op == "const":
-        return float(node["value"])
-    if op == "var":
-        return float(u[int(node.get("index", 0))])
-    args = [eval_expr(a, u) for a in node.get("args", [])]
-    if op in _UNARY:
-        if len(args) != 1:
-            raise InstanceError(f"{op} takes one argument")
-        return _UNARY[op](args[0])
-    if op in _BINARY_FOLD:
-        if len(args) < 2:
-            raise InstanceError(f"{op} takes at least two arguments")
-        out = args[0]
-        for a in args[1:]:
-            out = _BINARY_FOLD[op](out, a)
-        return out
-    raise InstanceError(f"unknown expression op {op!r}")
+    u = np.atleast_1d(u)
+    return compile_expr(node, len(u))(u)
 
 
-def compile_expr(node):
-    return lambda u: eval_expr(node, np.atleast_1d(u))
+def _flat_len(desc):
+    """How many coordinates every flattened point of the described space has.
+
+    A coproduct counts its shorter part, so a var index valid here is
+    valid on both parts.
+    """
+    kind = desc.get("kind")
+    if kind == "euclidean":
+        return int(desc.get("dim", 1))
+    if kind == "product":
+        return sum(_flat_len(d) for d in desc["factors"])
+    if kind == "coproduct":
+        return 1 + min(_flat_len(d) for d in desc["parts"])
+    if kind == "subspace":
+        return _flat_len(desc["ambient"])
+    return 1  # quotients and the torus flatten to their one representative
 
 
 def space_from_json(desc):
@@ -107,7 +155,7 @@ def space_from_json(desc):
         if canon == "lambda":
             return quotient(amb, lambda x: lambda_fn(float(np.atleast_1d(x)[0])),
                             name=desc.get("name", "I~"))
-        expr = compile_expr(canon)
+        expr = compile_expr(canon, _flat_len(desc["ambient"]))
         return quotient(amb, lambda x: expr(amb.flatten(x)), name=desc.get("name"))
     if kind == "torus_theta":
         return irrational_torus(float(desc["theta"]),
@@ -160,7 +208,8 @@ def complex_from_json(desc):
 
             cx = cx.attach(2, wrap)
         elif kind == "expr":
-            coords = [compile_expr(c) for c in _field(at, "coords")]
+            # the boundary sphere of a dim-cell sits in R^dim
+            coords = [compile_expr(c, dim) for c in _field(at, "coords")]
             cell = _target_cell(at, cx, len(coords) - 1)
 
             def gen_attach(u, cell=cell, coords=coords):
@@ -231,9 +280,9 @@ class ChepInstance:
                  k_offset=0.0):
         self.fibration = fibration
         self.complex = cx
-        self._k = compile_expr(k_expr)
-        self._f0 = compile_expr(fiber0_expr)
-        self._fb = compile_expr(fiber_base_expr)
+        self._k = compile_expr(k_expr, 2)
+        self._f0 = compile_expr(fiber0_expr, 1)
+        self._fb = compile_expr(fiber_base_expr, 1)
         self._off = float(k_offset)
 
     def position(self, x):
@@ -287,7 +336,7 @@ class ExtendInstance:
     def __init__(self, oracle, cx, bottom_expr, f_fiber):
         self.oracle = oracle
         self.complex = cx
-        self._bottom = compile_expr(bottom_expr)
+        self._bottom = compile_expr(bottom_expr, 1)
         self._f_fiber = np.asarray(f_fiber, dtype=float)
 
     def position(self, x):

@@ -67,14 +67,15 @@ def lambda_deriv(t):
     return (dg * gc + g * dgc) / (g + gc) ** 2
 
 
-def _bisect_increasing(f, y, lo, hi, width=1e-14):
-    # plain bisection; unconditionally correct for non-decreasing f
+def _bisect_increasing(f, y, lo, hi):
+    # plain bisection to a 1e-14 bracket; unconditionally correct for
+    # non-decreasing f
     flo = f(lo) - y
     if flo >= 0.0:
         return lo
     if f(hi) - y <= 0.0:
         return hi
-    while hi - lo > width:
+    while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if f(mid) - y <= 0.0:
             lo = mid
@@ -201,10 +202,13 @@ class FDConfig:
     base_step: float = 1e-2
     levels: int = 5
     tol: float = 1e-4
-    max_order_cap: int = 6
 
 
 _DEFAULT_FD = FDConfig()
+
+# highest derivative order smoothness_check accepts: the round-off floor
+# eps * sum|weights| / h^order of the finest ladder level grows with it
+_MAX_ORDER = 6
 
 
 def _stencil_offsets(order, side):
@@ -310,8 +314,8 @@ def smoothness_check(f, point, max_order, config=None, expected=None):
     passing.
     """
     cfg = config or _DEFAULT_FD
-    if max_order > cfg.max_order_cap:
-        raise ValueError(f"max_order {max_order} exceeds cap {cfg.max_order_cap}")
+    if max_order > _MAX_ORDER:
+        raise ValueError(f"max_order {max_order} exceeds cap {_MAX_ORDER}")
     report = SmoothnessReport(point=float(point), max_order_tested=max_order,
                               tolerance_used=cfg.tol)
     for k in range(1, max_order + 1):

@@ -67,6 +67,16 @@ def _rec(name, samples, worst_dev, tol, ok, note=""):
             "pass": bool(ok), "note": note}
 
 
+def _within(name, samples, dev, tol, note=""):
+    """A deviation record: passes when dev is finite and at most tol."""
+    return _rec(name, samples, dev, tol, math.isfinite(dev) and dev <= tol, note)
+
+
+def _holds(name, samples, ok, note=""):
+    """A yes/no record: worst_dev 0 when ok holds and 1 when it does not."""
+    return _rec(name, samples, 0.0 if ok else 1.0, 0.0, ok, note)
+
+
 def _report(name, config, props):
     """The report envelope shared by the suites and ``difftop chep``."""
     props = sorted(props, key=lambda r: r["property"])
@@ -94,14 +104,14 @@ def suite_smoothfn(cfg):
 
     ts = np.linspace(-1.0, 2.0, n)
     dev = worst(*(abs(sf.lambda_fn(t) + sf.lambda_fn(1.0 - t) - 1.0) for t in ts))
-    out.append(_rec("lambda_symmetry_grid", n, dev, cfg.tol_alg, dev <= cfg.tol_alg))
+    out.append(_within("lambda_symmetry_grid", n, dev, cfg.tol_alg))
 
     lows = np.linspace(-3.0, 0.0, 200)
     highs = np.linspace(1.0, 4.0, 200)
     dev = worst(*(abs(sf.lambda_fn(t)) for t in lows),
                 *(abs(sf.lambda_fn(t) - 1.0) for t in highs))
-    out.append(_rec("lambda_plateaus_exact", 400, dev, 0.0, dev == 0.0,
-                    "identically 0 below 0 and 1 above 1"))
+    out.append(_within("lambda_plateaus_exact", 400, dev, 0.0,
+                       "identically 0 below 0 and 1 above 1"))
 
     orders = range(1, min(3, cfg.fd_order) + 1)
     expected = {k: 0.0 for k in orders}
@@ -109,8 +119,7 @@ def suite_smoothfn(cfg):
     for pt in (0.0, 1.0):
         rep = smoothness_check(sf.lambda_fn, pt, max(orders), cfg.fd(), expected)
         dev = worst(dev, *(abs(rep.fd_estimates.get(k, math.nan)) for k in orders))
-    out.append(_rec("lambda_flat_at_ends_fd", 2 * len(list(orders)), dev,
-                    cfg.tol_fd, dev <= cfg.tol_fd))
+    out.append(_within("lambda_flat_at_ends_fd", 2 * len(list(orders)), dev, cfg.tol_fd))
 
     rep = smoothness_check(abs, 0.0, 1, cfg.fd())
     dev = rep.deviations.get(1, 0.0)
@@ -122,36 +131,34 @@ def suite_smoothfn(cfg):
     dev = worst(*(abs(sf.xi(s) - s) for s in grid))
     grid = np.linspace(5.0 / 6.0, 1.0, 200)
     dev = worst(dev, *(abs(sf.xi(s) - s) for s in grid))
-    out.append(_rec("xi_identity_plateaus_exact", 400, dev, 0.0, dev == 0.0))
+    out.append(_within("xi_identity_plateaus_exact", 400, dev, 0.0))
 
     m = cfg.count(1000)
     grid = np.linspace(1.0 / 3.0, 2.0 / 3.0, m)
     dev = worst(*(abs(sf.xi(s) - (sf.lambda_fn(3.0 * s - 1.0) / 3.0 + 1.0 / 3.0))
                   for s in grid))
-    out.append(_rec("xi_middle_branch", m, dev, cfg.tol_alg, dev <= cfg.tol_alg))
+    out.append(_within("xi_middle_branch", m, dev, cfg.tol_alg))
 
     grid = np.linspace(0.0, 1.0, n)
     vals = [sf.xi(s) for s in grid]
     dev = worst(0.0, *(vals[i] - vals[i + 1] for i in range(len(vals) - 1)))
-    out.append(_rec("xi_monotone_grid", n, dev, cfg.tol_alg, dev <= cfg.tol_alg))
+    out.append(_within("xi_monotone_grid", n, dev, cfg.tol_alg))
 
     dev = worst(*(abs(sf.xi(w) - w) for w in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)))
-    out.append(_rec("xi_fixes_subdivision_walls", 4, dev, cfg.tol_alg,
-                    dev <= cfg.tol_alg))
+    out.append(_within("xi_fixes_subdivision_walls", 4, dev, cfg.tol_alg))
 
     grid = np.linspace(0.0, 1.0, m)
     dev = worst(*(abs(sf.xi(s) + sf.xi(1.0 - s) - 1.0) for s in grid))
-    out.append(_rec("xi_reflection", m, dev, cfg.tol_alg, dev <= cfg.tol_alg))
+    out.append(_within("xi_reflection", m, dev, cfg.tol_alg))
 
     dev = worst(*(abs(sf.xi(sf.xi_inv(y)) - y) for y in grid))
-    out.append(_rec("xi_inv_roundtrip", m, dev, cfg.tol_rt, dev <= cfg.tol_rt))
+    out.append(_within("xi_inv_roundtrip", m, dev, cfg.tol_rt))
 
     dev = 0.0
     for pt in (1.0 / 3.0, 2.0 / 3.0):
         rep = smoothness_check(sf.xi, pt, max(orders), cfg.fd(), expected)
         dev = worst(dev, *(abs(rep.fd_estimates.get(k, math.nan)) for k in orders))
-    out.append(_rec("xi_flat_at_walls_fd", 2 * len(list(orders)), dev,
-                    cfg.tol_fd, dev <= cfg.tol_fd))
+    out.append(_within("xi_flat_at_walls_fd", 2 * len(list(orders)), dev, cfg.tol_fd))
 
     return out
 
@@ -171,7 +178,7 @@ def suite_diskmodel(cfg):
         n = 1 + (i % 3)
         w = dm.gen_plot(n, rng.uniform(-1.5, 2.5, size=n))
         dev = worst(dev, float(np.max(np.abs(dm.Q(n, dm.section(n, w)) - w))))
-    out.append(_rec("q_section_roundtrip", n_samp, dev, tol_disk, dev <= tol_disk))
+    out.append(_within("q_section_roundtrip", n_samp, dev, tol_disk))
 
     m = cfg.count(1000)
     dev0 = dev1 = devn = 0.0
@@ -184,16 +191,16 @@ def suite_diskmodel(cfg):
         dev1 = worst(dev1, abs(w1[-1]), abs(w1[-2] + v[-1]))
         x = rng.uniform(-1.5, 2.5, size=n + 1)
         devn = worst(devn, abs(float(np.linalg.norm(dm.gen_plot(n + 1, x))) - 1.0))
-    out.append(_rec("q_base_inclusion_exact", m, dev0, 0.0, dev0 == 0.0))
-    out.append(_rec("q_top_reflects", m, dev1, cfg.tol_alg, dev1 <= cfg.tol_alg))
-    out.append(_rec("unit_norm_outputs", m, devn, cfg.tol_alg, devn <= cfg.tol_alg))
+    out.append(_within("q_base_inclusion_exact", m, dev0, 0.0))
+    out.append(_within("q_top_reflects", m, dev1, cfg.tol_alg))
+    out.append(_within("unit_norm_outputs", m, devn, cfg.tol_alg))
 
     dev = 0.0
     for i in range(m):
         n = i % 4
         w = dm.random_disk(n, rng)
         dev = worst(dev, float(np.max(np.abs(dm.retract(n, dm.include_k(n, w)) - w))))
-    out.append(_rec("retract_include_identity", m, dev, tol_disk, dev <= tol_disk))
+    out.append(_within("retract_include_identity", m, dev, tol_disk))
 
     dev = 0.0
     for i in range(cfg.count(300)):
@@ -202,8 +209,7 @@ def suite_diskmodel(cfg):
         dev = worst(dev, float(np.max(np.abs(dm.retract_homotopy(n, w, 0.0) - w))))
         end = dm.include_k(n, dm.retract(n, w))
         dev = worst(dev, float(np.max(np.abs(dm.retract_homotopy(n, w, 1.0) - end))))
-    out.append(_rec("retract_homotopy_ends", cfg.count(300), dev, tol_disk,
-                    dev <= tol_disk))
+    out.append(_within("retract_homotopy_ends", cfg.count(300), dev, tol_disk))
 
     return out
 
@@ -222,8 +228,7 @@ def _triple_rep(n):
         a = sf.lambda_fn(3.0 * w[-2]) * (w[-2] + 1.0)
         return np.array([a, w[-1]])
 
-    return PairMapRep(n, fn, basepoint=np.zeros(2),
-                      in_boundary_target=lambda p: abs(p[1]) <= 1e-9)
+    return PairMapRep(n, fn, basepoint=np.zeros(2))
 
 
 def suite_homotopy(cfg):
@@ -237,15 +242,15 @@ def suite_homotopy(cfg):
     xs = [np.array([v]) for v in rng.uniform(-2.0, 2.0, size=m)]
     dev = worst(*(float(np.max(np.abs(F.fn(x, sf.lambda_fn(1.5))
                                       - G.fn(x, sf.lambda_fn(-0.5))))) for x in xs))
-    out.append(_rec("concat_seam", m, dev, cfg.tol_alg, dev <= cfg.tol_alg))
+    out.append(_within("concat_seam", m, dev, cfg.tol_alg))
 
     dev = worst(*(worst(float(np.max(np.abs(H.fn(x, 0.0) - F.fn(x, 0.0)))),
                         float(np.max(np.abs(H.fn(x, 1.0) - G.fn(x, 1.0))))) for x in xs))
-    out.append(_rec("concat_endpoints_exact", m, dev, 0.0, dev == 0.0))
+    out.append(_within("concat_endpoints_exact", m, dev, 0.0))
 
     dev = worst(*(worst(float(np.max(np.abs(H.fn(x, 1.0 / 3.0) - F.fn(x, 1.0)))),
                         float(np.max(np.abs(H.fn(x, 0.6) - G.fn(x, 0.0))))) for x in xs))
-    out.append(_rec("concat_plateau", m, dev, cfg.tol_alg, dev <= cfg.tol_alg))
+    out.append(_within("concat_plateau", m, dev, cfg.tol_alg))
 
     # formula-level well-definedness over pole fibers: evaluate the star
     # composite through two distinct cube preimages of the same point
@@ -262,7 +267,7 @@ def suite_homotopy(cfg):
             wb = dm.Q(n, np.concatenate([[t1], t_alt]))
             sa = star(n, phi, psi_r)
             dev = worst(dev, float(np.max(np.abs(sa.fn(wa) - sa.fn(wb)))))
-    out.append(_rec("star_quotient_fibers", cnt, dev, 1e-9, dev <= 1e-9))
+    out.append(_within("star_quotient_fibers", cnt, dev, 1e-9))
 
     dev = 0.0
     cnt = cfg.count(1000)
@@ -276,7 +281,7 @@ def suite_homotopy(cfg):
         lower[-1] = -abs(lower[-1])
         val = st.fn(np.concatenate([lower, [0.0]]))
         dev = worst(dev, float(np.max(np.abs(val))))      # lower half -> origin
-    out.append(_rec("star_boundary_conditions", cnt, dev, 1e-9, dev <= 1e-9))
+    out.append(_within("star_boundary_conditions", cnt, dev, 1e-9))
 
     e = np.array([0.7])
     lower_pts = []
@@ -293,8 +298,7 @@ def suite_homotopy(cfg):
         dev = worst(dev, float(np.max(np.abs(g(w_half) - e))))
         w0 = dm.Q(2, np.concatenate([t_rest, [0.0]]))
         dev = worst(dev, float(np.max(np.abs(g(w0) - (e + 0.1 * sf.lambda_fn(3 * w0[-1]))))))
-    out.append(_rec("glue_double_seam", cfg.count(200), dev, cfg.tol_alg,
-                    dev <= cfg.tol_alg))
+    out.append(_within("glue_double_seam", cfg.count(200), dev, cfg.tol_alg))
 
     mismatches = 0
     trials = cfg.count(100)
@@ -304,8 +308,8 @@ def suite_homotopy(cfg):
         want = _components_oracle(cx)
         if got != want:
             mismatches += 1
-    out.append(_rec("path_components_vs_oracle", trials, mismatches, 0.0,
-                    mismatches == 0, "exact agreement with dense-sampling oracle"))
+    out.append(_within("path_components_vs_oracle", trials, mismatches, 0.0,
+                       "exact agreement with dense-sampling oracle"))
 
     # permuting independent chains must not change the partition shape
     diffs = 0
@@ -314,8 +318,7 @@ def suite_homotopy(cfg):
         sizes2 = sorted(len(g) for g in path_components(_pair_complex(True)[0]))
         if sizes1 != sizes2:
             diffs += 1
-    out.append(_rec("path_components_order_independent", cfg.count(50), diffs,
-                    0.0, diffs == 0))
+    out.append(_within("path_components_order_independent", cfg.count(50), diffs, 0.0))
 
     return out
 
@@ -336,7 +339,6 @@ def _random_complex(rng, max_cells=20):
 
 def _components_oracle(cx):
     """Dense sampling of attaching images plus graph reachability."""
-    import itertools
     nodes = list(range(len(cx.cells)))
     adj = {i: set() for i in nodes}
     for i, cell in enumerate(cx.cells):
@@ -405,7 +407,7 @@ def suite_subdivision(cfg):
             d1, d2 = (dm.q(n - 1, v, sf.lambda_fn(a)) for a in (a1, a2))
             dev = worst(dev, float(np.max(np.abs(d1 - d2))),
                         abs(sf.lambda_fn(b1) - sf.lambda_fn(b2)))
-    out.append(_rec("phi_branch_agreement", m, dev, cfg.tol_alg, dev <= cfg.tol_alg))
+    out.append(_within("phi_branch_agreement", m, dev, cfg.tol_alg))
 
     bad = 0
     for i in range(m):
@@ -415,8 +417,8 @@ def suite_subdivision(cfg):
         tgt = sd.region_classify(sp, tp, "W", tol=1e-9)
         if not set(src) & set(tgt):
             bad += 1
-    out.append(_rec("region_preservation", m, bad, 0.0, bad == 0,
-                    "source slab tags survive into target region tags"))
+    out.append(_within("region_preservation", m, bad, 0.0,
+                       "source slab tags survive into target region tags"))
 
     cnt = cfg.count(1000)
     misses = 0
@@ -425,7 +427,7 @@ def suite_subdivision(cfg):
         w = dm.include_k(n, dm.random_disk(n, rng))
         if not sd.in_L(n, sd.psi(n, w, wrinkle=True), tol=cfg.tol_rt):
             misses += 1
-    out.append(_rec("psi_boundary_into_L", cnt, misses, 0.0, misses == 0))
+    out.append(_within("psi_boundary_into_L", cnt, misses, 0.0))
 
     n_rt = cfg.count(10000)
     dev = 0.0
@@ -458,8 +460,7 @@ def suite_subdivision(cfg):
         c = sd.CylPoint(dm.random_disk(n, rng), float(rng.uniform()))
         c2 = sd.psi(n, sd.psi_inv(n, c, wrinkle=True), wrinkle=True)
         dev = worst(dev, float(np.max(np.abs(c2.disk - c.disk))), abs(c2.time - c.time))
-    out.append(_rec("psi_roundtrip_backward", n_rt, dev, cfg.tol_rt,
-                    dev <= cfg.tol_rt))
+    out.append(_within("psi_roundtrip_backward", n_rt, dev, cfg.tol_rt))
 
     dev = 0.0
     for _ in range(cfg.count(200)):
@@ -467,8 +468,7 @@ def suite_subdivision(cfg):
         w = np.array([math.cos(math.pi * t), math.sin(math.pi * t)])
         c = sd.psi(0, w)
         dev = worst(dev, abs(c.time - t), float(np.max(np.abs(c.disk - np.array([1.0])))))
-    out.append(_rec("psi0_inverts_chart", cfg.count(200), dev, cfg.tol_alg,
-                    dev <= cfg.tol_alg))
+    out.append(_within("psi0_inverts_chart", cfg.count(200), dev, cfg.tol_alg))
 
     dev = 0.0
     cnt = cfg.count(300)
@@ -478,7 +478,7 @@ def suite_subdivision(cfg):
         s = s / 6.0 if i % 2 == 0 else 5.0 / 6.0 + s / 6.0
         w = sd.source_point(n, dm.random_disk(n - 1, rng), s, float(rng.uniform()))
         dev = worst(dev, float(np.max(np.abs(sd.rho(n, w) - w))))
-    out.append(_rec("rho_fixes_outer_bands", cnt, dev, cfg.tol_rt, dev <= cfg.tol_rt))
+    out.append(_within("rho_fixes_outer_bands", cnt, dev, cfg.tol_rt))
 
     w = sd.source_point(2, dm.random_disk(1, rng), 0.25, 0.4)
     wit = float(np.max(np.abs(sd.rho(2, sd.rho(2, w)) - sd.rho(2, w))))
@@ -502,9 +502,8 @@ def suite_subdivision(cfg):
                                     1, cfg.fd()).verdicts[1] == "fail"
                    for j in range(n + 2)):
                 failed_ctrl += 1
-    out.append(_rec("seam_smoothness_wrinkled", total, total - passed, 0.0,
-                    passed == total,
-                    "orders 1..%d two-sided agreement across both walls" % orders))
+    out.append(_within("seam_smoothness_wrinkled", total, total - passed, 0.0,
+                       "orders 1..%d two-sided agreement across both walls" % orders))
     frac = failed_ctrl / total
     out.append(_rec("seam_control_fails_unwrinkled", total, 1.0 - frac, 0.1,
                     frac >= 0.9,
@@ -542,28 +541,25 @@ def suite_diffeology(cfg):
     ok = all(dg.smooth_check(dg.MapEvaluator(R, It, (lambda c: lambda x: c)(c),
                                              f"const{c}"), sc).passed
              for c in consts)
-    out.append(_rec("constant_plots_factor", len(consts), 0.0 if ok else 1.0,
-                    0.0, ok, "covering axiom shadow"))
+    out.append(_holds("constant_plots_factor", len(consts), ok, "covering axiom shadow"))
 
     polys = [lambda u: 0.3 * u ** 2 - 0.5, lambda u: math.sin(u),
              lambda u: u * 0.5 + 0.1]
     ok = all(dg.smooth_check(dg.MapEvaluator(
         R, It, (lambda p: lambda x: sf.lambda_fn(p(float(np.atleast_1d(x)[0]))))(p),
         "precomp"), sc).passed for p in polys)
-    out.append(_rec("precomposition_closure", len(polys), 0.0 if ok else 1.0,
-                    0.0, ok))
+    out.append(_holds("precomposition_closure", len(polys), ok))
 
     maps = [dg.MapEvaluator(R, R, lambda x: x, "id"),
             dg.MapEvaluator(R, It, lambda x: sf.lambda_fn(float(np.atleast_1d(x)[0])),
                             "lambda"),
             dg.MapEvaluator(It, I, lambda y: np.array([float(y)]), "incl")]
     bad = sum(0 if dg.smooth_check(f, sc).passed else 1 for f in maps)
-    out.append(_rec("smooth_inclusions_pass", len(maps), bad, 0.0, bad == 0,
-                    "identity, the quotient chart, and the interval inclusion"))
+    out.append(_within("smooth_inclusions_pass", len(maps), bad, 0.0,
+                       "identity, the quotient chart, and the interval inclusion"))
 
     rep = dg.smooth_check(dg.MapEvaluator(R, R, lambda x: np.abs(x), "abs"), sc)
-    out.append(_rec("abs_control_fails", 1, 0.0 if not rep.passed else 1.0,
-                    0.0, not rep.passed, "negative control"))
+    out.append(_holds("abs_control_fails", 1, not rep.passed, "negative control"))
 
     R2 = dg.product(R, R)
     f = dg.MapEvaluator(R2, R, lambda xy: np.atleast_1d(xy[0])[0] ** 2
@@ -574,18 +570,16 @@ def suite_diffeology(cfg):
     exact = all(
         f2.fn((np.array([a]), np.array([b]))) == f.fn((np.array([a]), np.array([b])))
         for a, b in rng.uniform(-3.0, 3.0, size=(m, 2)))
-    out.append(_rec("exponential_roundtrip_exact", m, 0.0 if exact else 1.0,
-                    0.0, exact, "bitwise"))
+    out.append(_holds("exponential_roundtrip_exact", m, exact, "bitwise"))
 
     okh, _ = dg.d_topology_open_sample(It, lambda y: 0.0 <= float(y) < 0.5,
                                        probes=[np.array([0.2])])
-    out.append(_rec("open_halfopen_consistent", 1, 0.0 if okh else 1.0, 0.0, okh))
+    out.append(_holds("open_halfopen_consistent", 1, okh))
 
     oks, wit = dg.d_topology_open_sample(
         R, lambda p: abs(float(np.atleast_1d(p)[0])) < 1e-15,
         probes=[np.array([0.0])])
-    out.append(_rec("open_singleton_rejected", 1, 0.0 if not oks else 1.0, 0.0,
-                    not oks, "negative control"))
+    out.append(_holds("open_singleton_rejected", 1, not oks, "negative control"))
 
     theta = math.sqrt(2.0)
     T = dg.irrational_torus(theta)
@@ -604,8 +598,7 @@ def suite_diffeology(cfg):
 
     rep = dg.smooth_check(dg.MapEvaluator(
         R, T, lambda x: float(np.atleast_1d(x)[0]), "proj"), sc)
-    out.append(_rec("torus_projection_smooth", 1, 0.0 if rep.passed else 1.0,
-                    0.0, rep.passed))
+    out.append(_holds("torus_projection_smooth", 1, rep.passed))
 
     return out
 
@@ -641,10 +634,8 @@ def suite_lifting(cfg):
             dev_top = worst(dev_top, abs(got[0] - want[0]), abs(got[1] - want[1]))
             w = dm.random_disk(n + 1, rng)
             dev_proj = worst(dev_proj, abs(p.project(H(w)) - bottom(w)))
-    out.append(_rec("product_lift_restriction", m, dev_top, cfg.tol_rt,
-                    dev_top <= cfg.tol_rt))
-    out.append(_rec("product_lift_projection", m, dev_proj, cfg.tol_rt,
-                    dev_proj <= cfg.tol_rt))
+    out.append(_within("product_lift_restriction", m, dev_top, cfg.tol_rt))
+    out.append(_within("product_lift_projection", m, dev_proj, cfg.tol_rt))
 
     cnt = cfg.count(200)
     bad = 0
@@ -664,14 +655,13 @@ def suite_lifting(cfg):
                     and np.array_equal(np.atleast_1d(c1.point),
                                        np.atleast_1d(c2.point))):
                 bad += 1
-    out.append(_rec("canonicalize_idempotent", cnt, bad, 0.0, bad == 0))
+    out.append(_within("canonicalize_idempotent", cnt, bad, 0.0))
 
     inst, _ = bundled_chep_instance()
     devs, _ = check_chep_instance(inst, cfg, rng, n_pre=30)
     dev = worst(*devs)
-    out.append(_rec("chep_demo_equations", cfg.count(1000), dev, cfg.tol_lift,
-                    dev <= cfg.tol_lift,
-                    "H(x,0)=f, H|base=h, p(H)=k on the bundled instance"))
+    out.append(_within("chep_demo_equations", cfg.count(1000), dev, cfg.tol_lift,
+                       "H(x,0)=f, H|base=h, p(H)=k on the bundled instance"))
 
     rejected = False
     try:
@@ -681,18 +671,15 @@ def suite_lifting(cfg):
                                    for _ in range(20)], tol=cfg.tol_lift)
     except LiftError:
         rejected = True
-    out.append(_rec("chep_rejects_incompatible", 1, 0.0 if rejected else 1.0,
-                    0.0, rejected, "negative control"))
+    out.append(_holds("chep_rejects_incompatible", 1, rejected, "negative control"))
 
     dev = _chep_order_independence(cfg)
-    out.append(_rec("chep_order_independence", cfg.count(200), dev, cfg.tol_rt,
-                    dev <= cfg.tol_rt,
-                    "independent cells permuted, outputs compared"))
+    out.append(_within("chep_order_independence", cfg.count(200), dev, cfg.tol_rt,
+                       "independent cells permuted, outputs compared"))
 
     dev = _chep_stationary(cfg)
-    out.append(_rec("chep_stationary_product", cfg.count(300), dev, cfg.tol_lift,
-                    dev <= cfg.tol_lift,
-                    "constant-in-time data lifts to the hand formula"))
+    out.append(_within("chep_stationary_product", cfg.count(300), dev, cfg.tol_lift,
+                       "constant-in-time data lifts to the hand formula"))
 
     Hh = hep(inst.complex, inst.f, inst.h,
              precheck=[(ComplexPoint.base(0.0), 0.0)], tol=cfg.tol_lift)
@@ -704,8 +691,8 @@ def suite_lifting(cfg):
         dev = worst(dev, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
         Ha, ha = Hh(ComplexPoint.base(0.0), t), inst.h(0.0, t)
         dev = worst(dev, abs(Ha[0] - ha[0]), abs(Ha[1] - ha[1]))
-    out.append(_rec("hep_contract", cfg.count(400), dev, cfg.tol_lift,
-                    dev <= cfg.tol_lift, "H(x,0)=f and H over the base = h"))
+    out.append(_within("hep_contract", cfg.count(400), dev, cfg.tol_lift,
+                       "H(x,0)=f and H over the base = h"))
 
     einst, _ = bundled_extend_instance()
     dev, restr = check_extend_instance(einst, cfg, rng)
@@ -716,7 +703,7 @@ def suite_lifting(cfg):
     cx0 = CellComplex(base="pt")
     l0 = extend_lift(einst.oracle, cx0, einst.f, einst.bottom)
     ok = l0(ComplexPoint.base(0.0)) == einst.f(0.0)
-    out.append(_rec("extend_lift_no_cells", 1, 0.0 if ok else 1.0, 0.0, ok))
+    out.append(_holds("extend_lift_no_cells", 1, ok))
 
     return out
 

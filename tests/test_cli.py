@@ -48,6 +48,12 @@ def test_eval_bad_arity_is_usage_error(capsys):
     assert code == 2
 
 
+def test_eval_non_numeric_argument_is_usage_error(capsys):
+    code, out, err = run_cli(["eval", "lambda", "abc"], capsys)
+    assert code == 2 and out == ""
+    assert "eval error" in err
+
+
 def test_verify_smoothfn_passes(capsys):
     code, out, _ = run_cli(["verify", "smoothfn", "--report", "json"], capsys)
     assert code == 0
@@ -191,3 +197,93 @@ def test_chep_attach_to_later_cell_exits_2(tmp_path, capsys, target):
     code, out, err = run_cli(["chep", str(path)], capsys)
     assert code == 2 and out == ""
     assert f"attach target {target} is not an earlier 0-cell" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_dump_below_dimension_1_exits_2(n):
+    # --n 0 used to hang: random_disk(-1) rejected the empty draw forever
+    proc = subprocess.run(
+        [sys.executable, "-m", "difftop.cli", "dump", "--n", n, "--count", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--n" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "smoothfn", "--samples", "nan"],
+    ["verify", "smoothfn", "--samples", "0"],
+    ["chep", "bundled", "--samples", "inf"],
+    ["verify", "smoothfn", "--tol-alg", "nan"],
+    ["verify", "smoothfn", "--tol-rt", "-1e-9"],
+    ["chep", "bundled", "--tol-lift", "inf"],
+    ["verify", "smoothfn", "--fd-order", "0"],
+    ["verify", "smoothfn", "--seed", "-1"],
+    ["dump", "--seed", "x"],
+])
+def test_bad_numeric_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+CONFIG_FLAGS = ["--tol-alg", "--tol-rt", "--tol-fd", "--tol-lift", "--samples",
+                "--fd-order", "--seed", "--report", "--disable-wrinkle"]
+KEPT_FLAGS = {"eval": {"--disable-wrinkle"},
+              "chep": {"--tol-lift", "--samples", "--seed", "--report"},
+              "dump": {"--seed", "--disable-wrinkle"}}
+REMOVED = [(cmd, flag) for cmd, kept in KEPT_FLAGS.items()
+           for flag in CONFIG_FLAGS if flag not in kept]
+
+
+def test_each_subcommand_has_only_the_flags_it_reads():
+    from difftop.cli import build_parser
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    flags = {cmd: {o for a in p._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+             for cmd, p in sub.choices.items()}
+    assert flags["verify"] == set(CONFIG_FLAGS)
+    assert flags["eval"] == KEPT_FLAGS["eval"] | {"--json-points"}
+    assert flags["chep"] == KEPT_FLAGS["chep"] | {"--csv"}
+    assert flags["dump"] == KEPT_FLAGS["dump"] | {"--n", "--count", "--out"}
+    assert sum(map(len, flags.values())) == 21
+
+
+@pytest.mark.parametrize("cmd,flag", REMOVED)
+def test_flag_a_subcommand_does_not_read_exits_2(cmd, flag, capsys):
+    argv = {"eval": ["eval", "lambda", "0.5"], "chep": ["chep", "bundled"],
+            "dump": ["dump"]}[cmd]
+    argv = argv + [flag] + ([] if flag == "--disable-wrinkle" else ["1"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_accepts_all_nine_flags():
+    from dataclasses import asdict
+    from difftop.cli import _config_from, build_parser
+    args = build_parser().parse_args([
+        "verify", "smoothfn", "--tol-alg", "1e-11", "--tol-rt", "1e-7",
+        "--tol-fd", "1e-3", "--tol-lift", "1e-5", "--samples", "0.5",
+        "--fd-order", "2", "--seed", "4", "--report", "text",
+        "--disable-wrinkle"])
+    assert args.report == "text"
+    assert asdict(_config_from(args)) == {
+        "tol_alg": 1e-11, "tol_rt": 1e-7, "tol_fd": 1e-3, "tol_lift": 1e-5,
+        "samples": 0.5, "fd_order": 2, "seed": 4, "disable_wrinkle": True}
+
+
+@pytest.mark.parametrize("k,message", [
+    ({"op": "zap", "args": [1.0]}, "unknown expression op 'zap'"),
+    ({"op": "var", "index": 7}, "var index 7 is not one of the 2 variables"),
+    ({"op": "sin", "args": [1.0, 2.0]}, "sin takes one argument"),
+])
+def test_chep_malformed_expression_exits_2(tmp_path, capsys, k, message):
+    _, desc = bundled_chep_instance()
+    desc["k"] = k
+    path = tmp_path / "bad_expr.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli(["chep", str(path), "--samples", "0.01"], capsys)
+    assert code == 2 and out == ""
+    assert message in err

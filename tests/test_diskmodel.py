@@ -137,3 +137,11 @@ def test_check_disk_dim_mismatch():
 def test_check_disk_rejects_non_finite():
     with pytest.raises(DomainError, match="non-finite"):
         check_disk([float("nan"), 0.0], 1)
+
+
+def test_random_samplers_reject_empty_spheres():
+    for n in (0, -1):
+        with pytest.raises(DomainError):
+            random_sphere(n, RNG)
+    with pytest.raises(DomainError):
+        random_disk(-1, RNG)

@@ -53,3 +53,20 @@ def test_nan_lift_fails_chep_check():
     rec = {r["property"]: r for r in _chep_props(inst, cfg, cfg.rng("nan-oracle"))}
     assert rec["H_at_time_zero_is_f"]["worst_dev"] == math.inf
     assert not rec["H_at_time_zero_is_f"]["pass"]
+
+
+def test_within_fails_on_non_finite_and_passes_at_the_bound():
+    from difftop.verify import _within
+    assert _within("p", 1, 1e-9, 1e-9)["pass"]
+    assert _within("p", 1, 0.0, 0.0)["pass"]
+    assert not _within("p", 1, 2e-9, 1e-9)["pass"]
+    for dev in (math.nan, math.inf):
+        assert not _within("p", 1, dev, 1e-9)["pass"]
+    assert not _within("p", 1, math.inf, math.inf)["pass"]
+
+
+def test_holds_maps_verdicts_to_unit_deviation():
+    from difftop.verify import _holds
+    yes, no = _holds("p", 3, True, "n"), _holds("p", 3, False)
+    assert (yes["worst_dev"], yes["tol"], yes["pass"], yes["note"]) == (0.0, 0.0, True, "n")
+    assert (no["worst_dev"], no["pass"], no["samples"]) == (1.0, False, 3)
