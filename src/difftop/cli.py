@@ -8,6 +8,7 @@ records.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -169,11 +170,15 @@ def cmd_dump(args):
     cfg = _config_from(args)
     rng = np.random.default_rng(cfg.seed)
     n = args.n
-    out = open(args.out, "w") if args.out else sys.stdout
     try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"cannot open --out file: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
+    with out as fh:
         header = (["n", "s", "t"] + [f"v_{i}" for i in range(n)] + ["region"]
                   + [f"out_{i}" for i in range(n + 1)] + ["time"])
-        out.write(",".join(header) + "\n")
+        fh.write(",".join(header) + "\n")
         for _ in range(args.count):
             v = dm.random_disk(n - 1, rng)
             s, t = float(rng.uniform()), float(rng.uniform())
@@ -183,10 +188,7 @@ def cmd_dump(args):
                    + ["%.17g" % x for x in v]
                    + ["|".join(map(str, tags))]
                    + ["%.17g" % x for x in c.disk] + ["%.17g" % c.time])
-            out.write(",".join(row) + "\n")
-    finally:
-        if args.out:
-            out.close()
+            fh.write(",".join(row) + "\n")
     return _EXIT_PASS
 
 
@@ -205,8 +207,11 @@ def _checked(convert, ok, what):
 
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
                       "a finite tolerance >= 0")
-_multiplier = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
-                       "a finite number > 0")
+# --samples scales every sample count: at the bound `verify all` runs for
+# over an hour, and far above it a count overflows or never finishes
+_MAX_SAMPLES = 1000.0
+_multiplier = _checked(float, lambda v: 0.0 < v <= _MAX_SAMPLES,
+                       f"a number > 0 and <= {_MAX_SAMPLES:g}")
 _positive = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
@@ -217,7 +222,8 @@ _CONFIG_FLAGS = {
     "--tol-rt": {"type": _tolerance},
     "--tol-fd": {"type": _tolerance},
     "--tol-lift": {"type": _tolerance},
-    "--samples": {"type": _multiplier, "help": "sample-count multiplier"},
+    "--samples": {"type": _multiplier, "help": "sample-count multiplier, "
+                  f"in (0, {_MAX_SAMPLES:g}]"},
     "--fd-order": {"type": _positive},
     "--seed": {"type": _seed},
     "--disable-wrinkle": {"action": "store_true", "help": "debug: run the "

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smoothfn import lambda_fn
-from .diskmodel import DomainError, Q, check_sphere, include_k, retract, section
+from .diskmodel import Q, check_sphere, include_k, retract, section
 from .subdivision import CylPoint, in_L, psi, psi_inv
-from .cellcomplex import Cell, CellComplex, ComplexPoint
+from .cellcomplex import ComplexPoint
 from .homotopy import Homotopy
 
 __all__ = [

@@ -29,7 +29,6 @@ the cylinder slot.  ``source_point`` builds such a point; psi and
 psi_inv recover the parameters through the canonical section.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +54,7 @@ def source_point(n, v, s, t):
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise DomainError(f"parameters s={s!r}, t={t!r} outside [0,1]")
     e = section(n - 1, v)
-    return Q(n + 1, np.concatenate([e, [lambda_fn(s), lambda_fn(t)]]))
+    return Q(n + 1, e.tolist() + [lambda_fn(s), lambda_fn(t)])
 
 
 # target parameters (a, b) of phi on each slab of s, in slab order: the
@@ -129,7 +128,6 @@ def rho(n, w):
         return check_disk(w, 1)
     c = section(n + 1, w)
     s = lambda_inv(c[n - 1])
-    c = c.copy()
     c[n - 1] = lambda_fn(xi(s))
     return Q(n + 1, c)
 
@@ -186,7 +184,7 @@ def psi_inv(n, cyl, wrinkle=True):
     sw = min(1.0, max(0.0, sw))
     t = min(1.0, max(0.0, t))
     s = xi_inv(sw) if wrinkle else sw
-    return Q(n + 1, np.concatenate([e[:n - 1], [lambda_fn(s), lambda_fn(t)]]))
+    return Q(n + 1, e[:n - 1].tolist() + [lambda_fn(s), lambda_fn(t)])
 
 
 def in_L(n, cyl, tol=1e-8):

@@ -5,13 +5,9 @@ Each criterion asserts its pinned tolerances and its runtime budget; the
 suites behind them are executed once per session and shared.
 """
 
-import json
 import subprocess
 import sys
 import time
-
-import numpy as np
-import pytest
 
 from difftop.verify import RunConfig, run_suite
 

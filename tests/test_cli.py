@@ -150,6 +150,22 @@ def test_dump_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_dump_out_file_matches_stdout(tmp_path, capsys):
+    argv = ["dump", "--n", "2", "--count", "3", "--seed", "5"]
+    _, out, _ = run_cli(argv, capsys)
+    path = tmp_path / "dump.csv"
+    code, out_file, _ = run_cli(argv + ["--out", str(path)], capsys)
+    assert code == 0 and out_file == ""
+    assert path.read_text() == out
+
+
+def test_dump_unopenable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["dump", "--out", str(path), "--count", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("cannot open --out file") and err.count("\n") == 1
+
+
 def test_eval_json_points(capsys):
     code, out, _ = run_cli(["eval", "Q", "2", "0.5", "0.5", "--json-points"],
                            capsys)
@@ -213,6 +229,8 @@ def test_dump_below_dimension_1_exits_2(n):
     ["verify", "smoothfn", "--samples", "nan"],
     ["verify", "smoothfn", "--samples", "0"],
     ["chep", "bundled", "--samples", "inf"],
+    ["verify", "smoothfn", "--samples", "1e305"],
+    ["chep", "bundled", "--samples", "1000.5"],
     ["verify", "smoothfn", "--tol-alg", "nan"],
     ["verify", "smoothfn", "--tol-rt", "-1e-9"],
     ["chep", "bundled", "--tol-lift", "inf"],
@@ -272,6 +290,12 @@ def test_verify_accepts_all_nine_flags():
     assert asdict(_config_from(args)) == {
         "tol_alg": 1e-11, "tol_rt": 1e-7, "tol_fd": 1e-3, "tol_lift": 1e-5,
         "samples": 0.5, "fd_order": 2, "seed": 4, "disable_wrinkle": True}
+
+
+def test_samples_upper_bound_is_inclusive():
+    from difftop.cli import _MAX_SAMPLES, build_parser
+    args = build_parser().parse_args(["verify", "smoothfn", "--samples", "1000"])
+    assert args.samples == _MAX_SAMPLES == 1000.0
 
 
 @pytest.mark.parametrize("k,message", [

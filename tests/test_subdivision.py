@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from difftop.diskmodel import DomainError, Q, include_k, q, random_disk, section
+from difftop.diskmodel import DomainError, include_k, q, random_disk, section
 from difftop.smoothfn import lambda_fn, lambda_inv, smoothness_check, xi
 from difftop.subdivision import (
     CylPoint, in_L, phi_map, psi, psi_inv, region_classify, rho, source_point,
