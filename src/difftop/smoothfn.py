@@ -18,6 +18,7 @@ the one-sided estimates agree (the derivative exists) or match a supplied
 expected value (typically 0 for flatness claims).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -222,14 +223,77 @@ def _stencil_offsets(order, side):
     return list(range(order + 2))
 
 
-def _safe_eval(f, x):
+@functools.lru_cache(maxsize=None)
+def _stencil(order, side):
+    """Offsets and weights of the stencil for ``order`` on ``side``."""
+    offsets = _stencil_offsets(order, side)
+    return offsets, fd_weights(order, offsets)
+
+
+def _node_values(f, x, offsets, h):
+    """f at the nodes x + o*h as a C-contiguous (components, nodes) array.
+
+    A float-valued f has one component.  Each row is contiguous, so the
+    dot product of a row with the weights is the one a float-valued f
+    gets: every component sees the same arithmetic.
+    """
+    vals = []
+    for o in offsets:
+        xo = x + o * h
+        try:
+            vals.append(f(xo))
+        except Exception as exc:
+            raise EvaluationError(f"evaluation failed at {xo!r}: {exc}") from exc
     try:
-        v = float(f(x))
-    except Exception as exc:
-        raise EvaluationError(f"evaluation failed at {x!r}: {exc}") from exc
-    if not math.isfinite(v):
-        raise EvaluationError(f"non-finite value {v!r} at {x!r}")
-    return v
+        vals = np.array(vals, dtype=float)
+    except ValueError as exc:
+        raise EvaluationError(f"values near {x!r} are not one float or one "
+                              f"vector length: {exc}") from exc
+    return vals.reshape(1, -1) if vals.ndim == 1 else vals.T.copy()
+
+
+def _richardson(raw, p, series):
+    """Best entry of the Richardson table of a step ladder, as (value, err)."""
+    # Neville/Richardson table with error tracking; the best entry wins.
+    best, best_err = raw[0], math.inf
+    for i in range(1, len(raw)):
+        err = abs(raw[i] - raw[i - 1])
+        if err < best_err:
+            best, best_err = raw[i], err
+    col = list(raw)
+    for j in range(1, len(raw)):
+        fac = 2.0 ** (p + (j - 1) * series)
+        nxt = []
+        for i in range(1, len(col)):
+            t = col[i] + (col[i] - col[i - 1]) / (fac - 1.0)
+            err = max(abs(t - col[i]), abs(t - col[i - 1]))
+            if err < best_err:
+                best, best_err = t, err
+            nxt.append(t)
+        col = nxt
+    return best, best_err
+
+
+def _estimates(f, x, order, side, cfg):
+    """derivative_estimate of each component of f, as a list of (value, err)."""
+    offsets, w = _stencil(order, side)
+    if side == 0:
+        p, series = 2, 2  # symmetric: even error series
+    else:
+        p, series = len(offsets) - order, 1
+
+    raw = []  # raw[level][component]
+    h = cfg.base_step
+    for _ in range(cfg.levels):
+        rows = _node_values(f, x, offsets, h)
+        sums = [float(w.dot(row)) for row in rows]
+        # a non-finite value makes its sum non-finite, even at weight 0;
+        # only then is every value looked at
+        if not all(map(math.isfinite, sums)) and not np.isfinite(rows).all():
+            raise EvaluationError(f"non-finite value near {x!r}")
+        raw.append([v / h ** order for v in sums])
+        h *= 0.5
+    return [_richardson(ladder, p, series) for ladder in zip(*raw)]
 
 
 def derivative_estimate(f, x, order, side=0, config=None):
@@ -243,44 +307,16 @@ def derivative_estimate(f, x, order, side=0, config=None):
 
     Raises EvaluationError if any stencil point cannot be evaluated.
     """
-    cfg = config or _DEFAULT_FD
-    offsets = _stencil_offsets(order, side)
-    w = fd_weights(order, offsets)
-    if side == 0:
-        p, series = 2, 2  # symmetric: even error series
-    else:
-        p, series = len(offsets) - order, 1
-
-    raw = []
-    h = cfg.base_step
-    for _ in range(cfg.levels):
-        vals = [_safe_eval(f, x + o * h) for o in offsets]
-        raw.append(float(np.dot(w, vals)) / h ** order)
-        h *= 0.5
-
-    # Neville/Richardson table with error tracking; the best entry wins.
-    best, best_err = raw[0], math.inf
-    for i in range(1, len(raw)):
-        err = abs(raw[i] - raw[i - 1])
-        if err < best_err:
-            best, best_err = raw[i], err
-    col = list(raw)
-    for j in range(1, cfg.levels):
-        fac = 2.0 ** (p + (j - 1) * series)
-        nxt = []
-        for i in range(1, len(col)):
-            t = col[i] + (col[i] - col[i - 1]) / (fac - 1.0)
-            err = max(abs(t - col[i]), abs(t - col[i - 1]))
-            if err < best_err:
-                best, best_err = t, err
-            nxt.append(t)
-        col = nxt
-    return best, best_err
+    return _estimates(f, x, order, side, config or _DEFAULT_FD)[0]
 
 
 @dataclass
 class SmoothnessReport:
-    """Per-order derivative estimates and verdicts at a single point."""
+    """Per-order derivative estimates and verdicts at a single point.
+
+    For a vector-valued f the estimates and the deviation of each order
+    are those of one component, whose index ``component`` holds.
+    """
     point: float
     max_order_tested: int
     tolerance_used: float
@@ -288,6 +324,7 @@ class SmoothnessReport:
     side_estimates: dict = field(default_factory=dict)  # order -> (left, right)
     verdicts: dict = field(default_factory=dict)       # order -> pass/fail/inconclusive
     deviations: dict = field(default_factory=dict)     # order -> measured disagreement
+    component: dict = field(default_factory=dict)      # order -> reported component
 
     @property
     def passed(self):
@@ -312,6 +349,14 @@ def smoothness_check(f, point, max_order, config=None, expected=None):
     plus the same kind of allowance.  Any stencil evaluation failure marks
     the order inconclusive -- an inconclusive report never counts as
     passing.
+
+    f may return a float or a non-empty 1-D array.  Each stencil node is
+    evaluated once, and each component then gets the arithmetic a
+    float-valued f gets, bit for bit.  An order fails when any component
+    fails, and a non-finite value in any component makes it inconclusive.
+    The report keeps one component per order: the failing one with the
+    largest deviation, or if none fails, the one with the largest
+    deviation.
     """
     cfg = config or _DEFAULT_FD
     if max_order > _MAX_ORDER:
@@ -320,21 +365,25 @@ def smoothness_check(f, point, max_order, config=None, expected=None):
                               tolerance_used=cfg.tol)
     for k in range(1, max_order + 1):
         try:
-            central, err_c = derivative_estimate(f, point, k, side=0, config=cfg)
-            left, err_l = derivative_estimate(f, point, k, side=-1, config=cfg)
-            right, err_r = derivative_estimate(f, point, k, side=+1, config=cfg)
+            sides = [_estimates(f, point, k, side, cfg) for side in (0, -1, +1)]
         except EvaluationError:
             report.verdicts[k] = "inconclusive"
             continue
+        rows = []  # (failed, dev, central, left, right) per component
+        for (central, err_c), (left, err_l), (right, err_r) in zip(*sides):
+            if expected is not None and k in expected:
+                target = expected[k]
+                dev = abs(central - target)
+                ok = dev <= cfg.tol * max(1.0, abs(target)) + 2.0 * err_c
+            else:
+                dev = abs(left - right)
+                ok = dev <= cfg.tol * max(1.0, abs(left), abs(right)) + 2.0 * (err_l + err_r)
+            rows.append((not ok, dev, central, left, right))
+        j = max(range(len(rows)), key=lambda i: rows[i][:2])
+        failed, dev, central, left, right = rows[j]
         report.fd_estimates[k] = central
         report.side_estimates[k] = (left, right)
-        if expected is not None and k in expected:
-            target = expected[k]
-            dev = abs(central - target)
-            ok = dev <= cfg.tol * max(1.0, abs(target)) + 2.0 * err_c
-        else:
-            dev = abs(left - right)
-            ok = dev <= cfg.tol * max(1.0, abs(left), abs(right)) + 2.0 * (err_l + err_r)
         report.deviations[k] = dev
-        report.verdicts[k] = "pass" if ok else "fail"
+        report.component[k] = j
+        report.verdicts[k] = "fail" if failed else "pass"
     return report

@@ -39,7 +39,7 @@ from .diskmodel import DomainError, Q, check_disk, q, section
 __all__ = [
     "CylPoint", "source_point", "PHI_BRANCHES", "phi_branch", "target_walls",
     "phi_map", "region_classify",
-    "rho", "psi", "psi_inv", "in_L",
+    "rho", "psi", "psi_inv", "seam_curve", "in_L",
 ]
 
 
@@ -185,6 +185,21 @@ def psi_inv(n, cyl, wrinkle=True):
     t = min(1.0, max(0.0, t))
     s = xi_inv(sw) if wrinkle else sw
     return Q(n + 1, e[:n - 1].tolist() + [lambda_fn(s), lambda_fn(t)])
+
+
+def seam_curve(n, v, t, wrinkle=True):
+    """The curve s -> psi(n, source_point(n, v, s, t)) across phi's walls.
+
+    At fixed (v, t) it crosses the walls s = 1/3 and s = 2/3, where the
+    raw chart kinks and the wrinkled one must be smooth.  Each value is
+    the cylinder point flattened to (disk..., time), one vector per psi
+    evaluation.  s is clamped into [0,1], so a stencil may overhang the
+    ends.
+    """
+    def curve(s):
+        c = psi(n, source_point(n, v, min(1.0, max(0.0, s)), t), wrinkle=wrinkle)
+        return np.concatenate([c.disk, [c.time]])
+    return curve
 
 
 def in_L(n, cyl, tol=1e-8):

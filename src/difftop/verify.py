@@ -494,13 +494,11 @@ def suite_subdivision(cfg):
         t = float(rng.uniform(0.05, 0.95))
         for seam in (1.0 / 3.0, 2.0 / 3.0):
             total += 1
-            if all(smoothness_check(_seam_coord(n, v, t, j, wrinkle), seam,
-                                    orders, cfg.fd()).passed
-                   for j in range(n + 2)):
+            if smoothness_check(sd.seam_curve(n, v, t, wrinkle), seam, orders,
+                                cfg.fd()).passed:
                 passed += 1
-            if any(smoothness_check(_seam_coord(n, v, t, j, False), seam,
-                                    1, cfg.fd()).verdicts[1] == "fail"
-                   for j in range(n + 2)):
+            if smoothness_check(sd.seam_curve(n, v, t, False), seam, 1,
+                                cfg.fd()).verdicts[1] == "fail":
                 failed_ctrl += 1
     out.append(_within("seam_smoothness_wrinkled", total, total - passed, 0.0,
                        "orders 1..%d two-sided agreement across both walls" % orders))
@@ -510,14 +508,6 @@ def suite_subdivision(cfg):
                     "negative control: raw chart must break at the walls"))
 
     return out
-
-
-def _seam_coord(n, v, t, j, wrinkle):
-    def f(s):
-        s = min(1.0, max(0.0, s))
-        c = sd.psi(n, sd.source_point(n, v, s, t), wrinkle=wrinkle)
-        return np.concatenate([c.disk, [c.time]])[j]
-    return f
 
 
 # ---------------------------------------------------------------------------

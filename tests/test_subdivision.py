@@ -6,7 +6,8 @@ import pytest
 from difftop.diskmodel import DomainError, include_k, q, random_disk, section
 from difftop.smoothfn import lambda_fn, lambda_inv, smoothness_check, xi
 from difftop.subdivision import (
-    CylPoint, in_L, phi_map, psi, psi_inv, region_classify, rho, source_point,
+    CylPoint, in_L, phi_map, psi, psi_inv, region_classify, rho, seam_curve,
+    source_point,
 )
 
 RNG = np.random.default_rng(77)
@@ -176,16 +177,6 @@ def test_seam_smoothness_with_and_without_wrinkle():
     n = 2
     v = random_disk(n - 1, RNG)
     t = 0.45
-
-    def coord(j, wrinkle):
-        def f(s):
-            s = min(1.0, max(0.0, s))
-            c = psi(n, source_point(n, v, s, t), wrinkle=wrinkle)
-            return np.concatenate([c.disk, [c.time]])[j]
-        return f
-
     for seam in (1.0 / 3.0, 2.0 / 3.0):
-        assert all(smoothness_check(coord(j, True), seam, 3).passed
-                   for j in range(n + 2))
-        assert any(smoothness_check(coord(j, False), seam, 1).verdicts[1] == "fail"
-                   for j in range(n + 2))
+        assert smoothness_check(seam_curve(n, v, t, True), seam, 3).passed
+        assert smoothness_check(seam_curve(n, v, t, False), seam, 1).verdicts[1] == "fail"
