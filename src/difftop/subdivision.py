@@ -188,17 +188,18 @@ def psi_inv(n, cyl, wrinkle=True):
 
 
 def seam_curve(n, v, t, wrinkle=True):
-    """The curve s -> psi(n, source_point(n, v, s, t)) across phi's walls.
+    """s -> psi(n, source_point(n, v, s, t)) in chart parameters.
 
-    At fixed (v, t) it crosses the walls s = 1/3 and s = 2/3, where the
-    raw chart kinks and the wrinkled one must be smooth.  Each value is
-    the cylinder point flattened to (disk..., time), one vector per psi
-    evaluation.  s is clamped into [0,1], so a stencil may overhang the
-    ends.
+    The curve crosses phi's walls s = 1/3 and 2/3.  Its value is
+    lambda_inv of each slot of the disk's section and of the time, ending
+    in phi's (a, b): their kinks have full size for every t (at s = 1/3,
+    db/ds jumps from -3(1-t) to 0), where lambda would flatten them below
+    any FD tolerance for t near 0.  s is clamped into [0,1].
     """
     def curve(s):
         c = psi(n, source_point(n, v, min(1.0, max(0.0, s)), t), wrinkle=wrinkle)
-        return np.concatenate([c.disk, [c.time]])
+        return np.array([lambda_inv(e) for e in section(n, c.disk)]
+                        + [lambda_inv(c.time)])
     return curve
 
 
