@@ -130,12 +130,19 @@ def cmd_chep(args):
             print(f"cannot load instance: {exc}", file=sys.stderr)
             return _EXIT_USAGE
 
+    # open the CSV before sampling, so a bad path costs no lifts
+    try:
+        csv = open(args.csv, "w") if args.csv and kind == "chep" else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"cannot open --csv file: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     rng = np.random.default_rng(cfg.seed)
     try:
-        if kind == "chep":
-            props = _chep_props(inst, cfg, rng, args.csv)
-        else:
-            props = _extend_props(inst, cfg, rng)
+        with csv as fh:
+            if kind == "chep":
+                props = _chep_props(inst, cfg, rng, fh)
+            else:
+                props = _extend_props(inst, cfg, rng)
     except LiftError as exc:
         print(f"instance precondition violated: {exc}", file=sys.stderr)
         return _EXIT_INSTANCE
@@ -145,14 +152,13 @@ def cmd_chep(args):
     return _EXIT_PASS if report["passed"] else _EXIT_FAIL
 
 
-def _chep_props(inst, cfg, rng, csv_path=None):
+def _chep_props(inst, cfg, rng, csv=None):
     (dev_f, dev_h, dev_p), rows = check_chep_instance(inst, cfg, rng)
-    if csv_path:
-        with open(csv_path, "w") as fh:
-            fh.write("position,t,H_base,H_fiber\n")
-            for x, t, Hxt in rows:
-                row = (inst.position(x), t, Hxt[0], Hxt[1])
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+    if csv is not None:
+        csv.write("position,t,H_base,H_fiber\n")
+        for x, t, Hxt in rows:
+            row = (inst.position(x), t, Hxt[0], Hxt[1])
+            csv.write(",".join("%.17g" % v for v in row) + "\n")
     n, tol = cfg.count(1000), cfg.tol_lift
     note = "" if inst.complex.base is not None else "vacuous: the complex has no base"
     return [_within("H_at_time_zero_is_f", n, dev_f, tol),

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .smoothfn import FDConfig, smoothness_check
 from .diskmodel import DomainError
@@ -287,6 +286,9 @@ def _factors_through(y_flat, target, rng):
     profiles have wide zero-gradient plateaus where a descent method
     would otherwise stall at the first iterate.
     """
+    # imported here, its one use: it is most of the import time of difftop
+    from scipy import optimize
+
     for g in target.generators:
         if g.dim == 0:
             if np.allclose(target.flatten(g(np.zeros(0))), y_flat, atol=FACTOR_TOL):

@@ -24,7 +24,7 @@ from .smoothfn import lambda_fn
 __all__ = [
     "DomainError", "POINT_TOL",
     "check_disk", "check_sphere",
-    "point_to_json", "point_from_json",
+    "point_to_json",
     "q", "Q", "gen_plot", "section",
     "include_j", "include_k", "reflect", "retract", "retract_homotopy",
     "random_disk", "random_sphere",
@@ -67,12 +67,6 @@ def point_to_json(w):
     """Wire form of a disk point: coordinate list plus its dimension."""
     w = np.asarray(w, dtype=float)
     return {"dim": int(len(w) - 1), "coords": [float(c) for c in w]}
-
-
-def point_from_json(obj):
-    """Parse and validate the wire form produced by point_to_json."""
-    w = np.asarray(obj["coords"], dtype=float)
-    return check_disk(w, int(obj["dim"]))
 
 
 def check_sphere(v):

@@ -27,7 +27,7 @@ from .cellcomplex import CellComplex, ComplexPoint
 from .lifting import product_fibration, point_fibration, TrivialProductFibration
 
 __all__ = [
-    "eval_expr", "compile_expr", "space_from_json", "complex_from_json",
+    "compile_expr", "space_from_json", "complex_from_json",
     "fibration_from_json", "chain_position",
     "chep_instance_from_json", "extend_instance_from_json",
     "bundled_chep_instance", "bundled_extend_instance", "InstanceError",
@@ -102,12 +102,6 @@ def compile_expr(node, nvars):
     """
     fn = _compile(node, nvars)
     return lambda u: fn(np.atleast_1d(u))
-
-
-def eval_expr(node, u):
-    """Evaluate an expression AST at the variable vector u."""
-    u = np.atleast_1d(u)
-    return compile_expr(node, len(u))(u)
 
 
 def _flat_len(desc):

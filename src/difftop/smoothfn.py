@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "gamma", "gamma_deriv", "lambda_fn", "lambda_deriv", "lambda_inv",
+    "gamma", "lambda_fn", "lambda_inv",
     "xi", "xi_inv",
     "FDConfig", "SmoothnessReport", "smoothness_check",
-    "fd_weights", "derivative_estimate", "EvaluationError",
+    "fd_weights", "EvaluationError",
 ]
 
 
@@ -37,13 +37,6 @@ def gamma(t):
     if t <= 0.0:
         return 0.0
     return math.exp(-1.0 / t)
-
-
-def gamma_deriv(t):
-    """Closed-form first derivative of gamma."""
-    if t <= 0.0:
-        return 0.0
-    return math.exp(-1.0 / t) / (t * t)
 
 
 def lambda_fn(t):
@@ -57,15 +50,6 @@ def lambda_fn(t):
         return 1.0
     g = gamma(t)
     return g / (g + gamma(1.0 - t))
-
-
-def lambda_deriv(t):
-    """Closed-form first derivative of lambda_fn (0 outside (0,1))."""
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    g, gc = gamma(t), gamma(1.0 - t)
-    dg, dgc = gamma_deriv(t), gamma_deriv(1.0 - t)
-    return (dg * gc + g * dgc) / (g + gc) ** 2
 
 
 def _bisect_increasing(f, y, lo, hi):
@@ -212,49 +196,23 @@ _DEFAULT_FD = FDConfig()
 _MAX_ORDER = 6
 
 
-def _stencil_offsets(order, side):
+@functools.lru_cache(maxsize=None)
+def _stencil(order, side):
+    """Offsets and weights of the stencil for ``order`` on ``side``."""
     # minimal stencils plus one node (accuracy 2); small coefficient sums
     # keep the round-off floor low on the fine ladder levels
     if side == 0:
         r = (order + 2) // 2
-        return list(range(-r, r + 1))
-    if side < 0:
-        return [-i for i in range(order + 2)]
-    return list(range(order + 2))
-
-
-@functools.lru_cache(maxsize=None)
-def _stencil(order, side):
-    """Offsets and weights of the stencil for ``order`` on ``side``."""
-    offsets = _stencil_offsets(order, side)
-    return offsets, fd_weights(order, offsets)
-
-
-def _node_values(f, x, offsets, h):
-    """f at the nodes x + o*h as a C-contiguous (components, nodes) array.
-
-    A float-valued f has one component.  Each row is contiguous, so the
-    dot product of a row with the weights is the one a float-valued f
-    gets: every component sees the same arithmetic.
-    """
-    vals = []
-    for o in offsets:
-        xo = x + o * h
-        try:
-            vals.append(f(xo))
-        except Exception as exc:
-            raise EvaluationError(f"evaluation failed at {xo!r}: {exc}") from exc
-    try:
-        vals = np.array(vals, dtype=float)
-    except ValueError as exc:
-        raise EvaluationError(f"values near {x!r} are not one float or one "
-                              f"vector length: {exc}") from exc
-    return vals.reshape(1, -1) if vals.ndim == 1 else vals.T.copy()
+        offsets = list(range(-r, r + 1))
+    else:
+        offsets = [side * i for i in range(order + 2)]
+    w = fd_weights(order, offsets)
+    w.setflags(write=False)  # one array serves every caller
+    return offsets, w
 
 
 def _richardson(raw, p, series):
-    """Best entry of the Richardson table of a step ladder, as (value, err)."""
-    # Neville/Richardson table with error tracking; the best entry wins.
+    """Best entry of the Neville/Richardson table of a ladder, as (value, err)."""
     best, best_err = raw[0], math.inf
     for i in range(1, len(raw)):
         err = abs(raw[i] - raw[i - 1])
@@ -275,48 +233,42 @@ def _richardson(raw, p, series):
 
 
 def _estimates(f, x, order, side, cfg):
-    """derivative_estimate of each component of f, as a list of (value, err)."""
-    offsets, w = _stencil(order, side)
-    if side == 0:
-        p, series = 2, 2  # symmetric: even error series
-    else:
-        p, series = len(offsets) - order, 1
-
-    raw = []  # raw[level][component]
-    h = cfg.base_step
-    for _ in range(cfg.levels):
-        rows = _node_values(f, x, offsets, h)
-        sums = [float(w.dot(row)) for row in rows]
-        # a non-finite value makes its sum non-finite, even at weight 0;
-        # only then is every value looked at
-        if not all(map(math.isfinite, sums)) and not np.isfinite(rows).all():
-            raise EvaluationError(f"non-finite value near {x!r}")
-        raw.append([v / h ** order for v in sums])
-        h *= 0.5
-    return [_richardson(ladder, p, series) for ladder in zip(*raw)]
-
-
-def derivative_estimate(f, x, order, side=0, config=None):
-    """Estimate f^(order)(x) on a shrinking step ladder.
+    """Estimate f^(order)(x) on a shrinking step ladder, per component of f.
 
     ``side`` 0 uses a symmetric central stencil, -1/+1 one-sided stencils
     reaching only left/right of x.  Raw estimates at steps h, h/2, ... are
     Richardson-extrapolated (error series h^2, h^4, ... for central
     stencils, h^p, h^(p+1), ... one-sided) and the table entry with the
-    smallest neighbour-disagreement is returned as ``(value, err)``.
+    smallest neighbour-disagreement is kept as ``(value, err)``.  Each
+    stencil node is evaluated once; the values form a C-contiguous
+    (components, nodes) array, so each component's weighted sum is the dot
+    product a float-valued f gets, bit for bit.
 
     Raises EvaluationError if any stencil point cannot be evaluated.
     """
-    return _estimates(f, x, order, side, config or _DEFAULT_FD)[0]
+    offsets, w = _stencil(order, side)
+    # symmetric stencils have an even error series
+    p, series = (2, 2) if side == 0 else (len(offsets) - order, 1)
+    raw = []  # raw[level][component]
+    h = cfg.base_step
+    for _ in range(cfg.levels):
+        try:
+            rows = np.array([f(x + o * h) for o in offsets], dtype=float)
+        except Exception as exc:
+            raise EvaluationError(f"evaluation failed near {x!r}: {exc}") from exc
+        rows = rows.reshape(1, -1) if rows.ndim == 1 else rows.T.copy()
+        sums = [float(w.dot(row)) for row in rows]
+        # a non-finite value makes its sum non-finite, even at weight 0
+        if not all(map(math.isfinite, sums)) and not np.isfinite(rows).all():
+            raise EvaluationError(f"non-finite value near {x!r} at step {h!r}")
+        raw.append([v / h ** order for v in sums])
+        h *= 0.5
+    return [_richardson(ladder, p, series) for ladder in zip(*raw)]
 
 
 @dataclass
 class SmoothnessReport:
-    """Per-order derivative estimates and verdicts at a single point.
-
-    For a vector-valued f the estimates and the deviation of each order
-    are those of one component, whose index ``component`` holds.
-    """
+    """Per-order derivative estimates and verdicts at a single point."""
     point: float
     max_order_tested: int
     tolerance_used: float
@@ -324,7 +276,7 @@ class SmoothnessReport:
     side_estimates: dict = field(default_factory=dict)  # order -> (left, right)
     verdicts: dict = field(default_factory=dict)       # order -> pass/fail/inconclusive
     deviations: dict = field(default_factory=dict)     # order -> measured disagreement
-    component: dict = field(default_factory=dict)      # order -> reported component
+    component: dict = field(default_factory=dict)      # order -> index of reported component
 
     @property
     def passed(self):
@@ -350,13 +302,10 @@ def smoothness_check(f, point, max_order, config=None, expected=None):
     the order inconclusive -- an inconclusive report never counts as
     passing.
 
-    f may return a float or a non-empty 1-D array.  Each stencil node is
-    evaluated once, and each component then gets the arithmetic a
-    float-valued f gets, bit for bit.  An order fails when any component
-    fails, and a non-finite value in any component makes it inconclusive.
-    The report keeps one component per order: the failing one with the
-    largest deviation, or if none fails, the one with the largest
-    deviation.
+    f may return a float or a non-empty 1-D array, whose components each
+    get a float-valued f's arithmetic.  An order fails when any component
+    fails; the report keeps the failing component with the largest
+    deviation, or if none fails, the one with the largest deviation.
     """
     cfg = config or _DEFAULT_FD
     if max_order > _MAX_ORDER:
@@ -369,8 +318,8 @@ def smoothness_check(f, point, max_order, config=None, expected=None):
         except EvaluationError:
             report.verdicts[k] = "inconclusive"
             continue
-        rows = []  # (failed, dev, central, left, right) per component
-        for (central, err_c), (left, err_l), (right, err_r) in zip(*sides):
+        rows = []  # (failed, dev, component, central, left, right)
+        for j, ((central, err_c), (left, err_l), (right, err_r)) in enumerate(zip(*sides)):
             if expected is not None and k in expected:
                 target = expected[k]
                 dev = abs(central - target)
@@ -378,9 +327,8 @@ def smoothness_check(f, point, max_order, config=None, expected=None):
             else:
                 dev = abs(left - right)
                 ok = dev <= cfg.tol * max(1.0, abs(left), abs(right)) + 2.0 * (err_l + err_r)
-            rows.append((not ok, dev, central, left, right))
-        j = max(range(len(rows)), key=lambda i: rows[i][:2])
-        failed, dev, central, left, right = rows[j]
+            rows.append((not ok, dev, j, central, left, right))
+        failed, dev, j, central, left, right = max(rows, key=lambda r: r[:2])
         report.fd_estimates[k] = central
         report.side_estimates[k] = (left, right)
         report.deviations[k] = dev

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from difftop import cli
 from difftop.cli import main
 from difftop.instances import bundled_chep_instance, bundled_extend_instance
 
@@ -132,6 +133,17 @@ def test_chep_csv_output(tmp_path, capsys):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "position,t,H_base,H_fiber"
     assert len(lines) > 1
+
+
+def test_chep_unopenable_csv_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before opening the CSV")
+
+    monkeypatch.setattr(cli, "check_chep_instance", no_sampling)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["chep", "bundled", "--csv", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("cannot open --csv file") and err.count("\n") == 1
 
 
 def test_dump_csv_header_and_shape(capsys):

@@ -64,6 +64,16 @@ def test_smooth_check_rejects_kink():
     assert any(r["kind"] == "smoothness" for r in rep.records)
 
 
+def test_smooth_check_witness_names_the_kinked_coordinate():
+    R2 = euclidean(2)
+    f = MapEvaluator(R, R2, lambda x: np.array([math.sin(_scalar(x)), abs(_scalar(x))]),
+                     "sin_abs")
+    rep = smooth_check(f, CFG)
+    kinks = [r["witness"] for r in rep.records if r["kind"] == "smoothness"]
+    assert not rep.passed and kinks
+    assert all(w["coord"] == 1 for w in kinks) and [0.0] in [w["u"] for w in kinks]
+
+
 def test_smooth_check_inconclusive_never_passes():
     def patchy(x):
         if _scalar(x) > 2.0:
@@ -180,9 +190,9 @@ def test_space_from_json_kinds():
 
 
 def test_disk_point_json_roundtrip():
-    from difftop.diskmodel import point_from_json, point_to_json, random_disk
+    from difftop.diskmodel import check_disk, point_to_json, random_disk
     import numpy as _np
     w = random_disk(2, _np.random.default_rng(3))
     obj = point_to_json(w)
     assert obj["dim"] == 2
-    assert _np.allclose(point_from_json(obj), w)
+    assert _np.array_equal(check_disk(obj["coords"], obj["dim"]), w)

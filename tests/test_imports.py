@@ -1,4 +1,6 @@
-"""Lint: every name a module imports is referenced in that module.
+"""Import hygiene: no unused imports, and no heavy import at CLI start.
+
+Lint: every name a module imports is referenced in that module.
 
 Standard-library only (ast), so it runs wherever the tests run.  A name
 listed in the module's ``__all__`` counts as used: it is re-exported.
@@ -7,6 +9,9 @@ there to be re-exported.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +49,15 @@ def test_checker_finds_unused_and_skips_reexports():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported where it is used (diffeology._factors_through):
+    # loading it is most of the cost of starting the CLI
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, difftop.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

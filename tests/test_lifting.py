@@ -8,7 +8,7 @@ from difftop.diskmodel import DomainError, include_k, random_disk, random_sphere
 from difftop.homotopy import path_components
 from difftop.instances import (
     bundled_chep_instance, bundled_extend_instance, chain_position,
-    chep_instance_from_json, complex_from_json, eval_expr,
+    chep_instance_from_json, compile_expr, complex_from_json,
 )
 from difftop.lifting import (
     LiftError, TrivialProductFibration, chep, extend_lift, hep,
@@ -213,10 +213,10 @@ def test_expression_language():
     expr = {"op": "add", "args": [
         {"op": "lambda", "args": [{"op": "var", "index": 0}]},
         {"op": "const", "value": 1.0}]}
-    assert eval_expr(expr, [0.5]) == pytest.approx(1.5)
-    assert eval_expr({"op": "mul", "args": [2.0, 3.0, 4.0]}, []) == 24.0
+    assert compile_expr(expr, 1)([0.5]) == pytest.approx(1.5)
+    assert compile_expr({"op": "mul", "args": [2.0, 3.0, 4.0]}, 0)([]) == 24.0
     with pytest.raises(ValueError):
-        eval_expr({"op": "zap"}, [])
+        compile_expr({"op": "zap"}, 0)
 
 
 def test_complex_from_json_chain():

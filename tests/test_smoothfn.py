@@ -5,9 +5,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from difftop.smoothfn import (
-    FDConfig, derivative_estimate, fd_weights, gamma, gamma_deriv,
-    lambda_deriv, lambda_fn, lambda_inv, smoothness_check, xi, xi_inv,
+    FDConfig, fd_weights, gamma, lambda_fn, lambda_inv,
+    smoothness_check, xi, xi_inv,
 )
+
+
+def gamma_deriv(t):
+    """Closed-form first derivative of gamma."""
+    if t <= 0.0:
+        return 0.0
+    return math.exp(-1.0 / t) / (t * t)
+
+
+def lambda_deriv(t):
+    """Closed-form first derivative of lambda_fn (0 outside (0,1))."""
+    if t <= 0.0 or t >= 1.0:
+        return 0.0
+    g, gc = gamma(t), gamma(1.0 - t)
+    dg, dgc = gamma_deriv(t), gamma_deriv(1.0 - t)
+    return (dg * gc + g * dgc) / (g + gc) ** 2
 
 
 def test_gamma_values():
@@ -25,7 +41,7 @@ def test_gamma_increasing_on_positive_axis():
 
 def test_gamma_deriv_matches_fd():
     for t in (0.3, 0.7, 1.5):
-        est, _ = derivative_estimate(gamma, t, 1)
+        est = smoothness_check(gamma, t, 1).fd_estimates[1]
         assert est == pytest.approx(gamma_deriv(t), rel=1e-8)
     assert gamma_deriv(-1.0) == 0.0
 
@@ -56,7 +72,7 @@ def test_lambda_monotone_property(t, d):
 
 def test_lambda_deriv_matches_fd():
     for t in (0.25, 0.5, 0.8):
-        est, _ = derivative_estimate(lambda_fn, t, 1)
+        est = smoothness_check(lambda_fn, t, 1).fd_estimates[1]
         assert est == pytest.approx(lambda_deriv(t), rel=1e-7)
 
 
@@ -155,6 +171,29 @@ def test_smoothness_check_inconclusive_on_failure():
 
     rep = smoothness_check(broken, 0.0, 2)
     assert rep.inconclusive
+    assert not rep.passed
+
+
+def test_vector_check_of_one_component_is_the_float_check():
+    for f, p in ((lambda_fn, 0.4), (xi, 1.0 / 3.0), (abs, 0.0), (math.sin, 0.7)):
+        a = smoothness_check(f, p, 3)
+        b = smoothness_check(lambda t: np.array([f(t)]), p, 3)
+        assert (a.fd_estimates, a.side_estimates, a.verdicts, a.deviations) == (
+            b.fd_estimates, b.side_estimates, b.verdicts, b.deviations)
+        assert a.component == b.component == {1: 0, 2: 0, 3: 0}
+
+
+def test_vector_check_reports_the_failing_component():
+    # component 0 is smooth with the larger derivative disagreement
+    # allowance; component 1 has a kink of slope jump 0.02
+    rep = smoothness_check(lambda t: np.array([50.0 * math.sin(t), 0.01 * abs(t)]), 0.0, 1)
+    assert rep.verdicts[1] == "fail" and rep.component[1] == 1
+    assert rep.side_estimates[1] == pytest.approx((-0.01, 0.01), abs=1e-9)
+
+
+def test_vector_check_inconclusive_on_a_non_finite_component():
+    rep = smoothness_check(lambda t: np.array([t, math.inf if t > 0.01 else t]), 0.0, 2)
+    assert rep.verdicts == {1: "inconclusive", 2: "inconclusive"}
     assert not rep.passed
 
 

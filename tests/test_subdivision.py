@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from difftop.diskmodel import DomainError, include_k, q, random_disk, section
 from difftop.smoothfn import lambda_fn, lambda_inv, smoothness_check, xi
@@ -180,3 +181,23 @@ def test_seam_smoothness_with_and_without_wrinkle():
     for seam in (1.0 / 3.0, 2.0 / 3.0):
         assert smoothness_check(seam_curve(n, v, t, True), seam, 3).passed
         assert smoothness_check(seam_curve(n, v, t, False), seam, 1).verdicts[1] == "fail"
+
+
+@given(st.integers(1, 3), st.sampled_from([1.0 / 3.0, 2.0 / 3.0]),
+       st.floats(0.05, 0.95), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_vector_seam_check_matches_per_coordinate_checks(n, seam, t, wrinkle, seed):
+    # the scalar check of each coordinate is the reference for the one
+    # vector check: an order fails when some coordinate fails, and the
+    # report carries the deciding coordinate's estimates bit for bit
+    curve = seam_curve(n, random_disk(n - 1, np.random.default_rng(seed)), t, wrinkle)
+    rep = smoothness_check(curve, seam, 3)
+    coords = [smoothness_check(lambda s, j=j: curve(s)[j], seam, 3)
+              for j in range(len(curve(seam)))]
+    for k in (1, 2, 3):
+        failing = [c for c in coords if c.verdicts[k] == "fail"]
+        assert rep.verdicts[k] == ("fail" if failing else "pass")
+        assert rep.deviations[k] == max(c.deviations[k] for c in failing or coords)
+        ref = coords[rep.component[k]]
+        assert (rep.fd_estimates[k], rep.side_estimates[k], rep.deviations[k]) == (
+            ref.fd_estimates[k], ref.side_estimates[k], ref.deviations[k])
