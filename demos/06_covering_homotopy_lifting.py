@@ -21,12 +21,12 @@ rng = np.random.default_rng(7)
 
 print("=== covering homotopy extension on the interval instance ===")
 inst, _ = bundled_chep_instance()
-pre = [(inst.sample_point(rng), float(rng.uniform())) for _ in range(40)]
+pre = [(inst.complex.sample_point(rng), float(rng.uniform())) for _ in range(40)]
 H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k, precheck=pre)
 
 dev_f = dev_h = dev_k = 0.0
 for _ in range(800):
-    x = inst.sample_point(rng)
+    x = inst.complex.sample_point(rng)
     t = float(rng.uniform())
     H0, fx = H(x, 0.0), inst.f(x)
     dev_f = max(dev_f, abs(H0[0] - fx[0]), abs(H0[1] - fx[1]))
@@ -47,7 +47,7 @@ print("\n=== incompatible data is rejected before any lifting ===")
 bad, _ = bundled_chep_instance(k_offset=0.5)
 try:
     chep(bad.fibration, bad.complex, bad.f, bad.h, bad.k,
-         precheck=[(bad.sample_point(rng), 0.5)])
+         precheck=[(bad.complex.sample_point(rng), 0.5)])
 except Exception as exc:
     print(" ", type(exc).__name__, "-", str(exc)[:64], "...")
 
@@ -57,11 +57,9 @@ lift = extend_lift(einst.oracle, einst.complex, einst.f, einst.bottom,
                    precheck=[ComplexPoint.base(0.0)])
 dev = 0.0
 for _ in range(500):
-    i = int(rng.integers(len(einst.complex)))
-    from difftop import random_disk
-    x = ComplexPoint.in_cell(i, random_disk(einst.complex.cells[i].dim, rng))
+    x = einst.complex.sample_point(rng)
     dev = max(dev, abs(einst.oracle.project(lift(x)) - einst.bottom(x)))
-print(f"  projection equation worst deviation over all cells: {dev:.2e}")
+print(f"  projection equation worst deviation over the base and all cells: {dev:.2e}")
 print(f"  restriction to the base is exact:",
       lift(ComplexPoint.base(0.0)) == einst.f(0.0))
 w2 = ComplexPoint.in_cell(2, np.array([0.0, 0.0, 1.0]))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diskmodel import DomainError, check_disk
+from .diskmodel import DomainError, check_disk, random_disk
 
 __all__ = ["ComplexPoint", "Cell", "CellComplex", "BOUNDARY_TOL"]
 
@@ -72,6 +72,15 @@ class CellComplex:
             raise DomainError(f"no cell {idx}")
         w = check_disk(w, self.cells[idx].dim)
         return ComplexPoint.in_cell(idx, w)
+
+    def sample_point(self, rng):
+        """The base point or a uniformly chosen cell, then a random_disk point of it."""
+        if self.base is None and not self.cells:
+            raise DomainError("a complex with no base and no cells has no points")
+        i = int(rng.integers(len(self.cells) + (self.base is not None)))
+        if i == len(self.cells):
+            return ComplexPoint.base(0.0)
+        return ComplexPoint.in_cell(i, random_disk(self.cells[i].dim, rng))
 
     def canonicalize(self, pt):
         """Push boundary points down through attaching maps; idempotent."""

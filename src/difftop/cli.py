@@ -20,7 +20,7 @@ from . import smoothfn as sf
 from . import diskmodel as dm
 from . import subdivision as sd
 from .lifting import LiftError
-from .instances import bundled_chep_instance, load_instance_file
+from .instances import InstanceError, bundled_chep_instance, load_instance_file
 from .verify import (RunConfig, _holds, _report, _within, check_chep_instance,
                      check_extend_instance, run_suite, suite_names)
 
@@ -126,7 +126,7 @@ def cmd_chep(args):
     else:
         try:
             kind, inst = load_instance_file(args.instance)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"cannot load instance: {exc}", file=sys.stderr)
             return _EXIT_USAGE
 
@@ -146,6 +146,9 @@ def cmd_chep(args):
     except LiftError as exc:
         print(f"instance precondition violated: {exc}", file=sys.stderr)
         return _EXIT_INSTANCE
+    except InstanceError as exc:
+        print(f"cannot evaluate instance: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     report = _report(f"{kind}-instance", {"seed": cfg.seed, "tol_lift": cfg.tol_lift,
                                           "samples": cfg.samples}, props)
     _emit(report, args.report)

@@ -90,9 +90,13 @@ class MapEvaluator:
         return self.fn(x)
 
 
-def euclidean(n, window=5.0):
-    """R^n with the identity chart on the window box (-w, w)^n."""
-    gen = Parameterization((-window,) * n, (window,) * n,
+# half-width of the chart box of R^n
+WINDOW = 5.0
+
+
+def euclidean(n):
+    """R^n with the identity chart on the window box (-WINDOW, WINDOW)^n."""
+    gen = Parameterization((-WINDOW,) * n, (WINDOW,) * n,
                            lambda u: np.asarray(u, dtype=float))
     return DiffSpace(
         name=f"R^{n}",
@@ -478,17 +482,20 @@ def d_topology_open_sample(X, set_membership, probes=None):
     return len(witnesses) == 0, witnesses
 
 
-def irrational_torus(theta, coeff_bound=50):
+# |m|, |n| bound of the relation x - y = m + n*theta in irrational_torus
+COEFF_BOUND = 50
+
+
+def irrational_torus(theta):
     """The line modulo the subgroup generated by 1 and theta.
 
     Point equality identifies x and y when x - y = m + n*theta, up to
-    EQ_TOL, for some integers with |m|, |n| <= coeff_bound.  The subgroup
+    EQ_TOL, for some integers with |m|, |n| <= COEFF_BOUND.  The subgroup
     is dense, so the bound is what keeps equality from degenerating to
-    "always true";
-    it is an explicit approximation knob, not a hidden constant.  A theta
-    within 1e-12 of a fraction p/q with q <= coeff_bound is rejected.
+    "always true".  A theta within 1e-12 of a fraction p/q with
+    q <= COEFF_BOUND is rejected.
     """
-    for qd in range(1, coeff_bound + 1):
+    for qd in range(1, COEFF_BOUND + 1):
         if abs(theta * qd - round(theta * qd)) / qd < 1e-12:
             raise DomainError(
                 f"theta={theta!r} looks rational (denominator {qd}); "
@@ -496,13 +503,13 @@ def irrational_torus(theta, coeff_bound=50):
 
     def eq(x, y):
         d = float(x) - float(y)
-        for nn in range(-coeff_bound, coeff_bound + 1):
+        for nn in range(-COEFF_BOUND, COEFF_BOUND + 1):
             m = round(d - nn * theta)
-            if abs(m) <= coeff_bound and abs(d - nn * theta - m) < EQ_TOL:
+            if abs(m) <= COEFF_BOUND and abs(d - nn * theta - m) < EQ_TOL:
                 return True
         return False
 
-    gen = Parameterization((-5.0,), (5.0,), lambda u: float(u[0]))
+    gen = Parameterization((-WINDOW,), (WINDOW,), lambda u: float(u[0]))
     return DiffSpace(
         name=f"T_theta({theta:.6g})",
         generators=(gen,),

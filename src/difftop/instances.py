@@ -1,9 +1,9 @@
-"""File-specified instances: spaces, complexes, fibrations, demo data.
+"""File-specified instances: complexes, fibrations, homotopy data, demos.
 
 Instance files are JSON.  Scalar formulas use a tiny expression AST --
 constants, variables, arithmetic, trig, and the package's smoothing
-profiles -- so attaching maps and homotopy data are fully specified by
-the file, with composition expressed by nesting:
+profiles -- so the homotopy data are fully specified by the file, with
+composition expressed by nesting:
 
     {"op": "lambda", "args": [{"op": "mul", "args":
         [{"op": "const", "value": 3}, {"op": "var", "index": 0}]}]}
@@ -12,23 +12,23 @@ Complexes built from files are "chain-shaped": a point base, 0-cells,
 1-cells joining earlier targets, and optional 2-cells wrapping a 1-cell.
 ``chain_position`` gives every point of such a complex a scalar position
 coordinate, which is what the bundled homotopy data is expressed in.
+Every node is type-checked when the file is loaded, so a malformed file
+raises InstanceError there and never a TypeError deep in the lifting.
 """
 
 import json
 import math
+import sys
 
 import numpy as np
 
 from .smoothfn import gamma, lambda_fn, xi
-from .diskmodel import random_disk, section
-from .diffeology import (euclidean, product, coproduct, subspace, quotient,
-                         irrational_torus)
+from .diskmodel import section
 from .cellcomplex import CellComplex, ComplexPoint
 from .lifting import product_fibration, point_fibration, TrivialProductFibration
 
 __all__ = [
-    "compile_expr", "space_from_json", "complex_from_json",
-    "fibration_from_json", "chain_position",
+    "compile_expr", "complex_from_json", "chain_position",
     "chep_instance_from_json", "extend_instance_from_json",
     "bundled_chep_instance", "bundled_extend_instance", "InstanceError",
 ]
@@ -36,6 +36,24 @@ __all__ = [
 
 class InstanceError(ValueError):
     """Malformed or inconsistent instance description."""
+
+
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON list", int: "an integer"}
+
+
+def _typed(node, kind, what):
+    """node, which must be of JSON type kind; true and false are no integers."""
+    if isinstance(node, bool) or not isinstance(node, kind):
+        raise InstanceError(f"{what} must be {_JSON_TYPES[kind]}, not {node!r:.80}")
+    return node
+
+
+def _number(node, what):
+    """node as a finite float; true and false are no numbers."""
+    if (isinstance(node, bool) or not isinstance(node, (int, float))
+            or not abs(node) <= sys.float_info.max):
+        raise InstanceError(f"{what} must be a finite number, not {node!r:.80}")
+    return float(node)
 
 
 _UNARY = {
@@ -53,29 +71,22 @@ _BINARY_FOLD = {
 
 
 def _compile(node, nvars):
-    if isinstance(node, (int, float)):
-        value = float(node)
-        return lambda u: value
     if not isinstance(node, dict):
-        raise InstanceError(f"expression {node!r:.80} is neither a number nor an object")
+        value = _number(node, "an expression that is not an object")
+        return lambda u: value
     op = node.get("op")
-    if op in ("const", "var"):
-        try:
-            value = float(node.get("value")) if op == "const" else int(node.get("index", 0))
-        except (TypeError, ValueError):
-            raise InstanceError(f"bad {op} expression {node!r:.80}") from None
-        if op == "const":
-            return lambda u: value
-        if not 0 <= value < nvars:
-            raise InstanceError(f"var index {value} is not one of the {nvars} "
+    if op == "const":
+        value = _number(node.get("value"), "const value")
+        return lambda u: value
+    if op == "var":
+        index = _typed(node.get("index", 0), int, "var index")
+        if not 0 <= index < nvars:
+            raise InstanceError(f"var index {index} is not one of the {nvars} "
                                 "variables of this expression")
-        return lambda u: float(u[value])
-    if op not in _UNARY and op not in _BINARY_FOLD:
-        raise InstanceError(f"unknown expression op {op!r}")
-    args = node.get("args", [])
-    if not isinstance(args, list):
-        raise InstanceError(f"args of {op!r} must be a list")
-    parts = [_compile(a, nvars) for a in args]
+        return lambda u: float(u[index])
+    if not isinstance(op, str) or (op not in _UNARY and op not in _BINARY_FOLD):
+        raise InstanceError(f"unknown expression op {op!r:.80}")
+    parts = [_compile(a, nvars) for a in _typed(node.get("args", []), list, f"args of {op}")]
     if op in _UNARY:
         if len(parts) != 1:
             raise InstanceError(f"{op} takes one argument")
@@ -94,67 +105,29 @@ def _compile(node, nvars):
     return folded
 
 
-def compile_expr(node, nvars):
+def compile_expr(node, nvars, field="expression"):
     """The evaluator of an expression AST over nvars variables.
 
     Ops, arity and var indices are checked here, when the instance is
-    loaded, so evaluation never meets a malformed node.
+    loaded, so evaluation never meets a malformed node.  An evaluation
+    that raises (exp overflow, sin(inf), division by zero) or yields a
+    non-real or non-finite value raises InstanceError naming ``field``.
     """
     fn = _compile(node, nvars)
-    return lambda u: fn(np.atleast_1d(u))
 
+    def evaluate(u):
+        u = np.atleast_1d(u)
+        try:
+            value = float(fn(u))
+            if math.isfinite(value):
+                return value
+            why = f"the value {value}"
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            why = exc
+        at = ", ".join("%.6g" % v for v in u)
+        raise InstanceError(f"{field} cannot be evaluated at ({at}): {why}")
 
-def _flat_len(desc):
-    """How many coordinates every flattened point of the described space has.
-
-    A coproduct counts its shorter part, so a var index valid here is
-    valid on both parts.
-    """
-    kind = desc.get("kind")
-    if kind == "euclidean":
-        return int(desc.get("dim", 1))
-    if kind == "product":
-        return sum(_flat_len(d) for d in desc["factors"])
-    if kind == "coproduct":
-        return 1 + min(_flat_len(d) for d in desc["parts"])
-    if kind == "subspace":
-        return _flat_len(desc["ambient"])
-    return 1  # quotients and the torus flatten to their one representative
-
-
-def space_from_json(desc):
-    """Build a DiffSpace from its JSON description."""
-    kind = desc.get("kind")
-    if kind == "euclidean":
-        return euclidean(int(desc.get("dim", 1)), window=float(desc.get("window", 5.0)))
-    if kind == "product":
-        x, y = (space_from_json(d) for d in desc["factors"])
-        return product(x, y)
-    if kind == "coproduct":
-        x, y = (space_from_json(d) for d in desc["parts"])
-        return coproduct(x, y)
-    if kind == "subspace":
-        amb = space_from_json(desc["ambient"])
-        lo = np.asarray(desc["lower"], dtype=float)
-        hi = np.asarray(desc["upper"], dtype=float)
-
-        def member(p, lo=lo, hi=hi, amb=amb):
-            v = amb.flatten(p)
-            return bool(np.all(v >= lo) and np.all(v <= hi))
-
-        return subspace(amb, member, name=desc.get("name"))
-    if kind == "quotient":
-        amb = space_from_json(desc["ambient"])
-        canon = desc.get("canonicalize", "lambda")
-        if canon == "lambda":
-            return quotient(amb, lambda x: lambda_fn(float(np.atleast_1d(x)[0])),
-                            name=desc.get("name", "I~"))
-        expr = compile_expr(canon, _flat_len(desc["ambient"]))
-        return quotient(amb, lambda x: expr(amb.flatten(x)), name=desc.get("name"))
-    if kind == "torus_theta":
-        return irrational_torus(float(desc["theta"]),
-                                coeff_bound=int(desc.get("coeff_bound", 50)))
-    raise InstanceError(f"unknown space kind {kind!r}")
+    return evaluate
 
 
 def _field(desc, key):
@@ -165,28 +138,32 @@ def _field(desc, key):
 
 def _target_cell(at, cx, dim):
     """The cell index ``at`` names; it must be an earlier cell of dimension dim."""
-    cell = int(_field(at, "cell"))
+    cell = _typed(_field(at, "cell"), int, "attach target cell")
     if not 0 <= cell < len(cx) or cx.cells[cell].dim != dim:
         raise InstanceError(f"attach target {cell} is not an earlier {dim}-cell")
     return cell
 
 
 def _attach_target(t, cx):
-    if t.get("base"):
-        return ComplexPoint.base(0.0)
-    return ComplexPoint.in_cell(_target_cell(t, cx, 0), np.array([1.0]))
+    if _typed(t, dict, "attach target").get("base") is not True:
+        return ComplexPoint.in_cell(_target_cell(t, cx, 0), np.array([1.0]))
+    if cx.base is None:
+        raise InstanceError("attach target is the base, but the complex has none")
+    return ComplexPoint.base(0.0)
 
 
 def complex_from_json(desc):
     """Build a chain-shaped complex from {"base": ..., "cells": [...]}."""
-    base = desc.get("base")
+    base = _typed(desc, dict, "complex").get("base")
+    if base not in ("point", None):
+        raise InstanceError(f'complex base must be "point" or null, not {base!r:.80}')
     cx = CellComplex(base=base)
-    for spec in desc.get("cells", []):
-        dim = int(_field(spec, "dim"))
+    for spec in _typed(desc.get("cells", []), list, "complex cells"):
+        dim = _typed(_field(_typed(spec, dict, "cell"), "dim"), int, "cell dim")
         if dim == 0:
             cx = cx.attach(0)
             continue
-        at = spec.get("attach", {})
+        at = _typed(spec.get("attach", {}), dict, "attach")
         kind = at.get("kind")
         if dim == 1 and kind == "endpoints":
             pos = _attach_target(_field(at, "pos"), cx)
@@ -201,32 +178,35 @@ def complex_from_json(desc):
                     edge, np.array([math.cos(math.pi * s), math.sin(math.pi * s)]))
 
             cx = cx.attach(2, wrap)
-        elif kind == "expr":
-            # the boundary sphere of a dim-cell sits in R^dim
-            coords = [compile_expr(c, dim) for c in _field(at, "coords")]
-            cell = _target_cell(at, cx, len(coords) - 1)
-
-            def gen_attach(u, cell=cell, coords=coords):
-                w = np.array([c(u) for c in coords])
-                return ComplexPoint.in_cell(cell, w / np.linalg.norm(w))
-
-            cx = cx.attach(dim, gen_attach)
         else:
-            raise InstanceError(f"unsupported attach spec {at!r} for a {dim}-cell")
+            raise InstanceError(f"unsupported attach spec {at!r:.80} for a {dim}-cell")
     if base is None and not cx.cells:
         raise InstanceError("a complex with no base and no cells has no points")
     return cx
 
 
-def fibration_from_json(desc):
-    kind = desc.get("kind", "product")
-    if kind == "product":
-        return product_fibration(desc.get("base", "R"), desc.get("fiber", "R"))
-    if kind == "point":
-        return point_fibration()
-    if kind == "trivial_product":
-        return TrivialProductFibration(fiber_dim=int(desc.get("fiber_dim", 1)))
-    raise InstanceError(f"unknown fibration kind {kind!r}")
+# the fibration kinds each instance kind can lift against: chep calls an
+# oracle's lift_k, extend_lift its lift_j.  The constructors are looked up
+# by name at call time, so a patched module attribute takes effect.
+_CHEP_FIBRATIONS = {
+    "product": lambda d: product_fibration(d.get("base", "R"), d.get("fiber", "R")),
+    "point": lambda d: point_fibration(),
+}
+_EXTEND_ORACLES = {
+    "trivial_product": lambda d: TrivialProductFibration(
+        fiber_dim=_typed(d.get("fiber_dim", 1), int, "fiber_dim")),
+}
+
+
+def _fibration(desc, kinds, what):
+    """The fibration ``desc`` names; its kind must be a key of ``kinds``.
+
+    A missing kind means the first key of ``kinds``.
+    """
+    kind = _typed(desc, dict, what).get("kind", next(iter(kinds)))
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InstanceError(f"{what} kind {kind!r:.80} is not one of: {', '.join(kinds)}")
+    return kinds[kind](desc)
 
 
 def chain_position(cx, x):
@@ -263,21 +243,21 @@ def chain_position(cx, x):
 class ChepInstance:
     """A fibration, a relative complex, and compatible homotopy data.
 
-    ``k_expr`` is a scalar expression in (position, lambda(t)); the data
-    are assembled so the compatibility equations hold by construction:
-    f = (k at time 0, fiber0(position)) and h covers k over the base
-    with fiber component fiber_base(lambda(t)).  ``k_offset`` breaks the
-    first compatibility equation on purpose (negative-control files).
+    ``k`` is a scalar expression in (position, lambda(t)); the data are
+    assembled so the compatibility equations hold by construction:
+    f = (k at time 0, fiber0(position)) and h covers k over the base with
+    fiber component fiber_base(lambda(t)).  ``k_offset`` breaks the first
+    compatibility equation on purpose (negative-control files).
     """
 
-    def __init__(self, fibration, cx, k_expr, fiber0_expr, fiber_base_expr,
-                 k_offset=0.0):
-        self.fibration = fibration
-        self.complex = cx
-        self._k = compile_expr(k_expr, 2)
-        self._f0 = compile_expr(fiber0_expr, 1)
-        self._fb = compile_expr(fiber_base_expr, 1)
-        self._off = float(k_offset)
+    def __init__(self, desc):
+        self.fibration = _fibration(desc.get("fibration", {}), _CHEP_FIBRATIONS,
+                                    "fibration")
+        self.complex = complex_from_json(_field(desc, "complex"))
+        self._k = compile_expr(_field(desc, "k"), 2, "k")
+        self._f0 = compile_expr(_field(desc, "fiber0"), 1, "fiber0")
+        self._fb = compile_expr(_field(desc, "fiber_base"), 1, "fiber_base")
+        self._off = _number(desc.get("k_offset", 0.0), "k_offset")
 
     def position(self, x):
         return chain_position(self.complex, x)
@@ -293,45 +273,19 @@ class ChepInstance:
         lt = lambda_fn(t)
         return (self._k([0.0, lt]) + self._off, self._fb([lt]))
 
-    def sample_point(self, rng):
-        cx = self.complex
-        choices = []
-        if cx.base is not None:
-            choices.append(ComplexPoint.base(0.0))
-        for i, cell in enumerate(cx.cells):
-            if cell.dim == 0:
-                choices.append(ComplexPoint.in_cell(i, np.array([1.0])))
-        pick = rng.uniform()
-        edges = [i for i, c in enumerate(cx.cells) if c.dim == 1]
-        if edges and pick < 0.7:
-            i = edges[int(rng.integers(len(edges)))]
-            s = float(rng.uniform())
-            return ComplexPoint.in_cell(
-                i, np.array([math.cos(math.pi * s), math.sin(math.pi * s)]))
-        if choices:
-            return choices[int(rng.integers(len(choices)))]
-        raise InstanceError("complex has no points to sample")
-
-
-def chep_instance_from_json(desc):
-    return ChepInstance(
-        fibration=fibration_from_json(desc.get("fibration", {"kind": "product"})),
-        cx=complex_from_json(_field(desc, "complex")),
-        k_expr=_field(desc, "k"),
-        fiber0_expr=_field(desc, "fiber0"),
-        fiber_base_expr=_field(desc, "fiber_base"),
-        k_offset=float(desc.get("k_offset", 0.0)),
-    )
-
 
 class ExtendInstance:
     """A boundary-lift oracle, a complex, and the map to lift."""
 
-    def __init__(self, oracle, cx, bottom_expr, f_fiber):
-        self.oracle = oracle
-        self.complex = cx
-        self._bottom = compile_expr(bottom_expr, 1)
-        self._f_fiber = np.asarray(f_fiber, dtype=float)
+    def __init__(self, desc):
+        self.oracle = _fibration(desc.get("oracle", {}), _EXTEND_ORACLES, "oracle")
+        f_fiber = desc.get("f_fiber", [0.4])
+        if not isinstance(f_fiber, list) or len(f_fiber) != self.oracle.fiber_dim:
+            raise InstanceError(f"f_fiber must be a list of fiber_dim = "
+                                f"{self.oracle.fiber_dim} numbers, not {f_fiber!r:.80}")
+        self._f_fiber = np.array([_number(v, "f_fiber entry") for v in f_fiber])
+        self.complex = complex_from_json(_field(desc, "complex"))
+        self._bottom = compile_expr(_field(desc, "bottom"), 1, "bottom")
 
     def position(self, x):
         return chain_position(self.complex, x)
@@ -342,22 +296,9 @@ class ExtendInstance:
     def f(self, a):
         return (self._bottom([0.0]), self._f_fiber.copy())
 
-    def sample_point(self, rng):
-        """One random disk point per cell plus the base point; pick one."""
-        cx = self.complex
-        candidates = [ComplexPoint.base(0.0)] if cx.base is not None else []
-        candidates += [ComplexPoint.in_cell(i, random_disk(cell.dim, rng))
-                       for i, cell in enumerate(cx.cells)]
-        return candidates[int(rng.integers(len(candidates)))]
 
-
-def extend_instance_from_json(desc):
-    return ExtendInstance(
-        oracle=fibration_from_json(desc.get("oracle", {"kind": "trivial_product"})),
-        cx=complex_from_json(_field(desc, "complex")),
-        bottom_expr=_field(desc, "bottom"),
-        f_fiber=desc.get("f_fiber", [0.4]),
-    )
+chep_instance_from_json = ChepInstance
+extend_instance_from_json = ExtendInstance
 
 
 # ---------------------------------------------------------------------------

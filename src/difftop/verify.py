@@ -27,7 +27,7 @@ from .cellcomplex import CellComplex, ComplexPoint
 from .homotopy import (Homotopy, PairMapRep, concat, glue_double, path_components,
                        star)
 from .lifting import (LiftError, chep, extend_lift, hep, product_fibration)
-from .instances import bundled_chep_instance, bundled_extend_instance
+from .instances import bundled_chep_instance, bundled_extend_instance, chain_position
 
 __all__ = ["RunConfig", "SUITES", "run_suite", "suite_names", "worst",
            "check_chep_instance", "check_extend_instance"]
@@ -314,8 +314,8 @@ def suite_homotopy(cfg):
     # permuting independent chains must not change the partition shape
     diffs = 0
     for _ in range(cfg.count(50)):
-        sizes1 = sorted(len(g) for g in path_components(_pair_complex(False)[0]))
-        sizes2 = sorted(len(g) for g in path_components(_pair_complex(True)[0]))
+        sizes1 = sorted(len(g) for g in path_components(_pair_complex(False)))
+        sizes2 = sorted(len(g) for g in path_components(_pair_complex(True)))
         if sizes1 != sizes2:
             diffs += 1
     out.append(_within("path_components_order_independent", cfg.count(50), diffs, 0.0))
@@ -376,14 +376,13 @@ def _edge(a, b):
 
 
 def _pair_complex(swapped):
-    """Four 0-cells and two disjoint edges; returns (complex, chain of each edge)."""
+    """Four 0-cells and the edges 0-1 and 2-3; swapped attaches 2-3 first."""
     cx = CellComplex()
     for _ in range(4):
         cx = cx.attach(0)
-    pairs = [(0, 1), (2, 3)] if not swapped else [(2, 3), (0, 1)]
-    for a, b in pairs:
+    for a, b in [(2, 3), (0, 1)] if swapped else [(0, 1), (2, 3)]:
         cx = cx.attach(1, _edge(a, b))
-    return cx, ([0, 1] if not swapped else [1, 0])
+    return cx
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +646,7 @@ def suite_lifting(cfg):
     out.append(_within("canonicalize_idempotent", cnt, bad, 0.0))
 
     inst, _ = bundled_chep_instance()
-    devs, _ = check_chep_instance(inst, cfg, rng, n_pre=30)
+    devs, _ = check_chep_instance(inst, cfg, rng)
     dev = worst(*devs)
     out.append(_within("chep_demo_equations", cfg.count(1000), dev, cfg.tol_lift,
                        "H(x,0)=f, H|base=h, p(H)=k on the bundled instance"))
@@ -656,7 +655,7 @@ def suite_lifting(cfg):
     try:
         bad_inst, _ = bundled_chep_instance(k_offset=0.5)
         chep(bad_inst.fibration, bad_inst.complex, bad_inst.f, bad_inst.h,
-             bad_inst.k, precheck=[(bad_inst.sample_point(rng), 0.5)
+             bad_inst.k, precheck=[(bad_inst.complex.sample_point(rng), 0.5)
                                    for _ in range(20)], tol=cfg.tol_lift)
     except LiftError:
         rejected = True
@@ -674,7 +673,7 @@ def suite_lifting(cfg):
              precheck=[(ComplexPoint.base(0.0), 0.0)], tol=cfg.tol_lift)
     dev = 0.0
     for _ in range(cfg.count(400)):
-        x = inst.sample_point(rng)
+        x = inst.complex.sample_point(rng)
         t = float(rng.uniform())
         Hx0, fx = Hh(x, 0.0), inst.f(x)
         dev = worst(dev, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
@@ -697,43 +696,31 @@ def suite_lifting(cfg):
     return out
 
 
-def _pair_coords(cx, chain_of_edge, x):
-    """(chain, position along it) of a point of ``_pair_complex``."""
-    x = cx.canonicalize(x)
-    if cx.cells[x.cell].dim == 0:
-        return (0 if x.cell in (0, 1) else 1), float(x.cell % 2)
-    return chain_of_edge[x.cell - 4], float(dm.section(1, x.point)[0])
-
-
 def _chep_order_independence(cfg):
     rng = cfg.rng("lifting-order")
-    results = []
+    lifts = []
     for swapped in (False, True):
-        cx, chain_of_edge = _pair_complex(swapped)
+        cx = _pair_complex(swapped)
 
-        def k(x, t, cx=cx, ce=chain_of_edge):
-            ch, s = _pair_coords(cx, ce, x)
-            return 0.3 * math.sin(2.0 * s + ch) + 0.2 * sf.lambda_fn(t)
+        # chain_position is the same on both edge orders
+        def k(x, t, cx=cx):
+            return 0.3 * math.sin(2.0 * chain_position(cx, x)) + 0.2 * sf.lambda_fn(t)
 
-        def f(x, cx=cx, ce=chain_of_edge, k=k):
-            ch, s = _pair_coords(cx, ce, x)
-            return (k(x, 0.0), math.cos(1.3 * s) + 0.5 * ch)
+        def f(x, cx=cx, k=k):
+            return (k(x, 0.0), math.cos(1.3 * chain_position(cx, x)))
 
-        H = chep(product_fibration("R", "R"), cx, f, None, k, tol=cfg.tol_lift)
-        results.append((cx, chain_of_edge, H))
+        lifts.append(chep(product_fibration("R", "R"), cx, f, None, k, tol=cfg.tol_lift))
 
     dev = 0.0
     for _ in range(cfg.count(200)):
         ch = int(rng.integers(2))
         s = float(rng.uniform())
         t = float(rng.uniform())
-        vals = []
-        for cx, ce, H in results:
-            edge = 4 + ce.index(ch)
-            x = ComplexPoint.in_cell(edge, np.array([math.cos(math.pi * s),
-                                                     math.sin(math.pi * s)]))
-            vals.append(H(x, t))
-        dev = worst(dev, abs(vals[0][0] - vals[1][0]), abs(vals[0][1] - vals[1][1]))
+        w = np.array([math.cos(math.pi * s), math.sin(math.pi * s)])
+        # the edge of chain ch is cell 4 + ch, and cell 5 - ch when swapped
+        a = lifts[0](ComplexPoint.in_cell(4 + ch, w), t)
+        b = lifts[1](ComplexPoint.in_cell(5 - ch, w), t)
+        dev = worst(dev, abs(a[0] - b[0]), abs(a[1] - b[1]))
     return dev
 
 
@@ -755,7 +742,7 @@ def _chep_stationary(cfg):
     H = chep(inst.fibration, cx, f, h, k, tol=cfg.tol_lift)
     dev = 0.0
     for _ in range(cfg.count(300)):
-        x = inst.sample_point(rng)
+        x = inst.complex.sample_point(rng)
         t = float(rng.uniform())
         Hx = H(x, t)
         dev = worst(dev, abs(Hx[0] - k(x, t)), abs(Hx[1] - fiber_c))
@@ -766,23 +753,23 @@ def _chep_stationary(cfg):
 # instance checks, shared by the lifting suite and ``difftop chep``
 # ---------------------------------------------------------------------------
 
-def check_chep_instance(inst, cfg, rng, n_pre=50):
+def check_chep_instance(inst, cfg, rng):
     """Lift a chep instance and sample its three equations.
 
-    Draws ``n_pre`` precheck pairs, builds H by ``chep`` (which raises
+    Draws 50 precheck pairs, builds H by ``chep`` (which raises
     LiftError on incompatible data), then samples cfg.count(1000) pairs
     (x, t).  Returns the worst deviations of H(x, 0) = f(x), of H = h
     over the base (0 when the complex has no base) and of
     p(H(x, t)) = k(x, t), plus the sampled rows (x, t, H(x, t)).
     """
-    pre = [(inst.sample_point(rng), float(rng.uniform())) for _ in range(n_pre)]
+    pre = [(inst.complex.sample_point(rng), float(rng.uniform())) for _ in range(50)]
     H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k,
              precheck=pre, tol=cfg.tol_lift)
     has_base = inst.complex.base is not None
     dev_f = dev_h = dev_p = 0.0
     rows = []
     for _ in range(cfg.count(1000)):
-        x = inst.sample_point(rng)
+        x = inst.complex.sample_point(rng)
         t = float(rng.uniform())
         Hx0, fx = H(x, 0.0), inst.f(x)
         dev_f = worst(dev_f, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
@@ -799,16 +786,17 @@ def check_extend_instance(inst, cfg, rng):
     """Lift an extend instance and sample its projection equation.
 
     Returns the worst deviation of p(lift(x)) = bottom(x) over
-    cfg.count(500) points from ``inst.sample_point``, and whether the
+    cfg.count(500) points from ``CellComplex.sample_point``, and whether the
     lift restricts exactly to f over the base.
     """
     lift = extend_lift(inst.oracle, inst.complex, inst.f, inst.bottom,
                        precheck=[ComplexPoint.base(0.0)], tol=cfg.tol_lift)
     dev = 0.0
     for _ in range(cfg.count(500)):
-        x = inst.sample_point(rng)
+        x = inst.complex.sample_point(rng)
         dev = worst(dev, abs(inst.oracle.project(lift(x)) - inst.bottom(x)))
-    return dev, lift(ComplexPoint.base(0.0)) == inst.f(0.0)
+    (e0, e1), (f0, f1) = lift(ComplexPoint.base(0.0)), inst.f(0.0)
+    return dev, e0 == f0 and np.array_equal(e1, f1)
 
 
 SUITES = {

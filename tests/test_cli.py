@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from difftop import cli
 from difftop.cli import main
@@ -323,3 +329,147 @@ def test_chep_malformed_expression_exits_2(tmp_path, capsys, k, message):
     code, out, err = run_cli(["chep", str(path), "--samples", "0.01"], capsys)
     assert code == 2 and out == ""
     assert message in err
+
+
+def _replace(desc, path, value):
+    """A copy of desc with the node at path (a tuple of keys) replaced."""
+    if not path:
+        return value
+    out = copy.deepcopy(desc)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("complex", "cells", 0), 5, "cell must be a JSON object"),
+    (("complex",), [], "complex must be a JSON object"),
+    (("complex", "cells", 1, "attach", "pos"), 3, "attach target must be a JSON object"),
+    (("fibration",), "product", "fibration must be a JSON object"),
+    (("k_offset",), None, "k_offset must be a finite number"),
+    (("complex", "base"), 5, 'complex base must be "point" or null'),
+])
+def test_chep_node_of_wrong_json_type_exits_2(tmp_path, capsys, path, value, message):
+    _, desc = bundled_chep_instance()
+    path_ = tmp_path / "wrong_type.json"
+    path_.write_text(json.dumps(_replace(desc, path, value)))
+    code, out, err = run_cli(["chep", str(path_), "--samples", "0.01"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("cannot load instance: " + message) and err.count("\n") == 1
+
+
+def test_chep_base_target_without_a_base_exits_2(tmp_path, capsys):
+    _, desc = bundled_chep_instance()
+    desc["complex"]["base"] = None
+    path = tmp_path / "no_base.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli(["chep", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "attach target is the base, but the complex has none" in err
+
+
+def test_chep_too_deeply_nested_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(["chep", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("cannot load instance") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bundled,key,kind,accepted", [
+    (bundled_chep_instance, "fibration", "trivial_product", "product, point"),
+    (bundled_extend_instance, "oracle", "product", "trivial_product"),
+])
+def test_fibration_kind_the_instance_cannot_call_exits_2(tmp_path, capsys, bundled,
+                                                         key, kind, accepted):
+    _, desc = bundled()
+    desc[key] = {"kind": kind}
+    path = tmp_path / "wrong_oracle.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli(["chep", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert f"{key} kind {kind!r} is not one of: {accepted}" in err
+
+
+@pytest.mark.parametrize("k", [
+    {"op": "sin", "args": [{"op": "mul", "args": [1e308, 10.0]}]},  # sin(inf)
+    {"op": "exp", "args": [{"op": "mul", "args": [800.0, {"op": "var", "index": 0}]}]},
+    {"op": "pow", "args": [-1.0, 0.5]},  # a complex value
+    {"op": "div", "args": [1.0, {"op": "var", "index": 1}]},  # 1 / lambda(0)
+])
+def test_chep_expression_failing_while_sampling_exits_2(tmp_path, capsys, k):
+    _, desc = bundled_chep_instance()
+    desc["k"] = k
+    path = tmp_path / "raises.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli(["chep", str(path), "--samples", "0.01"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("cannot evaluate instance: k cannot be evaluated at")
+    assert err.count("\n") == 1
+
+
+def test_extend_instance_with_a_two_dimensional_fiber(tmp_path, capsys):
+    _, desc = bundled_extend_instance()
+    desc["oracle"]["fiber_dim"] = 2
+    desc["f_fiber"] = [0.4, -0.2]
+    path = tmp_path / "fiber2.json"
+    path.write_text(json.dumps(desc))
+    code, out, _ = run_cli(["chep", str(path), "--samples", "0.05"], capsys)
+    assert code == 0 and json.loads(out)["passed"]
+    desc["f_fiber"] = [0.4]
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli(["chep", str(path)], capsys)
+    assert code == 2 and "f_fiber must be a list of fiber_dim = 2 numbers" in err
+
+
+def _paths(node, prefix=()):
+    """The path of every node of a JSON tree, the root included."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+_DESCS = {"chep": bundled_chep_instance()[1], "extend": bundled_extend_instance()[1]}
+_NODES = [(kind, path) for kind, desc in _DESCS.items() for path in _paths(desc)]
+# words of the instance format, so that replacements often parse some way
+_WORDS = sorted({key for _, path in _NODES for key in path if isinstance(key, str)}
+                | {"op", "var", "const", "value", "index", "args", "sin", "exp", "div",
+                   "pow", "lambda", "point", "product", "trivial_product", "endpoints",
+                   "wrap", "base", "cell"})
+_SUBTREES = [functools.reduce(lambda n, k: n[k], path, _DESCS[kind])
+             for kind, path in _NODES]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(_WORDS) | st.text(max_size=6) | st.sampled_from(_SUBTREES),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_WORDS) | st.text(max_size=4),
+                                     inner, max_size=4)),
+    max_leaves=8)
+
+
+def test_instance_fuzz_exits_with_a_documented_code(tmp_path):
+    """One node of a bundled desc replaced by any JSON value: no traceback.
+
+    The exit code is 0, 2 or 3, or 1 with a failed property record.
+    """
+    path = tmp_path / "fuzz.json"
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.sampled_from(_NODES), _JSON)
+    def run(node, value):
+        kind, at = node
+        path.write_text(json.dumps(_replace(_DESCS[kind], at, value)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["chep", str(path), "--samples", "0.01"])
+        assert code in (0, 1, 2, 3), err.getvalue()
+        if code == 1:
+            assert not all(r["pass"] for r in json.loads(out.getvalue())["properties"])
+
+    start = time.perf_counter()
+    run()
+    assert time.perf_counter() - start <= 10.0

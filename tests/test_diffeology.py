@@ -165,30 +165,6 @@ def test_torus_projection_is_smooth():
     assert rep.passed
 
 
-def test_space_from_json_kinds():
-    from difftop.instances import space_from_json, InstanceError
-    import pytest as _pytest
-
-    R1 = space_from_json({"kind": "euclidean", "dim": 2})
-    assert R1.generators[0].dim == 2
-    P = space_from_json({"kind": "product", "factors": [
-        {"kind": "euclidean", "dim": 1}, {"kind": "euclidean", "dim": 1}]})
-    assert P.construction == "product"
-    C = space_from_json({"kind": "coproduct", "parts": [
-        {"kind": "euclidean", "dim": 1}, {"kind": "euclidean", "dim": 1}]})
-    assert C.construction == "coproduct"
-    S = space_from_json({"kind": "subspace", "ambient": {"kind": "euclidean", "dim": 1},
-                         "lower": [0.0], "upper": [1.0]})
-    assert S.construction == "subspace"
-    Qt = space_from_json({"kind": "quotient", "ambient": {"kind": "euclidean", "dim": 1}})
-    assert Qt.construction == "quotient"
-    assert Qt.generators[0]((0.5,)) == pytest.approx(0.5)
-    T = space_from_json({"kind": "torus_theta", "theta": math.sqrt(2.0)})
-    assert T.construction == "quotient"
-    with _pytest.raises(InstanceError):
-        space_from_json({"kind": "mystery"})
-
-
 def test_disk_point_json_roundtrip():
     from difftop.diskmodel import check_disk, point_to_json, random_disk
     import numpy as _np

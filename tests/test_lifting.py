@@ -107,11 +107,11 @@ def test_chep_empty_complex_returns_h():
 def test_chep_three_equations_on_bundled_instance():
     inst, _ = bundled_chep_instance()
     rng = np.random.default_rng(6)
-    pre = [(inst.sample_point(rng), float(rng.uniform())) for _ in range(30)]
+    pre = [(inst.complex.sample_point(rng), float(rng.uniform())) for _ in range(30)]
     H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k, precheck=pre)
     dev = 0.0
     for _ in range(400):
-        x = inst.sample_point(rng)
+        x = inst.complex.sample_point(rng)
         t = float(rng.uniform())
         Hx0, fx = H(x, 0.0), inst.f(x)
         dev = max(dev, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
@@ -124,7 +124,7 @@ def test_chep_three_equations_on_bundled_instance():
 def test_chep_rejects_incompatible_data():
     inst, _ = bundled_chep_instance(k_offset=0.4)
     rng = np.random.default_rng(7)
-    pre = [(inst.sample_point(rng), 0.5) for _ in range(10)]
+    pre = [(inst.complex.sample_point(rng), 0.5) for _ in range(10)]
     with pytest.raises(LiftError, match="precondition"):
         chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k, precheck=pre)
 
@@ -135,7 +135,7 @@ def test_chep_absolute_complex_two_vertices():
     H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k)
     dev = 0.0
     for _ in range(200):
-        x = inst.sample_point(rng)
+        x = inst.complex.sample_point(rng)
         t = float(rng.uniform())
         Hx0, fx = H(x, 0.0), inst.f(x)
         dev = max(dev, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
@@ -149,7 +149,7 @@ def test_hep_extends_and_tracks_base():
     H = hep(inst.complex, inst.f, inst.h)
     dev = 0.0
     for _ in range(200):
-        x = inst.sample_point(rng)
+        x = inst.complex.sample_point(rng)
         t = float(rng.uniform())
         Hx0, fx = H(x, 0.0), inst.f(x)
         dev = max(dev, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
@@ -251,3 +251,14 @@ def test_chain_position_at_wrap_pole():
     pole = ComplexPoint.in_cell(2, np.array([0.0, 0.0, 1.0]))
     v = inst.bottom(pole)
     assert math.isfinite(v)
+
+
+def test_sample_point_draws_base_and_every_cell():
+    inst, _ = bundled_extend_instance()
+    rng = np.random.default_rng(11)
+    drawn = [inst.complex.sample_point(rng) for _ in range(200)]
+    assert {x.cell for x in drawn} == {-1, 0, 1, 2}
+    assert all(x.point.shape == (inst.complex.cells[x.cell].dim + 1,)
+               for x in drawn if x.kind == "cell")
+    with pytest.raises(DomainError, match="no points"):
+        CellComplex().sample_point(rng)

@@ -2,7 +2,7 @@ import math
 
 import difftop.smoothfn
 from difftop.cli import _chep_props
-from difftop.instances import bundled_chep_instance
+from difftop.instances import bundled_chep_instance, chep_instance_from_json
 from difftop.lifting import Fibration
 from difftop.verify import RunConfig, check_chep_instance, suite_smoothfn, worst
 
@@ -70,3 +70,16 @@ def test_holds_maps_verdicts_to_unit_deviation():
     yes, no = _holds("p", 3, True, "n"), _holds("p", 3, False)
     assert (yes["worst_dev"], yes["tol"], yes["pass"], yes["note"]) == (0.0, 0.0, True, "n")
     assert (no["worst_dev"], no["pass"], no["samples"]) == (1.0, False, 3)
+
+
+def test_chep_instance_samples_every_cell():
+    # base, 0-cell, edge and a 2-cell wrapped on the edge: the shared
+    # sampler draws points in all four, and every equation holds on them
+    _, desc = bundled_chep_instance()
+    desc["complex"]["cells"].append({"dim": 2, "attach": {"kind": "wrap", "cell": 1}})
+    inst = chep_instance_from_json(desc)
+    cfg = RunConfig(samples=0.2)
+    devs, rows = check_chep_instance(inst, cfg, cfg.rng("every-cell"))
+    cells = {x.cell for x, _, _ in rows}
+    assert cells == {-1, 0, 1, 2}
+    assert all(d <= cfg.tol_lift for d in devs)
