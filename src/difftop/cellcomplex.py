@@ -10,14 +10,17 @@ relative cell complex.
 Points are tagged loci: either a base point or (cell index, disk point).
 ``canonicalize`` pushes boundary disk points down through attaching maps
 until they sit in an open cell or the base; the push strictly decreases
-the cell index, so it terminates in at most one step per cell.
+the cell index, so it terminates in at most one step per cell.  ``eq``
+compares canonical loci: the same cell (or both in the base) and
+max_dev(a, b) <= EQ_TOL, at most 10^-9 apart in every coordinate, unless
+the base space brings its own ``eq``.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .diskmodel import DomainError, check_disk, random_disk
+from .diskmodel import EQ_TOL, DomainError, check_disk, max_dev, random_disk
 
 __all__ = ["ComplexPoint", "Cell", "CellComplex", "BOUNDARY_TOL"]
 
@@ -101,18 +104,13 @@ class CellComplex:
         return pt
 
     def eq(self, p1, p2):
-        """Point equality after canonicalization, with 1e-9 coordinate slack."""
+        """Point equality after canonicalization: same locus, max_dev <= EQ_TOL."""
         a, b = self.canonicalize(p1), self.canonicalize(p2)
-        if a.kind != b.kind:
+        if a.kind != b.kind or a.cell != b.cell:
             return False
-        if a.kind == "base":
-            if self.base is not None and hasattr(self.base, "eq"):
-                return self.base.eq(a.point, b.point)
-            return bool(np.allclose(np.asarray(a.point, float),
-                                    np.asarray(b.point, float), atol=1e-9))
-        if a.cell != b.cell:
-            return False
-        return bool(np.max(np.abs(a.point - b.point)) <= 1e-9)
+        if a.kind == "base" and hasattr(self.base, "eq"):
+            return self.base.eq(a.point, b.point)
+        return max_dev(a.point, b.point) <= EQ_TOL
 
     def zero_cells(self):
         return [i for i, c in enumerate(self.cells) if c.dim == 0]

@@ -7,6 +7,10 @@ subspaces, quotients -- derive their generators structurally; the full
 diffeology (everything that locally factors through the generators) is
 never materialized.
 
+Point equality in euclidean spaces and quotients is max_dev(a, b) <=
+EQ_TOL: every coordinate within 1e-9, with no relative slack; products,
+coproducts and subspaces compare with their factors' equalities.
+
 ``smooth_check`` is the executable reading of "composites with plots are
 plots": it samples each source generator, runs directional
 finite-difference smoothness on the composite, and witnesses that every
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .smoothfn import FDConfig, smoothness_check
-from .diskmodel import DomainError
+from .diskmodel import EQ_TOL, DomainError, max_dev
 
 __all__ = [
     "Parameterization", "DiffSpace", "MapEvaluator",
@@ -30,11 +34,6 @@ __all__ = [
     "exponential_alpha", "exponential_alpha_inv",
     "d_topology_open_sample", "irrational_torus",
 ]
-
-# coordinate slack of point equality in euclidean spaces, quotients and
-# the irrational torus
-EQ_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Parameterization:
@@ -101,8 +100,7 @@ def euclidean(n):
     return DiffSpace(
         name=f"R^{n}",
         generators=(gen,),
-        eq=lambda a, b: bool(np.allclose(np.asarray(a, float), np.asarray(b, float),
-                                         atol=EQ_TOL)),
+        eq=lambda a, b: max_dev(a, b) <= EQ_TOL,
         flatten=lambda p: np.atleast_1d(np.asarray(p, dtype=float)),
         construction="euclidean",
     )
@@ -182,15 +180,8 @@ def quotient(Y, canonicalizer, name=None):
                          valid=g.valid)
         for g in Y.generators
     )
-
-    def eq(a, b):
-        fa = np.atleast_1d(np.asarray(a, dtype=float))
-        fb = np.atleast_1d(np.asarray(b, dtype=float))
-        return bool(np.allclose(fa, fb, atol=EQ_TOL))
-
-    return DiffSpace(name or f"{Y.name}/~", gens, eq,
-                     lambda p: np.atleast_1d(np.asarray(p, dtype=float)),
-                     "quotient")
+    return DiffSpace(name or f"{Y.name}/~", gens, lambda a, b: max_dev(a, b) <= EQ_TOL,
+                     lambda p: np.atleast_1d(np.asarray(p, dtype=float)), "quotient")
 
 
 def functional(X, Y):
@@ -295,7 +286,7 @@ def _factors_through(y_flat, target, rng):
 
     for g in target.generators:
         if g.dim == 0:
-            if np.allclose(target.flatten(g(np.zeros(0))), y_flat, atol=FACTOR_TOL):
+            if max_dev(target.flatten(g(np.zeros(0))), y_flat) <= FACTOR_TOL:
                 return True
             continue
 

@@ -13,6 +13,10 @@ is what makes maps *out of* the quotient computable.
 Points are plain numpy arrays of length n+1; the boundary sphere of the
 n-disk is the full unit (n-1)-sphere sitting in the equator plane
 (last coordinate 0), and the reflected disk is the lower hemisphere.
+
+``max_dev`` is the package's one point-agreement rule: two points agree
+within tol when max_dev(a, b) <= tol, and every equality and gluing check
+uses it, with EQ_TOL as the slack of point equality.
 """
 
 import math
@@ -22,7 +26,7 @@ import numpy as np
 from .smoothfn import lambda_fn
 
 __all__ = [
-    "DomainError", "POINT_TOL",
+    "DomainError", "POINT_TOL", "EQ_TOL", "max_dev",
     "check_disk", "check_sphere",
     "point_to_json",
     "q", "Q", "gen_plot", "section",
@@ -33,10 +37,34 @@ __all__ = [
 # membership slack for |norm - 1| and hemisphere sign; round-trips through
 # the trig charts stay below 1e-12 for n <= 3, so this is a 10^3 margin
 POINT_TOL = 1e-9
+# slack of point equality: max_dev(a, b) <= EQ_TOL in the gluing checks
+# of homotopy, CellComplex.eq and the DiffSpace equalities
+EQ_TOL = 1e-9
 
 
 class DomainError(ValueError):
     """A point violates the membership contract of an operation."""
+
+
+def _coords(p):
+    """p as a flat float array; a tuple is the concatenation of its parts."""
+    if isinstance(p, tuple):
+        return np.concatenate([_coords(c) for c in p]) if p else np.zeros(0)
+    return np.asarray(p, dtype=float).ravel()
+
+
+def max_dev(a, b):
+    """The largest |a - b| over all coordinates.
+
+    A tuple counts as the concatenation of its flattened parts, so a
+    (base, fiber) total-space point or a CylPoint compares coordinate by
+    coordinate.  Differing shapes or a NaN coordinate give NaN, for which
+    neither ``<= tol`` nor ``> tol`` holds; two empty points give 0.0.
+    """
+    a, b = _coords(a), _coords(b)
+    if a.shape != b.shape:
+        return math.nan
+    return float(np.abs(a - b).max(initial=0.0))
 
 
 def _norm(x):

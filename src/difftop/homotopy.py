@@ -9,6 +9,10 @@ product on relative homotopy classes (``star``), the boundary
 restriction (``delta_restrict``), and the two-sided doubling map used to
 compare lifts (``glue_double``).
 
+The gluing checks of ``concat``, ``star`` and ``glue_double`` accept two
+points when max_dev(a, b) <= EQ_TOL: the largest coordinate difference
+is at most 10^-9, an absolute slack with no relative part.
+
 ``path_components`` computes the path partition of a finite cell
 complex combinatorially: only 1-cells can join components (the boundary
 sphere of an n-cell is connected for n >= 2, so its attaching image
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smoothfn import lambda_fn, lambda_inv
-from .diskmodel import DomainError, Q, check_disk, section
+from .diskmodel import EQ_TOL, DomainError, Q, check_disk, max_dev, section
 
 __all__ = [
     "Homotopy", "PairMapRep", "to_tilde_homotopy", "concat",
@@ -56,11 +60,6 @@ def to_tilde_homotopy(F):
     return Homotopy(lambda x, t: F.fn(x, lambda_fn(t)), "I_tilde")
 
 
-def _close(a, b):
-    """Numeric agreement within 1e-9, the slack of the gluing checks."""
-    return np.allclose(np.asarray(a, float), np.asarray(b, float), atol=1e-9)
-
-
 def concat(F, G, sample_points=()):
     """Concatenation: run F on [0,1/2], G on [1/2,1], lambda-reclocked.
 
@@ -71,7 +70,7 @@ def concat(F, G, sample_points=()):
     failing witness is reported.
     """
     for x in sample_points:
-        if not _close(F.fn(x, 1.0), G.fn(x, 0.0)):
+        if not max_dev(F.fn(x, 1.0), G.fn(x, 0.0)) <= EQ_TOL:
             raise DomainError(
                 f"concat: end of first homotopy differs from start of second at x={x!r}: "
                 f"{F.fn(x, 1.0)!r} vs {G.fn(x, 0.0)!r}")
@@ -101,7 +100,7 @@ class PairMapRep:
 
 
 def _same_basepoint(a, b):
-    return a is None or b is None or _close(a, b)
+    return a is None or b is None or max_dev(a, b) <= EQ_TOL
 
 
 def star(n, phi, psi_rep):
@@ -161,7 +160,7 @@ def glue_double(n, phi0, phi1, sample_points=()):
             val = rep.fn(w)
             if base_val is None:
                 base_val = val
-            elif not _close(val, base_val):
+            elif not max_dev(val, base_val) <= EQ_TOL:
                 raise DomainError(
                     f"glue_double: representative not constant on the lower "
                     f"half-disk, witness {w!r}: {val!r} vs {base_val!r}")

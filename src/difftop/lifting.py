@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smoothfn import lambda_fn
-from .diskmodel import Q, check_sphere, include_k, retract, section
+from .diskmodel import Q, check_sphere, include_k, max_dev, retract, section
 from .subdivision import CylPoint, in_L, psi, psi_inv
 from .cellcomplex import ComplexPoint
 from .homotopy import Homotopy
@@ -86,21 +86,6 @@ def point_fibration(Y=None):
     return Fibration(total=Y, base=None, project=lambda e: 0.0, lift_k=lift_k)
 
 
-def _flat(p):
-    return np.atleast_1d(np.asarray(p, dtype=float))
-
-
-def _flat_total(e):
-    if isinstance(e, tuple):
-        return np.concatenate([_flat(c) for c in e])
-    return _flat(e)
-
-
-def _close(u, v, tol):
-    u, v = np.atleast_1d(u), np.atleast_1d(v)
-    return u.shape == v.shape and bool(np.max(np.abs(u - v), initial=0.0) <= tol)
-
-
 def chep(p, complex_, f, h, k, precheck=None, tol=1e-6):
     """Covering homotopy extension over a finite relative cell complex.
 
@@ -118,14 +103,14 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6):
     """
     if precheck:
         for x, t in precheck:
-            if not _close(_flat(k(x, 0.0)), _flat(p.project(f(x))), tol):
+            if not max_dev(k(x, 0.0), p.project(f(x))) <= tol:
                 raise LiftError(f"chep precondition k(x,0) = p(f(x)) fails at {x!r}: "
                                 f"{k(x, 0.0)!r} vs {p.project(f(x))!r}")
             if x.kind == "base":
                 a = x.point
-                if not _close(_flat_total(h(a, 0.0)), _flat_total(f(x)), tol):
+                if not max_dev(h(a, 0.0), f(x)) <= tol:
                     raise LiftError(f"chep precondition h(a,0) = f(a) fails at {a!r}")
-                if not _close(_flat(p.project(h(a, t))), _flat(k(x, t)), tol):
+                if not max_dev(p.project(h(a, t)), k(x, t)) <= tol:
                     raise LiftError(f"chep precondition p(h(a,t)) = k(a,t) fails "
                                     f"at {a!r}, t={t!r}")
 
@@ -185,7 +170,7 @@ def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6):
     if precheck:
         for x in precheck:
             if x.kind == "base":
-                if not _close(_flat(g.project(f(x.point))), _flat(bottom(x)), tol):
+                if not max_dev(g.project(f(x.point)), bottom(x)) <= tol:
                     raise LiftError(
                         f"extend_lift precondition p(f(a)) = bottom(a) fails at {x!r}")
 

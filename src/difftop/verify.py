@@ -23,6 +23,7 @@ from . import diskmodel as dm
 from . import subdivision as sd
 from . import diffeology as dg
 from .smoothfn import FDConfig, smoothness_check
+from .diskmodel import max_dev
 from .cellcomplex import CellComplex, ComplexPoint
 from .homotopy import (Homotopy, PairMapRep, concat, glue_double, path_components,
                        star)
@@ -177,7 +178,7 @@ def suite_diskmodel(cfg):
     for i in range(n_samp):
         n = 1 + (i % 3)
         w = dm.gen_plot(n, rng.uniform(-1.5, 2.5, size=n))
-        dev = worst(dev, float(np.max(np.abs(dm.Q(n, dm.section(n, w)) - w))))
+        dev = worst(dev, max_dev(dm.Q(n, dm.section(n, w)), w))
     out.append(_within("q_section_roundtrip", n_samp, dev, tol_disk))
 
     m = cfg.count(1000)
@@ -186,7 +187,7 @@ def suite_diskmodel(cfg):
         n = i % 3
         v = dm.random_disk(n, rng)
         w0 = dm.q(n, v, 0.0)
-        dev0 = worst(dev0, float(np.max(np.abs(w0 - np.concatenate([v, [0.0]])))))
+        dev0 = worst(dev0, max_dev(w0, (v, 0.0)))
         w1 = dm.q(n, v, 1.0)
         dev1 = worst(dev1, abs(w1[-1]), abs(w1[-2] + v[-1]))
         x = rng.uniform(-1.5, 2.5, size=n + 1)
@@ -199,16 +200,16 @@ def suite_diskmodel(cfg):
     for i in range(m):
         n = i % 4
         w = dm.random_disk(n, rng)
-        dev = worst(dev, float(np.max(np.abs(dm.retract(n, dm.include_k(n, w)) - w))))
+        dev = worst(dev, max_dev(dm.retract(n, dm.include_k(n, w)), w))
     out.append(_within("retract_include_identity", m, dev, tol_disk))
 
     dev = 0.0
     for i in range(cfg.count(300)):
         n = i % 3
         w = dm.random_disk(n + 1, rng)
-        dev = worst(dev, float(np.max(np.abs(dm.retract_homotopy(n, w, 0.0) - w))))
         end = dm.include_k(n, dm.retract(n, w))
-        dev = worst(dev, float(np.max(np.abs(dm.retract_homotopy(n, w, 1.0) - end))))
+        dev = worst(dev, max_dev((dm.retract_homotopy(n, w, 0.0),
+                                  dm.retract_homotopy(n, w, 1.0)), (w, end)))
     out.append(_within("retract_homotopy_ends", cfg.count(300), dev, tol_disk))
 
     return out
@@ -240,16 +241,16 @@ def suite_homotopy(cfg):
     G = Homotopy(lambda x, t: np.array([x[0] * 0.0, math.sin(1.0) + t * t]))
     H = concat(F, G, sample_points=[np.array([v]) for v in np.linspace(-2, 2, 9)])
     xs = [np.array([v]) for v in rng.uniform(-2.0, 2.0, size=m)]
-    dev = worst(*(float(np.max(np.abs(F.fn(x, sf.lambda_fn(1.5))
-                                      - G.fn(x, sf.lambda_fn(-0.5))))) for x in xs))
+    dev = worst(*(max_dev(F.fn(x, sf.lambda_fn(1.5)), G.fn(x, sf.lambda_fn(-0.5)))
+                  for x in xs))
     out.append(_within("concat_seam", m, dev, cfg.tol_alg))
 
-    dev = worst(*(worst(float(np.max(np.abs(H.fn(x, 0.0) - F.fn(x, 0.0)))),
-                        float(np.max(np.abs(H.fn(x, 1.0) - G.fn(x, 1.0))))) for x in xs))
+    dev = worst(*(max_dev((H.fn(x, 0.0), H.fn(x, 1.0)), (F.fn(x, 0.0), G.fn(x, 1.0)))
+                  for x in xs))
     out.append(_within("concat_endpoints_exact", m, dev, 0.0))
 
-    dev = worst(*(worst(float(np.max(np.abs(H.fn(x, 1.0 / 3.0) - F.fn(x, 1.0)))),
-                        float(np.max(np.abs(H.fn(x, 0.6) - G.fn(x, 0.0))))) for x in xs))
+    dev = worst(*(max_dev((H.fn(x, 1.0 / 3.0), H.fn(x, 0.6)), (F.fn(x, 1.0), G.fn(x, 0.0)))
+                  for x in xs))
     out.append(_within("concat_plateau", m, dev, cfg.tol_alg))
 
     # formula-level well-definedness over pole fibers: evaluate the star
@@ -266,7 +267,7 @@ def suite_homotopy(cfg):
             wa = dm.Q(n, np.concatenate([[t1], t_rest]))
             wb = dm.Q(n, np.concatenate([[t1], t_alt]))
             sa = star(n, phi, psi_r)
-            dev = worst(dev, float(np.max(np.abs(sa.fn(wa) - sa.fn(wb)))))
+            dev = worst(dev, max_dev(sa.fn(wa), sa.fn(wb)))
     out.append(_within("star_quotient_fibers", cnt, dev, 1e-9))
 
     dev = 0.0
@@ -280,7 +281,7 @@ def suite_homotopy(cfg):
         lower = v.copy()
         lower[-1] = -abs(lower[-1])
         val = st.fn(np.concatenate([lower, [0.0]]))
-        dev = worst(dev, float(np.max(np.abs(val))))      # lower half -> origin
+        dev = worst(dev, max_dev(val, st.basepoint))     # lower half -> origin
     out.append(_within("star_boundary_conditions", cnt, dev, 1e-9))
 
     e = np.array([0.7])
@@ -295,9 +296,9 @@ def suite_homotopy(cfg):
     for _ in range(cfg.count(200)):
         t_rest = rng.uniform(0.0, 1.0, size=1)
         w_half = dm.Q(2, np.concatenate([t_rest, [sf.lambda_fn(0.5)]]))
-        dev = worst(dev, float(np.max(np.abs(g(w_half) - e))))
+        dev = worst(dev, max_dev(g(w_half), e))
         w0 = dm.Q(2, np.concatenate([t_rest, [0.0]]))
-        dev = worst(dev, float(np.max(np.abs(g(w0) - (e + 0.1 * sf.lambda_fn(3 * w0[-1]))))))
+        dev = worst(dev, max_dev(g(w0), e + 0.1 * sf.lambda_fn(3 * w0[-1])))
     out.append(_within("glue_double_seam", cfg.count(200), dev, cfg.tol_alg))
 
     mismatches = 0
@@ -404,8 +405,7 @@ def suite_subdivision(cfg):
                              (2.0 / 3.0, sd.PHI_BRANCHES[1:])):
             (a1, b1), (a2, b2) = (br(s0, t) for br in branches)
             d1, d2 = (dm.q(n - 1, v, sf.lambda_fn(a)) for a in (a1, a2))
-            dev = worst(dev, float(np.max(np.abs(d1 - d2))),
-                        abs(sf.lambda_fn(b1) - sf.lambda_fn(b2)))
+            dev = worst(dev, max_dev((d1, sf.lambda_fn(b1)), (d2, sf.lambda_fn(b2))))
     out.append(_within("phi_branch_agreement", m, dev, cfg.tol_alg))
 
     bad = 0
@@ -436,7 +436,7 @@ def suite_subdivision(cfg):
         n = i % 4
         w = dm.random_disk(n + 1, rng)
         w2 = sd.psi_inv(n, sd.psi(n, w, wrinkle=True), wrinkle=True)
-        d = float(np.max(np.abs(w2 - w)))
+        d = max_dev(w2, w)
         if d <= cfg.tol_rt:
             dev = worst(dev, d)
             continue
@@ -444,7 +444,7 @@ def suite_subdivision(cfg):
         # walls; inside them distinct points have bit-identical images
         # and no inverse exists.  Certify: the forward images must agree.
         c1, c2 = sd.psi(n, w, wrinkle=True), sd.psi(n, w2, wrinkle=True)
-        img = worst(float(np.max(np.abs(c1.disk - c2.disk))), abs(c1.time - c2.time))
+        img = max_dev(c1, c2)
         if img <= 1e-11:
             collapsed += 1
         else:
@@ -458,7 +458,7 @@ def suite_subdivision(cfg):
         n = i % 4
         c = sd.CylPoint(dm.random_disk(n, rng), float(rng.uniform()))
         c2 = sd.psi(n, sd.psi_inv(n, c, wrinkle=True), wrinkle=True)
-        dev = worst(dev, float(np.max(np.abs(c2.disk - c.disk))), abs(c2.time - c.time))
+        dev = worst(dev, max_dev(c2, c))
     out.append(_within("psi_roundtrip_backward", n_rt, dev, cfg.tol_rt))
 
     dev = 0.0
@@ -466,7 +466,7 @@ def suite_subdivision(cfg):
         t = float(rng.uniform())
         w = np.array([math.cos(math.pi * t), math.sin(math.pi * t)])
         c = sd.psi(0, w)
-        dev = worst(dev, abs(c.time - t), float(np.max(np.abs(c.disk - np.array([1.0])))))
+        dev = worst(dev, max_dev(c, (1.0, t)))
     out.append(_within("psi0_inverts_chart", cfg.count(200), dev, cfg.tol_alg))
 
     dev = 0.0
@@ -476,11 +476,11 @@ def suite_subdivision(cfg):
         s = float(rng.uniform())
         s = s / 6.0 if i % 2 == 0 else 5.0 / 6.0 + s / 6.0
         w = sd.source_point(n, dm.random_disk(n - 1, rng), s, float(rng.uniform()))
-        dev = worst(dev, float(np.max(np.abs(sd.rho(n, w) - w))))
+        dev = worst(dev, max_dev(sd.rho(n, w), w))
     out.append(_within("rho_fixes_outer_bands", cnt, dev, cfg.tol_rt))
 
     w = sd.source_point(2, dm.random_disk(1, rng), 0.25, 0.4)
-    wit = float(np.max(np.abs(sd.rho(2, sd.rho(2, w)) - sd.rho(2, w))))
+    wit = max_dev(sd.rho(2, sd.rho(2, w)), sd.rho(2, w))
     out.append(_rec("rho_not_idempotent_witness", 1, wit, 1e-6, wit > 1e-6,
                     "the wrinkle genuinely moves the middle bands"))
 
@@ -619,7 +619,7 @@ def suite_lifting(cfg):
         for _ in range(3):
             wd = dm.random_disk(n, rng)
             got, want = H(dm.include_k(n, wd)), top(wd)
-            dev_top = worst(dev_top, abs(got[0] - want[0]), abs(got[1] - want[1]))
+            dev_top = worst(dev_top, max_dev(got, want))
             w = dm.random_disk(n + 1, rng)
             dev_proj = worst(dev_proj, abs(p.project(H(w)) - bottom(w)))
     out.append(_within("product_lift_restriction", m, dev_top, cfg.tol_rt))
@@ -639,9 +639,7 @@ def suite_lifting(cfg):
             pt = ComplexPoint.in_cell(i, w)
             c1 = cx.canonicalize(pt)
             c2 = cx.canonicalize(c1)
-            if not (c1.kind == c2.kind and c1.cell == c2.cell
-                    and np.array_equal(np.atleast_1d(c1.point),
-                                       np.atleast_1d(c2.point))):
+            if not (c1[:2] == c2[:2] and max_dev(c1.point, c2.point) == 0.0):
                 bad += 1
     out.append(_within("canonicalize_idempotent", cnt, bad, 0.0))
 
@@ -675,10 +673,8 @@ def suite_lifting(cfg):
     for _ in range(cfg.count(400)):
         x = inst.complex.sample_point(rng)
         t = float(rng.uniform())
-        Hx0, fx = Hh(x, 0.0), inst.f(x)
-        dev = worst(dev, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
-        Ha, ha = Hh(ComplexPoint.base(0.0), t), inst.h(0.0, t)
-        dev = worst(dev, abs(Ha[0] - ha[0]), abs(Ha[1] - ha[1]))
+        dev = worst(dev, max_dev(Hh(x, 0.0), inst.f(x)),
+                    max_dev(Hh(ComplexPoint.base(0.0), t), inst.h(0.0, t)))
     out.append(_within("hep_contract", cfg.count(400), dev, cfg.tol_lift,
                        "H(x,0)=f and H over the base = h"))
 
@@ -690,7 +686,7 @@ def suite_lifting(cfg):
 
     cx0 = CellComplex(base="pt")
     l0 = extend_lift(einst.oracle, cx0, einst.f, einst.bottom)
-    ok = l0(ComplexPoint.base(0.0)) == einst.f(0.0)
+    ok = max_dev(l0(ComplexPoint.base(0.0)), einst.f(0.0)) == 0.0
     out.append(_holds("extend_lift_no_cells", 1, ok))
 
     return out
@@ -718,9 +714,8 @@ def _chep_order_independence(cfg):
         t = float(rng.uniform())
         w = np.array([math.cos(math.pi * s), math.sin(math.pi * s)])
         # the edge of chain ch is cell 4 + ch, and cell 5 - ch when swapped
-        a = lifts[0](ComplexPoint.in_cell(4 + ch, w), t)
-        b = lifts[1](ComplexPoint.in_cell(5 - ch, w), t)
-        dev = worst(dev, abs(a[0] - b[0]), abs(a[1] - b[1]))
+        dev = worst(dev, max_dev(lifts[0](ComplexPoint.in_cell(4 + ch, w), t),
+                                 lifts[1](ComplexPoint.in_cell(5 - ch, w), t)))
     return dev
 
 
@@ -744,8 +739,7 @@ def _chep_stationary(cfg):
     for _ in range(cfg.count(300)):
         x = inst.complex.sample_point(rng)
         t = float(rng.uniform())
-        Hx = H(x, t)
-        dev = worst(dev, abs(Hx[0] - k(x, t)), abs(Hx[1] - fiber_c))
+        dev = worst(dev, max_dev(H(x, t), (k(x, t), fiber_c)))
     return dev
 
 
@@ -771,13 +765,11 @@ def check_chep_instance(inst, cfg, rng):
     for _ in range(cfg.count(1000)):
         x = inst.complex.sample_point(rng)
         t = float(rng.uniform())
-        Hx0, fx = H(x, 0.0), inst.f(x)
-        dev_f = worst(dev_f, abs(Hx0[0] - fx[0]), abs(Hx0[1] - fx[1]))
+        dev_f = worst(dev_f, max_dev(H(x, 0.0), inst.f(x)))
         Hxt = H(x, t)
         dev_p = worst(dev_p, abs(Hxt[0] - inst.k(x, t)))
         if has_base:
-            Ha, ha = H(ComplexPoint.base(0.0), t), inst.h(0.0, t)
-            dev_h = worst(dev_h, abs(Ha[0] - ha[0]), abs(Ha[1] - ha[1]))
+            dev_h = worst(dev_h, max_dev(H(ComplexPoint.base(0.0), t), inst.h(0.0, t)))
         rows.append((x, t, Hxt))
     return (dev_f, dev_h, dev_p), rows
 
@@ -795,8 +787,7 @@ def check_extend_instance(inst, cfg, rng):
     for _ in range(cfg.count(500)):
         x = inst.complex.sample_point(rng)
         dev = worst(dev, abs(inst.oracle.project(lift(x)) - inst.bottom(x)))
-    (e0, e1), (f0, f1) = lift(ComplexPoint.base(0.0)), inst.f(0.0)
-    return dev, e0 == f0 and np.array_equal(e1, f1)
+    return dev, max_dev(lift(ComplexPoint.base(0.0)), inst.f(0.0)) == 0.0
 
 
 SUITES = {

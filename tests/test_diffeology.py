@@ -44,6 +44,12 @@ def test_quotient_of_line_by_lambda():
     assert ITILDE.eq(lambda_fn(0.3), lambda_fn(0.3))
 
 
+def test_euclidean_eq_is_an_absolute_slack():
+    assert R.eq([1.0], [1.0 + 5e-10])
+    assert not R.eq([1.0], [1.0 + 5e-6])
+    assert not R.eq([1.0], [1.0, 1.0])  # no broadcasting
+
+
 def test_subspace_restricts_sampling():
     rng = np.random.default_rng(0)
     for u in I_SUB.generators[0].sample(rng, 20):

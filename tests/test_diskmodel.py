@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from difftop.diskmodel import (
-    POINT_TOL, DomainError, Q, check_disk, check_sphere, gen_plot, include_j, include_k, q,
-    random_disk, random_sphere, reflect, retract, retract_homotopy, section,
+    POINT_TOL, DomainError, Q, check_disk, check_sphere, gen_plot, include_j, include_k,
+    max_dev, q, random_disk, random_sphere, reflect, retract, retract_homotopy, section,
 )
 from difftop.smoothfn import lambda_inv
+from difftop.subdivision import CylPoint
 
 RNG = np.random.default_rng(1234)
 
@@ -145,6 +146,27 @@ def test_random_samplers_reject_empty_spheres():
             random_sphere(n, RNG)
     with pytest.raises(DomainError):
         random_disk(-1, RNG)
+
+
+def test_max_dev_is_the_largest_coordinate_difference():
+    # a (base, fiber) point is the concatenation of its flattened parts
+    assert max_dev((0.5, np.array([1.0, 2.0])), (0.25, np.array([1.0, 2.5]))) == 0.5
+    assert max_dev((0.5, np.array([1.0])), np.array([0.5, 1.0])) == 0.0
+    assert max_dev(CylPoint(np.array([0.6, 0.8]), 0.25),
+                   CylPoint(np.array([0.6, 0.8]), 0.75)) == 0.5
+    assert max_dev(3.0, [3.0]) == 0.0
+    assert max_dev((), np.zeros(0)) == 0.0
+
+
+@pytest.mark.parametrize("a,b", [
+    (np.array([1.0, 2.0]), np.array([1.0])),           # shapes differ
+    ((0.5, np.array([1.0])), (0.5, 1.0, 2.0)),
+    (np.array([1.0, math.nan]), np.array([1.0, 2.0])),  # NaN propagates
+    ((math.nan, np.array([1.0])), (0.0, np.array([1.0]))),
+])
+def test_max_dev_is_nan_where_points_cannot_agree(a, b):
+    d = max_dev(a, b)
+    assert math.isnan(d) and not d <= 1.0 and not d > 1.0
 
 
 # ---------------------------------------------------------------------------

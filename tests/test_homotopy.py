@@ -72,6 +72,14 @@ def test_concat_mismatch_raises_with_witness():
         concat(F, G, sample_points=[np.array([0.0])])
 
 
+def test_concat_rejects_a_seam_jump_beyond_the_absolute_slack():
+    # 5e-4 apart at a magnitude of 100: a relative slack of 1e-5 would pass it
+    F = Homotopy(lambda x, t: np.array([100.0]))
+    G = Homotopy(lambda x, t: np.array([100.0005]))
+    with pytest.raises(DomainError, match="differs"):
+        concat(F, G, sample_points=[np.array([0.0])])
+
+
 def _rep(n, shift=0.0):
     def fn(w):
         a = lambda_fn(3.0 * w[-2]) * (w[-2] + 1.0) + shift * w[-1]
@@ -105,6 +113,13 @@ def test_star_dimension_and_basepoint_guards():
     a = PairMapRep(1, lambda w: w, basepoint=np.array([0.0, 0.0]))
     b = PairMapRep(1, lambda w: w, basepoint=np.array([1.0, 0.0]))
     with pytest.raises(DomainError):
+        star(1, a, b)
+
+
+def test_star_rejects_basepoints_beyond_the_absolute_slack():
+    a = PairMapRep(1, lambda w: w, basepoint=np.array([1.0]))
+    b = PairMapRep(1, lambda w: w, basepoint=np.array([1.000005]))
+    with pytest.raises(DomainError, match="basepoints differ"):
         star(1, a, b)
 
 

@@ -1,6 +1,7 @@
 """Import hygiene: no unused imports, and no heavy import at CLI start.
 
-Lint: every name a module imports is referenced in that module.
+Lint: every name a module imports is referenced in that module, and no
+module of the package calls ``allclose``.
 
 Standard-library only (ast), so it runs wherever the tests run.  A name
 listed in the module's ``__all__`` counts as used: it is re-exported.
@@ -49,6 +50,25 @@ def test_checker_finds_unused_and_skips_reexports():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def allclose_calls(source):
+    """Line numbers of the calls to anything named allclose in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "allclose"]
+
+
+def test_checker_finds_allclose_calls():
+    src = "import numpy as np\nnp.allclose(a, b)\nfrom numpy import allclose\nallclose(a, b)\n"
+    assert allclose_calls(src) == [2, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "difftop"],
+                         ids=lambda p: p.name)
+def test_package_never_calls_allclose(path):
+    # its default rtol loosens a documented absolute slack; use max_dev
+    assert allclose_calls(path.read_text()) == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -63,6 +63,12 @@ def test_complex_eq_uses_canonical_form():
     assert cx.eq(a, b)
 
 
+def test_complex_eq_of_base_points_is_an_absolute_slack():
+    cx = CellComplex(base="pt")
+    assert cx.eq(ComplexPoint.base(1000.0), ComplexPoint.base(1000.0))
+    assert not cx.eq(ComplexPoint.base(1000.0), ComplexPoint.base(1000.005))
+
+
 def test_product_fibration_lift_equations():
     p = product_fibration("B", "F")
     for n in range(0, 3):
