@@ -73,45 +73,60 @@ def _print_point(w, as_json):
         print(_fmt_vec(w))
 
 
+_DIM_MAPS = ("Q", "gen_plot", "q", "section", "rho", "psi", "psi_inv")
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _unit(value, what):
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} {value!r} is not in [0, 1]")
+
+
 def cmd_eval(args):
     name = args.map
+    if name not in _SCALAR_MAPS and name not in _DIM_MAPS:
+        print(f"unknown map {name!r}; choices: {sorted(_SCALAR_MAPS) + list(_DIM_MAPS)}",
+              file=sys.stderr)
+        return _EXIT_USAGE
     wrinkle = not _config_from(args).disable_wrinkle
     try:
-        params = [float(a) for a in args.args]
+        params = [_finite(a) for a in args.args]
         if name in _SCALAR_MAPS:
             if len(params) != 1:
                 raise ValueError(f"{name} takes one argument")
             print("%.17g" % _SCALAR_MAPS[name](params[0]))
-        elif name in ("Q", "gen_plot"):
-            n = int(params[0])
-            fn = dm.Q if name == "Q" else dm.gen_plot
-            _print_point(fn(n, params[1:]), args.json_points)
+            return _EXIT_PASS
+        if not params or not params[0].is_integer() or params[0] < 0:
+            raise ValueError(f"{name} takes a dimension, an integer >= 0, first")
+        n, rest = int(params[0]), params[1:]
+        if name in ("Q", "gen_plot"):
+            if name == "Q":
+                for t in rest:
+                    _unit(t, "cube coordinate")
+            _print_point((dm.Q if name == "Q" else dm.gen_plot)(n, rest), args.json_points)
         elif name == "q":
-            n = int(params[0])
-            _print_point(dm.q(n, params[1:n + 2], params[n + 2]), args.json_points)
+            _unit(rest[n + 1], "time")
+            _print_point(dm.q(n, rest[:n + 1], rest[n + 1]), args.json_points)
         elif name == "section":
-            n = int(params[0])
-            print(_fmt_vec(dm.section(n, params[1:])))
+            print(_fmt_vec(dm.section(n, rest)))
         elif name == "rho":
-            n = int(params[0])
-            _print_point(sd.rho(n, params[1:]), args.json_points)
+            _print_point(sd.rho(n, rest), args.json_points)
         elif name == "psi":
-            n = int(params[0])
-            c = sd.psi(n, params[1:], wrinkle=wrinkle)
+            c = sd.psi(n, rest, wrinkle=wrinkle)
             if args.json_points:
                 print(json.dumps({"disk": dm.point_to_json(c.disk),
                                   "time": float(c.time)}, sort_keys=True))
             else:
                 print(_fmt_vec(c.disk) + " " + "%.17g" % c.time)
-        elif name == "psi_inv":
-            n = int(params[0])
-            c = sd.CylPoint(np.asarray(params[1:n + 2]), params[n + 2])
+        else:  # psi_inv
+            c = sd.CylPoint(np.asarray(rest[:n + 1]), rest[n + 1])
             _print_point(sd.psi_inv(n, c, wrinkle=wrinkle), args.json_points)
-        else:
-            print(f"unknown map {name!r}; choices: "
-                  f"{sorted(_SCALAR_MAPS) + ['Q', 'gen_plot', 'q', 'section', 'rho', 'psi', 'psi_inv']}",
-                  file=sys.stderr)
-            return _EXIT_USAGE
     except (ValueError, IndexError, dm.DomainError) as exc:
         print(f"eval error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
@@ -222,7 +237,7 @@ _MAX_SAMPLES = 1000.0
 _multiplier = _checked(float, lambda v: 0.0 < v <= _MAX_SAMPLES,
                        f"a number > 0 and <= {_MAX_SAMPLES:g}")
 _positive = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_nonnegative = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 # flags that set a RunConfig field of the same name; when a flag is not
 # given, the field keeps its RunConfig default
@@ -234,7 +249,7 @@ _CONFIG_FLAGS = {
     "--samples": {"type": _multiplier, "help": "sample-count multiplier, "
                   f"in (0, {_MAX_SAMPLES:g}]"},
     "--fd-order": {"type": _positive},
-    "--seed": {"type": _seed},
+    "--seed": {"type": _nonnegative},
     "--disable-wrinkle": {"action": "store_true", "help": "debug: run the "
                           "subdivision bijection without the wrinkle"},
 }
@@ -276,7 +291,7 @@ def build_parser():
 
     p = sub.add_parser("dump", help="CSV sample dump of the subdivision map")
     p.add_argument("--n", type=_positive, default=2)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_nonnegative, default=100)
     p.add_argument("--out", default=None)
     _add_config_flags(p, "--seed", "--disable-wrinkle")
     p.set_defaults(func=cmd_dump)

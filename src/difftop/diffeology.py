@@ -54,6 +54,10 @@ class Parameterization:
     def __call__(self, u):
         return self.fn(np.atleast_1d(np.asarray(u, dtype=float)))
 
+    def admits(self, p):
+        """Whether ``valid`` accepts the image point p; True without a filter."""
+        return self.valid is None or self.valid(p)
+
     def sample(self, rng, count, margin=0.0):
         """Rejection-sample valid parameters, shrunk from the walls."""
         lo = np.asarray(self.lo) + margin
@@ -63,7 +67,7 @@ class Parameterization:
         while len(out) < count and attempts < 200 * max(count, 1):
             u = rng.uniform(lo, hi)
             attempts += 1
-            if self.valid is None or self.valid(self.fn(u)):
+            if self.admits(self.fn(u)):
                 out.append(u)
         return out
 
@@ -114,8 +118,7 @@ def product(X, Y):
             (lambda gx, gy: lambda u: (gx(u[:gx.dim]), gy(u[gx.dim:])))(gx, gy),
             valid=(lambda gx, gy: (
                 None if gx.valid is None and gy.valid is None else
-                lambda p: (gx.valid is None or gx.valid(p[0]))
-                and (gy.valid is None or gy.valid(p[1]))))(gx, gy),
+                lambda p: gx.admits(p[0]) and gy.admits(p[1])))(gx, gy),
         )
         for gx in X.generators for gy in Y.generators
     )
@@ -157,8 +160,7 @@ def subspace(Y, membership, name=None):
     """
     gens = tuple(
         Parameterization(g.lo, g.hi, g.fn,
-                         valid=(lambda g: membership if g.valid is None
-                                else lambda p: g.valid(p) and membership(p))(g))
+                         valid=(lambda g: lambda p: g.admits(p) and membership(p))(g))
         for g in Y.generators
     )
     return DiffSpace(name or f"{{{Y.name} | membership}}", gens, Y.eq, Y.flatten,
@@ -274,8 +276,13 @@ def _distinct_starts(vals, count):
     return starts
 
 
+# a filtered-out parameter costs inf, and the optimizers' inf - inf steps
+# are harmless: the bounded scalar search falls back to golden section
+@np.errstate(invalid="ignore")
 def _factors_through(y_flat, target, rng):
-    """Search a target chart for a local preimage of the flattened point.
+    """Search the target charts for a local preimage of the flattened point.
+
+    Only parameters whose image the chart's ``valid`` filter admits count.
 
     A coarse scan seeds the local optimizer: charts built from the flat
     profiles have wide zero-gradient plateaus where a descent method
@@ -286,13 +293,18 @@ def _factors_through(y_flat, target, rng):
 
     for g in target.generators:
         if g.dim == 0:
-            if max_dev(target.flatten(g(np.zeros(0))), y_flat) <= FACTOR_TOL:
+            y = g(np.zeros(0))
+            if g.admits(y) and max_dev(target.flatten(y), y_flat) <= FACTOR_TOL:
                 return True
             continue
 
         def dist2(u):
+            # a parameter counts only where the chart's filter admits its image
             try:
-                return float(np.sum((target.flatten(g.fn(u)) - y_flat) ** 2))
+                y = g.fn(u)
+                if not g.admits(y):
+                    return np.inf
+                return float(np.sum((target.flatten(y) - y_flat) ** 2))
             except Exception:
                 return np.inf
 

@@ -48,6 +48,15 @@ def _typed(node, kind, what):
     return node
 
 
+def _keys(node, accepted, what):
+    """node, a JSON object whose keys are all in accepted."""
+    for key in _typed(node, dict, what):
+        if key not in accepted:
+            raise InstanceError(f"unknown key {key!r:.80} in {what}; "
+                                f"accepted: {', '.join(accepted)}")
+    return node
+
+
 def _number(node, what):
     """node as a finite float; true and false are no numbers."""
     if (isinstance(node, bool) or not isinstance(node, (int, float))
@@ -76,17 +85,18 @@ def _compile(node, nvars):
         return lambda u: value
     op = node.get("op")
     if op == "const":
-        value = _number(node.get("value"), "const value")
+        value = _number(_keys(node, ("op", "value"), "const").get("value"), "const value")
         return lambda u: value
     if op == "var":
-        index = _typed(node.get("index", 0), int, "var index")
+        index = _typed(_keys(node, ("op", "index"), "var").get("index", 0), int, "var index")
         if not 0 <= index < nvars:
             raise InstanceError(f"var index {index} is not one of the {nvars} "
                                 "variables of this expression")
         return lambda u: float(u[index])
     if not isinstance(op, str) or (op not in _UNARY and op not in _BINARY_FOLD):
         raise InstanceError(f"unknown expression op {op!r:.80}")
-    parts = [_compile(a, nvars) for a in _typed(node.get("args", []), list, f"args of {op}")]
+    args = _keys(node, ("op", "args"), op).get("args", [])
+    parts = [_compile(a, nvars) for a in _typed(args, list, f"args of {op}")]
     if op in _UNARY:
         if len(parts) != 1:
             raise InstanceError(f"{op} takes one argument")
@@ -146,7 +156,9 @@ def _target_cell(at, cx, dim):
 
 def _attach_target(t, cx):
     if _typed(t, dict, "attach target").get("base") is not True:
+        t = _keys(t, ("base", "cell"), "attach target")
         return ComplexPoint.in_cell(_target_cell(t, cx, 0), np.array([1.0]))
+    _keys(t, ("base",), "base attach target")
     if cx.base is None:
         raise InstanceError("attach target is the base, but the complex has none")
     return ComplexPoint.base(0.0)
@@ -154,23 +166,25 @@ def _attach_target(t, cx):
 
 def complex_from_json(desc):
     """Build a chain-shaped complex from {"base": ..., "cells": [...]}."""
-    base = _typed(desc, dict, "complex").get("base")
+    base = _keys(desc, ("base", "cells"), "complex").get("base")
     if base not in ("point", None):
         raise InstanceError(f'complex base must be "point" or null, not {base!r:.80}')
     cx = CellComplex(base=base)
     for spec in _typed(desc.get("cells", []), list, "complex cells"):
         dim = _typed(_field(_typed(spec, dict, "cell"), "dim"), int, "cell dim")
         if dim == 0:
+            _keys(spec, ("dim",), "0-cell")
             cx = cx.attach(0)
             continue
-        at = _typed(spec.get("attach", {}), dict, "attach")
+        at = _typed(_keys(spec, ("dim", "attach"), "cell").get("attach", {}), dict, "attach")
         kind = at.get("kind")
         if dim == 1 and kind == "endpoints":
+            _keys(at, ("kind", "pos", "neg"), "endpoints attach")
             pos = _attach_target(_field(at, "pos"), cx)
             neg = _attach_target(_field(at, "neg"), cx)
             cx = cx.attach(1, (lambda pos, neg: lambda v: pos if v[0] > 0 else neg)(pos, neg))
         elif dim == 2 and kind == "wrap":
-            edge = _target_cell(at, cx, 1)
+            edge = _target_cell(_keys(at, ("kind", "cell"), "wrap attach"), cx, 1)
 
             def wrap(u, edge=edge):
                 s = abs(math.atan2(u[1], u[0])) / math.pi
@@ -185,16 +199,18 @@ def complex_from_json(desc):
     return cx
 
 
-# the fibration kinds each instance kind can lift against: chep calls an
-# oracle's lift_k, extend_lift its lift_j.  The constructors are looked up
-# by name at call time, so a patched module attribute takes effect.
+# the fibration kinds each instance kind can lift against, with the keys
+# each reads: chep calls an oracle's lift_k, extend_lift its lift_j.  The
+# constructors are looked up by name at call time, so a patched module
+# attribute takes effect.
 _CHEP_FIBRATIONS = {
-    "product": lambda d: product_fibration(d.get("base", "R"), d.get("fiber", "R")),
-    "point": lambda d: point_fibration(),
+    "product": (("kind", "base", "fiber"),
+                lambda d: product_fibration(d.get("base", "R"), d.get("fiber", "R"))),
+    "point": (("kind",), lambda d: point_fibration()),
 }
 _EXTEND_ORACLES = {
-    "trivial_product": lambda d: TrivialProductFibration(
-        fiber_dim=_typed(d.get("fiber_dim", 1), int, "fiber_dim")),
+    "trivial_product": (("kind", "fiber_dim"), lambda d: TrivialProductFibration(
+        fiber_dim=_typed(d.get("fiber_dim", 1), int, "fiber_dim"))),
 }
 
 
@@ -206,7 +222,8 @@ def _fibration(desc, kinds, what):
     kind = _typed(desc, dict, what).get("kind", next(iter(kinds)))
     if not isinstance(kind, str) or kind not in kinds:
         raise InstanceError(f"{what} kind {kind!r:.80} is not one of: {', '.join(kinds)}")
-    return kinds[kind](desc)
+    keys, build = kinds[kind]
+    return build(_keys(desc, keys, f"{kind} {what}"))
 
 
 def chain_position(cx, x):
@@ -251,6 +268,8 @@ class ChepInstance:
     """
 
     def __init__(self, desc):
+        _keys(desc, ("fibration", "complex", "k", "fiber0", "fiber_base", "k_offset"),
+              "chep instance")
         self.fibration = _fibration(desc.get("fibration", {}), _CHEP_FIBRATIONS,
                                     "fibration")
         self.complex = complex_from_json(_field(desc, "complex"))
@@ -278,6 +297,7 @@ class ExtendInstance:
     """A boundary-lift oracle, a complex, and the map to lift."""
 
     def __init__(self, desc):
+        _keys(desc, ("oracle", "complex", "bottom", "f_fiber"), "extend instance")
         self.oracle = _fibration(desc.get("oracle", {}), _EXTEND_ORACLES, "oracle")
         f_fiber = desc.get("f_fiber", [0.4])
         if not isinstance(f_fiber, list) or len(f_fiber) != self.oracle.fiber_dim:

@@ -61,6 +61,33 @@ def test_eval_non_numeric_argument_is_usage_error(capsys):
     assert "eval error" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["lambda", "nan"], "'nan' is not a finite number"),
+    (["Q", "1", "nan"], "'nan' is not a finite number"),
+    (["gen_plot", "1", "nan"], "'nan' is not a finite number"),
+    (["section", "1", "inf", "0"], "'inf' is not a finite number"),
+    (["Q", "1", "1.5"], "cube coordinate 1.5 is not in [0, 1]"),
+    (["Q", "2", "0.5", "-0.25"], "cube coordinate -0.25 is not in [0, 1]"),
+    (["q", "1", "0.6", "0.8", "2.5"], "time 2.5 is not in [0, 1]"),
+    (["Q", "1.5", "0.3"], "Q takes a dimension, an integer >= 0, first"),
+    (["psi", "-1"], "psi takes a dimension, an integer >= 0, first"),
+    (["rho"], "rho takes a dimension, an integer >= 0, first"),
+])
+def test_eval_argument_outside_its_domain_exits_2(capsys, argv, message):
+    code, out, err = run_cli(["eval"] + argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"eval error: {message}\n"
+
+
+def test_eval_accepts_the_ends_of_its_domains(capsys):
+    code, out, _ = run_cli(["eval", "Q", "2", "0", "1"], capsys)
+    assert code == 0 and len(out.split()) == 3
+    code, out, _ = run_cli(["eval", "q", "0", "1", "1"], capsys)
+    assert code == 0 and len(out.split()) == 2
+    code, out, _ = run_cli(["eval", "gen_plot", "1", "-3"], capsys)
+    assert code == 0 and out.split() == ["1", "0"]
+
+
 def test_verify_smoothfn_passes(capsys):
     code, out, _ = run_cli(["verify", "smoothfn", "--report", "json"], capsys)
     assert code == 0
@@ -255,6 +282,7 @@ def test_dump_below_dimension_1_exits_2(n):
     ["verify", "smoothfn", "--fd-order", "0"],
     ["verify", "smoothfn", "--seed", "-1"],
     ["dump", "--seed", "x"],
+    ["dump", "--count", "-3"],
 ])
 def test_bad_numeric_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -391,6 +419,53 @@ def test_fibration_kind_the_instance_cannot_call_exits_2(tmp_path, capsys, bundl
     code, out, err = run_cli(["chep", str(path)], capsys)
     assert code == 2 and out == ""
     assert f"{key} kind {kind!r} is not one of: {accepted}" in err
+
+
+def _misspell_k_offset(desc):
+    desc["k_ofset"] = desc.pop("k_offset")  # silently compatible data, exit 0, before
+
+
+def _cells(desc):
+    return desc["complex"]["cells"]
+
+
+@pytest.mark.parametrize("bundled,edit,message", [
+    (functools.partial(bundled_chep_instance, k_offset=0.5), _misspell_k_offset,
+     "'k_ofset' in chep instance; accepted: fibration, complex, k, fiber0, "
+     "fiber_base, k_offset"),
+    (bundled_extend_instance, lambda d: d.update(oracle={"knd": "trivial_product"}),
+     "'knd' in trivial_product oracle; accepted: kind, fiber_dim"),
+    (bundled_extend_instance, lambda d: d.update(colour=1), "'colour' in extend instance"),
+    (bundled_chep_instance, lambda d: d["fibration"].update(fibre="R"),
+     "'fibre' in product fibration; accepted: kind, base, fiber"),
+    (bundled_chep_instance, lambda d: d["complex"].update(cell=[]), "'cell' in complex"),
+    (bundled_chep_instance, lambda d: _cells(d)[0].update(attach={}),
+     "'attach' in 0-cell; accepted: dim"),
+    (bundled_chep_instance, lambda d: _cells(d)[1].update(name="edge"), "'name' in cell"),
+    (bundled_chep_instance, lambda d: _cells(d)[1]["attach"].update(cell=0),
+     "'cell' in endpoints attach"),
+    (bundled_extend_instance, lambda d: _cells(d)[2]["attach"].update(pos={"base": True}),
+     "'pos' in wrap attach"),
+    (bundled_chep_instance, lambda d: _cells(d)[1]["attach"]["pos"].update(cell=0),
+     "'cell' in base attach target; accepted: base"),
+    (bundled_chep_instance, lambda d: _cells(d)[1]["attach"]["neg"].update(base_=True),
+     "'base_' in attach target; accepted: base, cell"),
+    (bundled_chep_instance, lambda d: d.update(k={"op": "var", "index": 0, "value": 2}),
+     "'value' in var; accepted: op, index"),
+    (bundled_chep_instance, lambda d: d.update(k={"op": "const", "value": 2, "args": []}),
+     "'args' in const; accepted: op, value"),
+    (bundled_extend_instance, lambda d: d["bottom"].update(arg=[1.0]),
+     "'arg' in add; accepted: op, args"),
+])
+def test_instance_key_no_kind_reads_exits_2(tmp_path, capsys, bundled, edit, message):
+    _, desc = bundled()
+    edit(desc)
+    path = tmp_path / "unknown_key.json"
+    path.write_text(json.dumps(desc))
+    code, out, err = run_cli(["chep", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("cannot load instance: unknown key " + message)
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("k", [

@@ -64,6 +64,15 @@ def test_smooth_check_accepts_smooth_maps():
     assert smooth_check(incl, CFG).passed
 
 
+def test_smooth_check_rejects_images_outside_a_subspace():
+    # the identity R -> I leaves I = [0, 1]; I's chart is R's chart restricted
+    rep = smooth_check(MapEvaluator(R, I_SUB, lambda x: x, "id"), CFG)
+    assert not rep.passed
+    images = [r["witness"]["image"][0] for r in rep.records]
+    assert images and all(r["kind"] == "factorization" for r in rep.records)
+    assert all(not 0.0 <= y <= 1.0 for y in images)
+
+
 def test_smooth_check_rejects_kink():
     rep = smooth_check(MapEvaluator(R, R, lambda x: np.abs(x), "abs"), CFG)
     assert not rep.passed

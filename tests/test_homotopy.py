@@ -66,18 +66,12 @@ def test_concat_seam_agreement():
 
 
 def test_concat_mismatch_raises_with_witness():
-    F = Homotopy(lambda x, t: np.array([t]))
-    G = Homotopy(lambda x, t: np.array([5.0 + t]))
-    with pytest.raises(DomainError, match="differs"):
-        concat(F, G, sample_points=[np.array([0.0])])
-
-
-def test_concat_rejects_a_seam_jump_beyond_the_absolute_slack():
-    # 5e-4 apart at a magnitude of 100: a relative slack of 1e-5 would pass it
-    F = Homotopy(lambda x, t: np.array([100.0]))
-    G = Homotopy(lambda x, t: np.array([100.0005]))
-    with pytest.raises(DomainError, match="differs"):
-        concat(F, G, sample_points=[np.array([0.0])])
+    # 100 vs 100.0005 passes a relative slack of 1e-5, not the absolute 1e-9
+    for end, start in [(1.0, 5.0), (100.0, 100.0005)]:
+        F = Homotopy(lambda x, t: np.array([end]))
+        G = Homotopy(lambda x, t: np.array([start]))
+        with pytest.raises(DomainError, match="differs"):
+            concat(F, G, sample_points=[np.array([0.0])])
 
 
 def _rep(n, shift=0.0):
@@ -110,17 +104,11 @@ def test_star_dimension_and_basepoint_guards():
         star(2, _rep(2), _rep(1))
     with pytest.raises(DomainError):
         star(0, _rep(0), _rep(0))
-    a = PairMapRep(1, lambda w: w, basepoint=np.array([0.0, 0.0]))
-    b = PairMapRep(1, lambda w: w, basepoint=np.array([1.0, 0.0]))
-    with pytest.raises(DomainError):
-        star(1, a, b)
-
-
-def test_star_rejects_basepoints_beyond_the_absolute_slack():
-    a = PairMapRep(1, lambda w: w, basepoint=np.array([1.0]))
-    b = PairMapRep(1, lambda w: w, basepoint=np.array([1.000005]))
-    with pytest.raises(DomainError, match="basepoints differ"):
-        star(1, a, b)
+    for p0, p1 in [([0.0, 0.0], [1.0, 0.0]), ([1.0], [1.000005])]:
+        a = PairMapRep(1, lambda w: w, basepoint=np.array(p0))
+        b = PairMapRep(1, lambda w: w, basepoint=np.array(p1))
+        with pytest.raises(DomainError, match="basepoints differ"):
+            star(1, a, b)
 
 
 def test_star_quotient_fiber_well_defined():
