@@ -83,7 +83,7 @@ def _finite(text):
     return value
 
 
-def _unit(value, what):
+def _in_unit(value, what):
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{what} {value!r} is not in [0, 1]")
 
@@ -105,13 +105,14 @@ def cmd_eval(args):
         if not params or not params[0].is_integer() or params[0] < 0:
             raise ValueError(f"{name} takes a dimension, an integer >= 0, first")
         n, rest = int(params[0]), params[1:]
-        if name in ("Q", "gen_plot"):
-            if name == "Q":
-                for t in rest:
-                    _unit(t, "cube coordinate")
-            _print_point((dm.Q if name == "Q" else dm.gen_plot)(n, rest), args.json_points)
+        if name == "Q":
+            for t in rest:
+                _in_unit(t, "cube coordinate")
+            _print_point(dm.Q(n, rest), args.json_points)
+        elif name == "gen_plot":
+            _print_point(dm.gen_plot(n, rest), args.json_points)
         elif name == "q":
-            _unit(rest[n + 1], "time")
+            _in_unit(rest[n + 1], "time")
             _print_point(dm.q(n, rest[:n + 1], rest[n + 1]), args.json_points)
         elif name == "section":
             print(_fmt_vec(dm.section(n, rest)))

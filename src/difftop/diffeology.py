@@ -299,7 +299,6 @@ def _factors_through(y_flat, target, rng):
             continue
 
         def dist2(u):
-            # a parameter counts only where the chart's filter admits its image
             try:
                 y = g.fn(u)
                 if not g.admits(y):

@@ -422,7 +422,7 @@ def test_fibration_kind_the_instance_cannot_call_exits_2(tmp_path, capsys, bundl
 
 
 def _misspell_k_offset(desc):
-    desc["k_ofset"] = desc.pop("k_offset")  # silently compatible data, exit 0, before
+    desc["k_ofset"] = desc.pop("k_offset")  # ignored, it would leave the data compatible
 
 
 def _cells(desc):
