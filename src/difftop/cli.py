@@ -21,8 +21,8 @@ from . import diskmodel as dm
 from . import subdivision as sd
 from .lifting import LiftError
 from .instances import InstanceError, bundled_chep_instance, load_instance_file
-from .verify import (RunConfig, _holds, _report, _within, check_chep_instance,
-                     check_extend_instance, run_suite, suite_names)
+from .verify import (MAX_FD_ORDER, RunConfig, _holds, _report, _within,
+                     check_chep_instance, check_extend_instance, run_suite, suite_names)
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_USAGE, _EXIT_INSTANCE = 0, 1, 2, 3
 
@@ -83,6 +83,14 @@ def _finite(text):
     return value
 
 
+def _point_and_time(name, n, rest):
+    """q's and psi_inv's arguments after the dimension: a point of R^(n+1), a time."""
+    if len(rest) != n + 2:
+        raise ValueError(f"{name} in dimension {n} takes {n + 2} numbers after "
+                         f"the dimension, got {len(rest)}")
+    return rest[:n + 1], rest[n + 1]
+
+
 def _in_unit(value, what):
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{what} {value!r} is not in [0, 1]")
@@ -112,8 +120,9 @@ def cmd_eval(args):
         elif name == "gen_plot":
             _print_point(dm.gen_plot(n, rest), args.json_points)
         elif name == "q":
-            _in_unit(rest[n + 1], "time")
-            _print_point(dm.q(n, rest[:n + 1], rest[n + 1]), args.json_points)
+            x, t = _point_and_time(name, n, rest)
+            _in_unit(t, "time")
+            _print_point(dm.q(n, x, t), args.json_points)
         elif name == "section":
             print(_fmt_vec(dm.section(n, rest)))
         elif name == "rho":
@@ -126,7 +135,8 @@ def cmd_eval(args):
             else:
                 print(_fmt_vec(c.disk) + " " + "%.17g" % c.time)
         else:  # psi_inv
-            c = sd.CylPoint(np.asarray(rest[:n + 1]), rest[n + 1])
+            x, t = _point_and_time(name, n, rest)
+            c = sd.CylPoint(np.asarray(x), t)
             _print_point(sd.psi_inv(n, c, wrinkle=wrinkle), args.json_points)
     except (ValueError, IndexError, dm.DomainError) as exc:
         print(f"eval error: {exc}", file=sys.stderr)
@@ -238,6 +248,8 @@ _MAX_SAMPLES = 1000.0
 _multiplier = _checked(float, lambda v: 0.0 < v <= _MAX_SAMPLES,
                        f"a number > 0 and <= {_MAX_SAMPLES:g}")
 _positive = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_fd_order = _checked(int, lambda v: 1 <= v <= MAX_FD_ORDER,
+                     f"an integer in [1, {MAX_FD_ORDER}]")
 _nonnegative = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 # flags that set a RunConfig field of the same name; when a flag is not
@@ -249,7 +261,7 @@ _CONFIG_FLAGS = {
     "--tol-lift": {"type": _tolerance},
     "--samples": {"type": _multiplier, "help": "sample-count multiplier, "
                   f"in (0, {_MAX_SAMPLES:g}]"},
-    "--fd-order": {"type": _positive},
+    "--fd-order": {"type": _fd_order},
     "--seed": {"type": _nonnegative},
     "--disable-wrinkle": {"action": "store_true", "help": "debug: run the "
                           "subdivision bijection without the wrinkle"},

@@ -232,17 +232,20 @@ def _richardson(raw, p, series):
     return best, best_err
 
 
-def _estimates(f, x, order, side, cfg):
+def _estimates(f, values, x, order, side, cfg):
     """Estimate f^(order)(x) on a shrinking step ladder, per component of f.
 
     ``side`` 0 uses a symmetric central stencil, -1/+1 one-sided stencils
     reaching only left/right of x.  Raw estimates at steps h, h/2, ... are
     Richardson-extrapolated (error series h^2, h^4, ... for central
     stencils, h^p, h^(p+1), ... one-sided) and the table entry with the
-    smallest neighbour-disagreement is kept as ``(value, err)``.  Each
-    stencil node is evaluated once; the values form a C-contiguous
-    (components, nodes) array, so each component's weighted sum is the dot
-    product a float-valued f gets, bit for bit.
+    smallest neighbour-disagreement is kept as ``(value, err)``.  Node
+    values come from ``values``, a table keyed by the exact argument that
+    ``smoothness_check`` shares across sides, orders and ladder levels, so
+    each distinct argument is evaluated once per check; a call of f that
+    raises stores nothing.  The values form a C-contiguous (components,
+    nodes) array, so each component's weighted sum is the dot product a
+    float-valued f gets, bit for bit.
 
     Raises EvaluationError if any stencil point cannot be evaluated.
     """
@@ -253,7 +256,13 @@ def _estimates(f, x, order, side, cfg):
     h = cfg.base_step
     for _ in range(cfg.levels):
         try:
-            rows = np.array([f(x + o * h) for o in offsets], dtype=float)
+            nodes = []
+            for o in offsets:
+                t = x + o * h
+                if t not in values:
+                    values[t] = f(t)
+                nodes.append(values[t])
+            rows = np.array(nodes, dtype=float)
         except Exception as exc:
             raise EvaluationError(f"evaluation failed near {x!r}: {exc}") from exc
         rows = rows.reshape(1, -1) if rows.ndim == 1 else rows.T.copy()
@@ -302,6 +311,12 @@ def smoothness_check(f, point, max_order, config=None, expected=None):
     the order inconclusive -- an inconclusive report never counts as
     passing.
 
+    The stencils of all sides, orders and ladder levels share nodes (x +
+    2(h/2) is exactly x + h), and each distinct argument is evaluated once
+    per check: an order-3 check calls f at 25 arguments, an order-1 check
+    at 13.  This relies on f being a function of its argument alone that
+    returns a fresh value on each call.
+
     f may return a float or a non-empty 1-D array, whose components each
     get a float-valued f's arithmetic.  An order fails when any component
     fails; the report keeps the failing component with the largest
@@ -312,9 +327,10 @@ def smoothness_check(f, point, max_order, config=None, expected=None):
         raise ValueError(f"max_order {max_order} exceeds cap {_MAX_ORDER}")
     report = SmoothnessReport(point=float(point), max_order_tested=max_order,
                               tolerance_used=cfg.tol)
+    values = {}  # argument -> f(argument), filled as the stencils need it
     for k in range(1, max_order + 1):
         try:
-            sides = [_estimates(f, point, k, side, cfg) for side in (0, -1, +1)]
+            sides = [_estimates(f, values, point, k, side, cfg) for side in (0, -1, +1)]
         except EvaluationError:
             report.verdicts[k] = "inconclusive"
             continue

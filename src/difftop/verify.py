@@ -30,8 +30,12 @@ from .homotopy import (Homotopy, PairMapRep, concat, glue_double, path_component
 from .lifting import (LiftError, chep, extend_lift, hep, product_fibration)
 from .instances import bundled_chep_instance, bundled_extend_instance, chain_position
 
-__all__ = ["RunConfig", "SUITES", "run_suite", "suite_names", "worst",
-           "check_chep_instance", "check_extend_instance"]
+__all__ = ["MAX_FD_ORDER", "RunConfig", "SUITES", "run_suite", "suite_names",
+           "worst", "check_chep_instance", "check_extend_instance"]
+
+# highest derivative order the suites check: the flatness claims on lambda
+# and xi and the seam checks all stop at 3
+MAX_FD_ORDER = 3
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ class RunConfig:
     tol_fd: float = 1e-4
     tol_lift: float = 1e-6
     samples: float = 1.0
-    fd_order: int = 3
+    fd_order: int = MAX_FD_ORDER
     seed: int = 20570
     disable_wrinkle: bool = False
 
@@ -114,7 +118,7 @@ def suite_smoothfn(cfg):
     out.append(_within("lambda_plateaus_exact", 400, dev, 0.0,
                        "identically 0 below 0 and 1 above 1"))
 
-    orders = range(1, min(3, cfg.fd_order) + 1)
+    orders = range(1, min(MAX_FD_ORDER, cfg.fd_order) + 1)
     expected = {k: 0.0 for k in orders}
     dev = 0.0
     for pt in (0.0, 1.0):
@@ -486,7 +490,7 @@ def suite_subdivision(cfg):
 
     # the seam checks differentiate psi across phi's walls in chart
     # parameters (sd.seam_curve), where the raw chart's kink has full size
-    orders = min(3, cfg.fd_order)
+    orders = min(MAX_FD_ORDER, cfg.fd_order)
     curves = cfg.count(20)
     total, passed, failed_ctrl = 2 * curves, 0, 0
     for i in range(curves):

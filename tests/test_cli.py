@@ -72,6 +72,13 @@ def test_eval_non_numeric_argument_is_usage_error(capsys):
     (["Q", "1.5", "0.3"], "Q takes a dimension, an integer >= 0, first"),
     (["psi", "-1"], "psi takes a dimension, an integer >= 0, first"),
     (["rho"], "rho takes a dimension, an integer >= 0, first"),
+    (["q", "1", "0.6", "0.8", "0.5", "9"],
+     "q in dimension 1 takes 3 numbers after the dimension, got 4"),
+    (["q", "1", "0.6", "0.8"], "q in dimension 1 takes 3 numbers after the dimension, got 2"),
+    (["psi_inv", "2", "0", "0.6", "0.8", "0.5", "0.1"],
+     "psi_inv in dimension 2 takes 4 numbers after the dimension, got 5"),
+    (["psi_inv", "1", "0.6", "0.8"],
+     "psi_inv in dimension 1 takes 3 numbers after the dimension, got 2"),
 ])
 def test_eval_argument_outside_its_domain_exits_2(capsys, argv, message):
     code, out, err = run_cli(["eval"] + argv, capsys)
@@ -283,6 +290,7 @@ def test_dump_below_dimension_1_exits_2(n):
     ["verify", "smoothfn", "--seed", "-1"],
     ["dump", "--seed", "x"],
     ["dump", "--count", "-3"],
+    ["verify", "smoothfn", "--fd-order", "4"],
 ])
 def test_bad_numeric_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

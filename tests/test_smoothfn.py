@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from difftop import smoothfn
+from difftop.diskmodel import random_disk
 from difftop.smoothfn import (
-    FDConfig, fd_weights, gamma, lambda_fn, lambda_inv,
+    EvaluationError, FDConfig, fd_weights, gamma, lambda_fn, lambda_inv,
     smoothness_check, xi, xi_inv,
 )
+from difftop.subdivision import seam_curve
 
 
 def gamma_deriv(t):
@@ -206,3 +209,79 @@ def test_fd_config_override():
     cfg = FDConfig(base_step=5e-3, levels=4, tol=1e-3)
     rep = smoothness_check(math.sin, 0.4, 2, config=cfg)
     assert rep.passed
+
+
+@pytest.mark.parametrize("max_order,calls", [(3, 25), (1, 13)])
+@pytest.mark.parametrize("point", [0.0, 1.0 / 3.0, 0.7, -2.5])
+def test_each_distinct_argument_is_evaluated_once(max_order, calls, point):
+    # the stencils of all sides, orders and ladder levels share nodes;
+    # evaluating every stencil node would take 185 calls at order 3, 45 at 1
+    args = []
+
+    def f(t):
+        args.append(t)
+        return lambda_fn(t)
+
+    smoothness_check(f, point, max_order)
+    assert len(args) == calls
+    assert len(set(args)) == len(args)
+
+
+def test_a_raising_call_is_not_stored():
+    # only the first call at 0.01 raises: order 1 is inconclusive, and
+    # order 2 asks for 0.01 again and gets a value
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        if t == 0.01 and calls.count(t) == 1:
+            raise RuntimeError("first call fails")
+        return t
+
+    rep = smoothness_check(f, 0.0, 2)
+    assert rep.verdicts == {1: "inconclusive", 2: "pass"}
+    assert calls.count(0.01) == 2
+
+
+def _estimates_every_node(f, values, x, order, side, cfg):
+    """The estimator that calls f at every node of every stencil and level."""
+    offsets, w = smoothfn._stencil(order, side)
+    p, series = (2, 2) if side == 0 else (len(offsets) - order, 1)
+    raw = []
+    h = cfg.base_step
+    for _ in range(cfg.levels):
+        try:
+            rows = np.array([f(x + o * h) for o in offsets], dtype=float)
+        except Exception as exc:
+            raise EvaluationError(f"evaluation failed near {x!r}: {exc}") from exc
+        rows = rows.reshape(1, -1) if rows.ndim == 1 else rows.T.copy()
+        sums = [float(w.dot(row)) for row in rows]
+        if not all(map(math.isfinite, sums)) and not np.isfinite(rows).all():
+            raise EvaluationError(f"non-finite value near {x!r} at step {h!r}")
+        raw.append([v / h ** order for v in sums])
+        h *= 0.5
+    return [smoothfn._richardson(ladder, p, series) for ladder in zip(*raw)]
+
+
+def test_reports_equal_those_of_evaluating_every_node(monkeypatch):
+    rng = np.random.default_rng(9)
+    cases = []
+    for p in rng.uniform(-0.2, 1.2, 6):
+        p = float(p)
+        cases += [(lambda_fn, p, 3, None), (xi, p, 3, None),
+                  (lambda t, p=p: 0.01 * abs(t - p) + lambda_fn(t), p, 1, None),
+                  (lambda t: np.array([lambda_fn(t), xi(t), math.sin(t)]), p, 3, None)]
+    cases += [(lambda_fn, 0.0, 3, {1: 0.0, 2: 0.0, 3: 0.0}), (xi, 1.0 / 3.0, 3, {1: 0.0}),
+              (abs, 0.0, 1, None), (lambda t: math.inf if t > 0.01 else t, 0.0, 2, None),
+              (lambda t: np.array([t, 1.0 / t]), 0.0, 2, None)]
+    for n in (1, 2, 3):
+        v = random_disk(n - 1, rng)
+        t = float(rng.uniform(0.05, 0.95))
+        for seam in (1.0 / 3.0, 2.0 / 3.0):
+            for wrinkle in (True, False):
+                cases.append((seam_curve(n, v, t, wrinkle), seam, 3, None))
+    reports = [smoothness_check(f, p, k, expected=e) for f, p, k, e in cases]
+    monkeypatch.setattr(smoothfn, "_estimates", _estimates_every_node)
+    for (f, p, k, e), rep in zip(cases, reports):
+        ref = smoothness_check(f, p, k, expected=e)
+        assert vars(rep) == vars(ref)
