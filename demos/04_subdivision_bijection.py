@@ -59,7 +59,7 @@ print(f"  samples inside the wrinkle's flat bands (not invertible in "
       f"double precision): {collapsed}/4000")
 
 print("\n=== the hemisphere slice lands in the lifting boundary L ===")
-hits = sum(in_L(n, psi(n, include_k(n, random_disk(n, rng))), tol=1e-8)
+hits = sum(in_L(n, psi(n, include_k(n, random_disk(n, rng))))
            for _ in range(1000))
 print(f"  {hits}/1000 slice points in L")
 

@@ -24,7 +24,7 @@ The package is organized around ten modules:
 """
 
 from .smoothfn import (
-    FDConfig, SmoothnessReport, gamma, lambda_fn, lambda_inv,
+    SmoothnessReport, gamma, lambda_fn, lambda_inv,
     smoothness_check, xi, xi_inv,
 )
 from .diskmodel import (

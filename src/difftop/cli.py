@@ -1,18 +1,19 @@
 """Batch front door: run verification suites, evaluate maps, lift demos.
 
-Exit codes: 0 all checks passed, 1 a property failed, 2 usage error,
-3 instance precondition violated.  Reports are JSON (sorted keys, fixed
-field set, no timestamps), so identical seed and configuration give
-byte-identical output; the text rendering is derived from the same
-records.
+Exit codes: 0 all checks passed, 1 a property failed, 2 usage error or
+output that cannot be written, 3 instance precondition violated.  Reports
+are JSON (sorted keys, fixed field set, no timestamps), so identical seed
+and samples give byte-identical output; the text rendering is derived
+from the same records.
 """
 
 import argparse
 import contextlib
 import json
 import math
+import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,16 +22,10 @@ from . import diskmodel as dm
 from . import subdivision as sd
 from .lifting import LiftError
 from .instances import InstanceError, bundled_chep_instance, load_instance_file
-from .verify import (MAX_FD_ORDER, RunConfig, _holds, _report, _within,
-                     check_chep_instance, check_extend_instance, run_suite, suite_names)
+from .verify import (TOL_LIFT, RunConfig, _holds, _report, _within, check_chep_instance,
+                     check_extend_instance, run_suite, suite_names)
 
 _EXIT_PASS, _EXIT_FAIL, _EXIT_USAGE, _EXIT_INSTANCE = 0, 1, 2, 3
-
-
-def _config_from(args):
-    """The RunConfig the flags of a subcommand set; the rest keep their defaults."""
-    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
-                        if hasattr(args, f.name)})
 
 
 def _emit(report, fmt, stream=None):
@@ -50,8 +45,7 @@ def _emit(report, fmt, stream=None):
 
 
 def cmd_verify(args):
-    cfg = _config_from(args)
-    report = run_suite(args.suite, cfg)
+    report = run_suite(args.suite, RunConfig(samples=args.samples, seed=args.seed))
     _emit(report, args.report)
     return _EXIT_PASS if report["passed"] else _EXIT_FAIL
 
@@ -102,7 +96,7 @@ def cmd_eval(args):
         print(f"unknown map {name!r}; choices: {sorted(_SCALAR_MAPS) + list(_DIM_MAPS)}",
               file=sys.stderr)
         return _EXIT_USAGE
-    wrinkle = not _config_from(args).disable_wrinkle
+    wrinkle = not args.disable_wrinkle
     try:
         params = [_finite(a) for a in args.args]
         if name in _SCALAR_MAPS:
@@ -145,7 +139,7 @@ def cmd_eval(args):
 
 
 def cmd_chep(args):
-    cfg = _config_from(args)
+    cfg = RunConfig(samples=args.samples, seed=args.seed)
     if args.instance == "bundled":
         inst, _ = bundled_chep_instance()
         kind = "chep"
@@ -175,8 +169,7 @@ def cmd_chep(args):
     except InstanceError as exc:
         print(f"cannot evaluate instance: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    report = _report(f"{kind}-instance", {"seed": cfg.seed, "tol_lift": cfg.tol_lift,
-                                          "samples": cfg.samples}, props)
+    report = _report(f"{kind}-instance", asdict(cfg), props)
     _emit(report, args.report)
     return _EXIT_PASS if report["passed"] else _EXIT_FAIL
 
@@ -188,22 +181,21 @@ def _chep_props(inst, cfg, rng, csv=None):
         for x, t, Hxt in rows:
             row = (inst.position(x), t, Hxt[0], Hxt[1])
             csv.write(",".join("%.17g" % v for v in row) + "\n")
-    n, tol = cfg.count(1000), cfg.tol_lift
+    n = cfg.count(1000)
     note = "" if inst.complex.base is not None else "vacuous: the complex has no base"
-    return [_within("H_at_time_zero_is_f", n, dev_f, tol),
-            _within("H_over_base_is_h", n, dev_h, tol, note),
-            _within("projection_of_H_is_k", n, dev_p, tol)]
+    return [_within("H_at_time_zero_is_f", n, dev_f, TOL_LIFT),
+            _within("H_over_base_is_h", n, dev_h, TOL_LIFT, note),
+            _within("projection_of_H_is_k", n, dev_p, TOL_LIFT)]
 
 
 def _extend_props(inst, cfg, rng):
     dev, restr = check_extend_instance(inst, cfg, rng)
-    return [_within("lift_projects_to_bottom", cfg.count(500), dev, cfg.tol_lift),
+    return [_within("lift_projects_to_bottom", cfg.count(500), dev, TOL_LIFT),
             _holds("lift_restricts_to_f", 1, restr)]
 
 
 def cmd_dump(args):
-    cfg = _config_from(args)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     n = args.n
     try:
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
@@ -218,7 +210,7 @@ def cmd_dump(args):
             v = dm.random_disk(n - 1, rng)
             s, t = float(rng.uniform()), float(rng.uniform())
             tags = sd.region_classify(s, t, "V")
-            c = sd.psi(n, sd.source_point(n, v, s, t), wrinkle=not cfg.disable_wrinkle)
+            c = sd.psi(n, sd.source_point(n, v, s, t), wrinkle=not args.disable_wrinkle)
             row = ([str(n), "%.17g" % s, "%.17g" % t]
                    + ["%.17g" % x for x in v]
                    + ["|".join(map(str, tags))]
@@ -240,37 +232,20 @@ def _checked(convert, ok, what):
     return parse
 
 
-_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
-                      "a finite tolerance >= 0")
 # --samples scales every sample count: at the bound `verify all` runs for
 # over an hour, and far above it a count overflows or never finishes
 _MAX_SAMPLES = 1000.0
 _multiplier = _checked(float, lambda v: 0.0 < v <= _MAX_SAMPLES,
                        f"a number > 0 and <= {_MAX_SAMPLES:g}")
 _positive = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_fd_order = _checked(int, lambda v: 1 <= v <= MAX_FD_ORDER,
-                     f"an integer in [1, {MAX_FD_ORDER}]")
 _nonnegative = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
-# flags that set a RunConfig field of the same name; when a flag is not
-# given, the field keeps its RunConfig default
-_CONFIG_FLAGS = {
-    "--tol-alg": {"type": _tolerance},
-    "--tol-rt": {"type": _tolerance},
-    "--tol-fd": {"type": _tolerance},
-    "--tol-lift": {"type": _tolerance},
-    "--samples": {"type": _multiplier, "help": "sample-count multiplier, "
-                  f"in (0, {_MAX_SAMPLES:g}]"},
-    "--fd-order": {"type": _fd_order},
-    "--seed": {"type": _nonnegative},
-    "--disable-wrinkle": {"action": "store_true", "help": "debug: run the "
-                          "subdivision bijection without the wrinkle"},
-}
-
-
-def _add_config_flags(p, *flags):
-    for flag in flags:
-        p.add_argument(flag, default=argparse.SUPPRESS, **_CONFIG_FLAGS[flag])
+# the flags of more than one subcommand
+_SAMPLES = {"type": _multiplier, "default": RunConfig.samples,
+            "help": f"sample-count multiplier, in (0, {_MAX_SAMPLES:g}]"}
+_SEED = {"type": _nonnegative, "default": RunConfig.seed}
+_NO_WRINKLE = {"action": "store_true",
+               "help": "debug: run the subdivision bijection without the wrinkle"}
 
 
 def build_parser():
@@ -282,7 +257,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=suite_names())
-    _add_config_flags(p, *_CONFIG_FLAGS)
+    p.add_argument("--samples", **_SAMPLES)
+    p.add_argument("--seed", **_SEED)
     p.add_argument("--report", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_verify)
 
@@ -291,14 +267,15 @@ def build_parser():
     p.add_argument("args", nargs="*")
     p.add_argument("--json-points", action="store_true", dest="json_points",
                    help="emit points as {dim, coords} JSON objects")
-    _add_config_flags(p, "--disable-wrinkle")
+    p.add_argument("--disable-wrinkle", **_NO_WRINKLE)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("chep", help="run a lifting instance file "
                                     "(or 'bundled')")
     p.add_argument("instance")
     p.add_argument("--csv", default=None, help="write sampled H values as CSV")
-    _add_config_flags(p, "--tol-lift", "--samples", "--seed")
+    p.add_argument("--samples", **_SAMPLES)
+    p.add_argument("--seed", **_SEED)
     p.add_argument("--report", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_chep)
 
@@ -306,7 +283,8 @@ def build_parser():
     p.add_argument("--n", type=_positive, default=2)
     p.add_argument("--count", type=_nonnegative, default=100)
     p.add_argument("--out", default=None)
-    _add_config_flags(p, "--seed", "--disable-wrinkle")
+    p.add_argument("--seed", **_SEED)
+    p.add_argument("--disable-wrinkle", **_NO_WRINKLE)
     p.set_defaults(func=cmd_dump)
 
     return ap
@@ -314,7 +292,16 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:  # a full disk, or a reader that closed the pipe
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # the exit flush of what stdout still holds would fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ coproducts and subspaces compare with their factors' equalities.
 plots": it samples each source generator, runs directional
 finite-difference smoothness on the composite, and witnesses that every
 sampled image point factors through some target generator by a local
-preimage search.  It produces evidence at configured tolerances, not
-proofs.
+preimage search.  It produces evidence at pinned tolerances
+(``smoothfn.FD_TOL`` and ``FACTOR_TOL``), not proofs.
 """
 
 import math
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .smoothfn import FDConfig, smoothness_check
+from .smoothfn import FD_STEP, smoothness_check
 from .diskmodel import EQ_TOL, DomainError, max_dev
 
 __all__ = [
@@ -225,7 +225,6 @@ _MULTISTART = 4
 class SmoothCheckConfig:
     samples_per_generator: int = 6
     grid_per_axis: int = 5          # odd counts include box centers
-    fd: FDConfig = field(default_factory=FDConfig)
     seed: int = 20570
 
 
@@ -361,7 +360,7 @@ def smooth_check(f, config=None):
     cfg = config or SmoothCheckConfig()
     rng = np.random.default_rng(cfg.seed)
     report = SmoothCheckReport(map_name=f.name or "<map>")
-    margin = cfg.fd.base_step * (_LINE_ORDER + 2)
+    margin = FD_STEP * (_LINE_ORDER + 2)
 
     for gi, gen in enumerate(f.source.generators):
         samples = _grid_samples(gen, cfg, margin)
@@ -387,7 +386,7 @@ def smooth_check(f, config=None):
                 dirs = []  # a map into a point has nothing to differentiate
             for d in dirs:
                 rep = smoothness_check(lambda s, d=d: composite(u + s * d), 0.0,
-                                       _LINE_ORDER, config=cfg.fd)
+                                       _LINE_ORDER)
                 if rep.inconclusive:
                     report.inconclusive = True
                     report.add_failure("inconclusive", {

@@ -58,13 +58,17 @@ def max_dev(a, b):
 
     A tuple counts as the concatenation of its flattened parts, so a
     (base, fiber) total-space point or a CylPoint compares coordinate by
-    coordinate.  Differing shapes or a NaN coordinate give NaN, for which
-    neither ``<= tol`` nor ``> tol`` holds; two empty points give 0.0.
+    coordinate.  Differing shapes, a NaN coordinate or two equal infinite
+    ones give NaN, for which neither ``<= tol`` nor ``> tol`` holds; two
+    empty points give 0.0.
     """
     a, b = _coords(a), _coords(b)
     if a.shape != b.shape:
         return math.nan
-    return float(np.abs(a - b).max(initial=0.0))
+    # on Python floats inf - inf is NaN without numpy's RuntimeWarning, and
+    # costs less than entering np.errstate on every call
+    devs = [abs(x - y) for x, y in zip(a.tolist(), b.tolist())]
+    return math.nan if any(map(math.isnan, devs)) else max(devs, default=0.0)
 
 
 def _norm(x):

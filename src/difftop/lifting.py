@@ -22,7 +22,7 @@ import numpy as np
 
 from .smoothfn import lambda_fn
 from .diskmodel import Q, check_sphere, include_k, max_dev, retract, section
-from .subdivision import CylPoint, in_L, psi, psi_inv
+from .subdivision import L_TOL, CylPoint, in_L, psi, psi_inv
 from .cellcomplex import ComplexPoint
 from .homotopy import Homotopy
 
@@ -32,10 +32,6 @@ __all__ = [
     "TrivialProductFibration", "transfinite_extension",
     "LiftError",
 ]
-
-# membership slack for the hemisphere slice landing in L^n; a point
-# failing this marks a defect in psi, not in the instance data
-L_TOL = 1e-8
 
 
 class LiftError(RuntimeError):
@@ -132,7 +128,8 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6):
         def top(wd, beta=beta, cell=cell, charact=charact):
             cyl = psi(cell.dim, include_k(cell.dim, wd))
             d, tau = cyl
-            if not in_L(cell.dim, cyl, tol=L_TOL):
+            # a slice outside L^n marks a defect in psi, not in the instance data
+            if not in_L(cell.dim, cyl):
                 raise LiftError(
                     f"hemisphere slice left L^n at cell {beta}: {cyl!r}")
             if tau <= L_TOL:

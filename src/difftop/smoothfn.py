@@ -27,7 +27,7 @@ import numpy as np
 __all__ = [
     "gamma", "lambda_fn", "lambda_inv",
     "xi", "xi_inv",
-    "FDConfig", "SmoothnessReport", "smoothness_check",
+    "SmoothnessReport", "smoothness_check",
     "fd_weights", "EvaluationError",
 ]
 
@@ -175,21 +175,14 @@ def fd_weights(order, offsets):
     return C[:, order]
 
 
-@dataclass(frozen=True)
-class FDConfig:
-    """Step ladder and tolerance for finite-difference smoothness checks.
-
-    Five halvings of the base step reach h ~ 6e-4: deep enough that the
-    exp(-1/t)-flat seams in this package have negligible truncation error
-    at the finest level, while the order-3 round-off floor
-    (eps * sum|weights| / h^3) stays a factor of ~3 below ``tol``.
-    """
-    base_step: float = 1e-2
-    levels: int = 5
-    tol: float = 1e-4
-
-
-_DEFAULT_FD = FDConfig()
+# The step ladder and tolerance of every smoothness check: FD_LEVELS
+# steps from FD_STEP, each half the last, reach h ~ 6e-4.  That is deep
+# enough that the exp(-1/t)-flat seams in this package have negligible
+# truncation error at the finest level, while the order-3 round-off floor
+# (eps * sum|weights| / h^3) stays a factor of ~3 below FD_TOL.
+FD_STEP = 1e-2
+FD_LEVELS = 5
+FD_TOL = 1e-4
 
 # highest derivative order smoothness_check accepts: the round-off floor
 # eps * sum|weights| / h^order of the finest ladder level grows with it
@@ -232,7 +225,7 @@ def _richardson(raw, p, series):
     return best, best_err
 
 
-def _estimates(f, values, x, order, side, cfg):
+def _estimates(f, values, x, order, side):
     """Estimate f^(order)(x) on a shrinking step ladder, per component of f.
 
     ``side`` 0 uses a symmetric central stencil, -1/+1 one-sided stencils
@@ -253,8 +246,8 @@ def _estimates(f, values, x, order, side, cfg):
     # symmetric stencils have an even error series
     p, series = (2, 2) if side == 0 else (len(offsets) - order, 1)
     raw = []  # raw[level][component]
-    h = cfg.base_step
-    for _ in range(cfg.levels):
+    h = FD_STEP
+    for _ in range(FD_LEVELS):
         try:
             nodes = []
             for o in offsets:
@@ -296,20 +289,20 @@ class SmoothnessReport:
         return any(v == "inconclusive" for v in self.verdicts.values())
 
 
-def smoothness_check(f, point, max_order, config=None, expected=None):
+def smoothness_check(f, point, max_order, expected=None):
     """Check existence (or expected values) of derivatives of f at a point.
 
     For each order 1..max_order the left- and right-sided estimates must
-    agree within ``tol * max(1, |left|, |right|)`` plus twice the sum of
+    agree within ``FD_TOL * max(1, |left|, |right|)`` plus twice the sum of
     their own uncertainty estimates; the allowance keeps smooth functions
     with violent higher derivatives (every profile here is built from
     exp(-1/t)) from flunking on truncation error, while a genuine kink
     leaves both estimators confident and far apart.  When ``expected``
     supplies a target for an order (e.g. 0 for a flatness claim), the
-    central estimate must instead match it within ``tol * max(1, |target|)``
-    plus the same kind of allowance.  Any stencil evaluation failure marks
-    the order inconclusive -- an inconclusive report never counts as
-    passing.
+    central estimate must instead match it within ``FD_TOL * max(1,
+    |target|)`` plus the same kind of allowance.  Any stencil evaluation
+    failure marks the order inconclusive -- an inconclusive report never
+    counts as passing.
 
     The stencils of all sides, orders and ladder levels share nodes (x +
     2(h/2) is exactly x + h), and each distinct argument is evaluated once
@@ -322,15 +315,14 @@ def smoothness_check(f, point, max_order, config=None, expected=None):
     fails; the report keeps the failing component with the largest
     deviation, or if none fails, the one with the largest deviation.
     """
-    cfg = config or _DEFAULT_FD
     if max_order > _MAX_ORDER:
         raise ValueError(f"max_order {max_order} exceeds cap {_MAX_ORDER}")
     report = SmoothnessReport(point=float(point), max_order_tested=max_order,
-                              tolerance_used=cfg.tol)
+                              tolerance_used=FD_TOL)
     values = {}  # argument -> f(argument), filled as the stencils need it
     for k in range(1, max_order + 1):
         try:
-            sides = [_estimates(f, values, point, k, side, cfg) for side in (0, -1, +1)]
+            sides = [_estimates(f, values, point, k, side) for side in (0, -1, +1)]
         except EvaluationError:
             report.verdicts[k] = "inconclusive"
             continue
@@ -339,10 +331,10 @@ def smoothness_check(f, point, max_order, config=None, expected=None):
             if expected is not None and k in expected:
                 target = expected[k]
                 dev = abs(central - target)
-                ok = dev <= cfg.tol * max(1.0, abs(target)) + 2.0 * err_c
+                ok = dev <= FD_TOL * max(1.0, abs(target)) + 2.0 * err_c
             else:
                 dev = abs(left - right)
-                ok = dev <= cfg.tol * max(1.0, abs(left), abs(right)) + 2.0 * (err_l + err_r)
+                ok = dev <= FD_TOL * max(1.0, abs(left), abs(right)) + 2.0 * (err_l + err_r)
             rows.append((not ok, dev, j, central, left, right))
         failed, dev, j, central, left, right = max(rows, key=lambda r: r[:2])
         report.fd_estimates[k] = central

@@ -203,7 +203,12 @@ def seam_curve(n, v, t, wrinkle=True):
     return curve
 
 
-def in_L(n, cyl, tol=1e-8):
+# membership slack of L^n: time, or the disk's last coordinate, within
+# L_TOL of 0
+L_TOL = 1e-8
+
+
+def in_L(n, cyl):
     """Membership in L^n: time 0, or disk component on the boundary sphere."""
     disk = np.asarray(cyl[0], dtype=float)
-    return float(cyl[1]) <= tol or abs(disk[-1]) <= tol
+    return float(cyl[1]) <= L_TOL or abs(disk[-1]) <= L_TOL

@@ -4,8 +4,9 @@ Each suite returns a list of property records
 
     {"property", "samples", "worst_dev", "tol", "pass", "note"}
 
-sorted by property name.  All sampling is driven by the run seed, so two
-runs with identical configuration produce byte-identical reports.  The
+sorted by property name.  Each record's ``tol`` is a pinned constant of
+the ladder below.  All sampling is driven by the run seed, so two runs
+with the same seed and samples produce byte-identical reports.  The
 negative controls (the kink detector, the unwrinkled seam control, the
 singleton open-set) are first-class properties: they pass exactly when
 the checked machinery *rejects* what it must reject, guarding the
@@ -22,7 +23,7 @@ from . import smoothfn as sf
 from . import diskmodel as dm
 from . import subdivision as sd
 from . import diffeology as dg
-from .smoothfn import FDConfig, smoothness_check
+from .smoothfn import FD_TOL, smoothness_check
 from .diskmodel import max_dev
 from .cellcomplex import CellComplex, ComplexPoint
 from .homotopy import (Homotopy, PairMapRep, concat, glue_double, path_components,
@@ -37,33 +38,29 @@ __all__ = ["MAX_FD_ORDER", "RunConfig", "SUITES", "run_suite", "suite_names",
 # and xi and the seam checks all stop at 3
 MAX_FD_ORDER = 3
 
+# The tolerance ladder every suite checks at: algebraic identities at
+# TOL_ALG, round trips through trig and inversion at TOL_RT,
+# finite-difference smoothness at smoothfn.FD_TOL, lifted homotopy
+# equations at TOL_LIFT; each stage of machinery costs roughly three
+# digits.  Round trips through the disk chart alone are held to TOL_DISK,
+# the bound diskmodel.section documents for Q(n, section(n, w)) == w.
+TOL_ALG = 1e-12
+TOL_DISK = 1e-10
+TOL_RT = 1e-8
+TOL_LIFT = 1e-6
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tolerance ladder, sampling level, and seed for the suites.
-
-    The ladder: algebraic identities at 1e-12, round-trips through trig
-    and inversion at 1e-8, finite-difference smoothness at 1e-4, lifted
-    homotopy equations at 1e-6; each stage of machinery costs roughly
-    three digits.  ``samples`` scales every sample count.
-    """
-    tol_alg: float = 1e-12
-    tol_rt: float = 1e-8
-    tol_fd: float = 1e-4
-    tol_lift: float = 1e-6
+    """Sampling level and seed for the suites; ``samples`` scales every count."""
     samples: float = 1.0
-    fd_order: int = MAX_FD_ORDER
     seed: int = 20570
-    disable_wrinkle: bool = False
 
     def rng(self, tag):
         return np.random.default_rng([self.seed, zlib.crc32(tag.encode())])
 
     def count(self, base):
         return max(1, int(round(base * self.samples)))
-
-    def fd(self):
-        return FDConfig(tol=self.tol_fd)
 
 
 def _rec(name, samples, worst_dev, tol, ok, note=""):
@@ -109,7 +106,7 @@ def suite_smoothfn(cfg):
 
     ts = np.linspace(-1.0, 2.0, n)
     dev = worst(*(abs(sf.lambda_fn(t) + sf.lambda_fn(1.0 - t) - 1.0) for t in ts))
-    out.append(_within("lambda_symmetry_grid", n, dev, cfg.tol_alg))
+    out.append(_within("lambda_symmetry_grid", n, dev, TOL_ALG))
 
     lows = np.linspace(-3.0, 0.0, 200)
     highs = np.linspace(1.0, 4.0, 200)
@@ -118,17 +115,17 @@ def suite_smoothfn(cfg):
     out.append(_within("lambda_plateaus_exact", 400, dev, 0.0,
                        "identically 0 below 0 and 1 above 1"))
 
-    orders = range(1, min(MAX_FD_ORDER, cfg.fd_order) + 1)
+    orders = range(1, MAX_FD_ORDER + 1)
     expected = {k: 0.0 for k in orders}
     dev = 0.0
     for pt in (0.0, 1.0):
-        rep = smoothness_check(sf.lambda_fn, pt, max(orders), cfg.fd(), expected)
+        rep = smoothness_check(sf.lambda_fn, pt, MAX_FD_ORDER, expected=expected)
         dev = worst(dev, *(abs(rep.fd_estimates.get(k, math.nan)) for k in orders))
-    out.append(_within("lambda_flat_at_ends_fd", 2 * len(list(orders)), dev, cfg.tol_fd))
+    out.append(_within("lambda_flat_at_ends_fd", 2 * MAX_FD_ORDER, dev, FD_TOL))
 
-    rep = smoothness_check(abs, 0.0, 1, cfg.fd())
+    rep = smoothness_check(abs, 0.0, 1)
     dev = rep.deviations.get(1, 0.0)
-    out.append(_rec("abs_kink_detected", 1, dev, cfg.tol_fd,
+    out.append(_rec("abs_kink_detected", 1, dev, FD_TOL,
                     rep.verdicts.get(1) == "fail",
                     "negative control: the checker must reject the kink"))
 
@@ -142,28 +139,28 @@ def suite_smoothfn(cfg):
     grid = np.linspace(1.0 / 3.0, 2.0 / 3.0, m)
     dev = worst(*(abs(sf.xi(s) - (sf.lambda_fn(3.0 * s - 1.0) / 3.0 + 1.0 / 3.0))
                   for s in grid))
-    out.append(_within("xi_middle_branch", m, dev, cfg.tol_alg))
+    out.append(_within("xi_middle_branch", m, dev, TOL_ALG))
 
     grid = np.linspace(0.0, 1.0, n)
     vals = [sf.xi(s) for s in grid]
     dev = worst(0.0, *(vals[i] - vals[i + 1] for i in range(len(vals) - 1)))
-    out.append(_within("xi_monotone_grid", n, dev, cfg.tol_alg))
+    out.append(_within("xi_monotone_grid", n, dev, TOL_ALG))
 
     dev = worst(*(abs(sf.xi(w) - w) for w in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)))
-    out.append(_within("xi_fixes_subdivision_walls", 4, dev, cfg.tol_alg))
+    out.append(_within("xi_fixes_subdivision_walls", 4, dev, TOL_ALG))
 
     grid = np.linspace(0.0, 1.0, m)
     dev = worst(*(abs(sf.xi(s) + sf.xi(1.0 - s) - 1.0) for s in grid))
-    out.append(_within("xi_reflection", m, dev, cfg.tol_alg))
+    out.append(_within("xi_reflection", m, dev, TOL_ALG))
 
     dev = worst(*(abs(sf.xi(sf.xi_inv(y)) - y) for y in grid))
-    out.append(_within("xi_inv_roundtrip", m, dev, cfg.tol_rt))
+    out.append(_within("xi_inv_roundtrip", m, dev, TOL_RT))
 
     dev = 0.0
     for pt in (1.0 / 3.0, 2.0 / 3.0):
-        rep = smoothness_check(sf.xi, pt, max(orders), cfg.fd(), expected)
+        rep = smoothness_check(sf.xi, pt, MAX_FD_ORDER, expected=expected)
         dev = worst(dev, *(abs(rep.fd_estimates.get(k, math.nan)) for k in orders))
-    out.append(_within("xi_flat_at_walls_fd", 2 * len(list(orders)), dev, cfg.tol_fd))
+    out.append(_within("xi_flat_at_walls_fd", 2 * MAX_FD_ORDER, dev, FD_TOL))
 
     return out
 
@@ -175,7 +172,6 @@ def suite_smoothfn(cfg):
 def suite_diskmodel(cfg):
     out = []
     rng = cfg.rng("diskmodel")
-    tol_disk = 1e-10
 
     n_samp = cfg.count(10000)
     dev = 0.0
@@ -183,7 +179,7 @@ def suite_diskmodel(cfg):
         n = 1 + (i % 3)
         w = dm.gen_plot(n, rng.uniform(-1.5, 2.5, size=n))
         dev = worst(dev, max_dev(dm.Q(n, dm.section(n, w)), w))
-    out.append(_within("q_section_roundtrip", n_samp, dev, tol_disk))
+    out.append(_within("q_section_roundtrip", n_samp, dev, TOL_DISK))
 
     m = cfg.count(1000)
     dev0 = dev1 = devn = 0.0
@@ -197,15 +193,15 @@ def suite_diskmodel(cfg):
         x = rng.uniform(-1.5, 2.5, size=n + 1)
         devn = worst(devn, abs(float(np.linalg.norm(dm.gen_plot(n + 1, x))) - 1.0))
     out.append(_within("q_base_inclusion_exact", m, dev0, 0.0))
-    out.append(_within("q_top_reflects", m, dev1, cfg.tol_alg))
-    out.append(_within("unit_norm_outputs", m, devn, cfg.tol_alg))
+    out.append(_within("q_top_reflects", m, dev1, TOL_ALG))
+    out.append(_within("unit_norm_outputs", m, devn, TOL_ALG))
 
     dev = 0.0
     for i in range(m):
         n = i % 4
         w = dm.random_disk(n, rng)
         dev = worst(dev, max_dev(dm.retract(n, dm.include_k(n, w)), w))
-    out.append(_within("retract_include_identity", m, dev, tol_disk))
+    out.append(_within("retract_include_identity", m, dev, TOL_DISK))
 
     dev = 0.0
     for i in range(cfg.count(300)):
@@ -214,7 +210,7 @@ def suite_diskmodel(cfg):
         end = dm.include_k(n, dm.retract(n, w))
         dev = worst(dev, max_dev((dm.retract_homotopy(n, w, 0.0),
                                   dm.retract_homotopy(n, w, 1.0)), (w, end)))
-    out.append(_within("retract_homotopy_ends", cfg.count(300), dev, tol_disk))
+    out.append(_within("retract_homotopy_ends", cfg.count(300), dev, TOL_DISK))
 
     return out
 
@@ -247,7 +243,7 @@ def suite_homotopy(cfg):
     xs = [np.array([v]) for v in rng.uniform(-2.0, 2.0, size=m)]
     dev = worst(*(max_dev(F.fn(x, sf.lambda_fn(1.5)), G.fn(x, sf.lambda_fn(-0.5)))
                   for x in xs))
-    out.append(_within("concat_seam", m, dev, cfg.tol_alg))
+    out.append(_within("concat_seam", m, dev, TOL_ALG))
 
     dev = worst(*(max_dev((H.fn(x, 0.0), H.fn(x, 1.0)), (F.fn(x, 0.0), G.fn(x, 1.0)))
                   for x in xs))
@@ -255,7 +251,7 @@ def suite_homotopy(cfg):
 
     dev = worst(*(max_dev((H.fn(x, 1.0 / 3.0), H.fn(x, 0.6)), (F.fn(x, 1.0), G.fn(x, 0.0)))
                   for x in xs))
-    out.append(_within("concat_plateau", m, dev, cfg.tol_alg))
+    out.append(_within("concat_plateau", m, dev, TOL_ALG))
 
     # formula-level well-definedness over pole fibers: evaluate the star
     # composite through two distinct cube preimages of the same point
@@ -272,7 +268,7 @@ def suite_homotopy(cfg):
             wb = dm.Q(n, np.concatenate([[t1], t_alt]))
             sa = star(n, phi, psi_r)
             dev = worst(dev, max_dev(sa.fn(wa), sa.fn(wb)))
-    out.append(_within("star_quotient_fibers", cnt, dev, 1e-9))
+    out.append(_within("star_quotient_fibers", cnt, dev, dm.EQ_TOL))
 
     dev = 0.0
     cnt = cfg.count(1000)
@@ -286,7 +282,7 @@ def suite_homotopy(cfg):
         lower[-1] = -abs(lower[-1])
         val = st.fn(np.concatenate([lower, [0.0]]))
         dev = worst(dev, max_dev(val, st.basepoint))     # lower half -> origin
-    out.append(_within("star_boundary_conditions", cnt, dev, 1e-9))
+    out.append(_within("star_boundary_conditions", cnt, dev, dm.EQ_TOL))
 
     e = np.array([0.7])
     lower_pts = []
@@ -303,7 +299,7 @@ def suite_homotopy(cfg):
         dev = worst(dev, max_dev(g(w_half), e))
         w0 = dm.Q(2, np.concatenate([t_rest, [0.0]]))
         dev = worst(dev, max_dev(g(w0), e + 0.1 * sf.lambda_fn(3 * w0[-1])))
-    out.append(_within("glue_double_seam", cfg.count(200), dev, cfg.tol_alg))
+    out.append(_within("glue_double_seam", cfg.count(200), dev, TOL_ALG))
 
     mismatches = 0
     trials = cfg.count(100)
@@ -397,7 +393,6 @@ def _pair_complex(swapped):
 def suite_subdivision(cfg):
     out = []
     rng = cfg.rng("subdivision")
-    wrinkle = not cfg.disable_wrinkle
 
     m = cfg.count(1000)
     dev = 0.0
@@ -410,7 +405,7 @@ def suite_subdivision(cfg):
             (a1, b1), (a2, b2) = (br(s0, t) for br in branches)
             d1, d2 = (dm.q(n - 1, v, sf.lambda_fn(a)) for a in (a1, a2))
             dev = worst(dev, max_dev((d1, sf.lambda_fn(b1)), (d2, sf.lambda_fn(b2))))
-    out.append(_within("phi_branch_agreement", m, dev, cfg.tol_alg))
+    out.append(_within("phi_branch_agreement", m, dev, TOL_ALG))
 
     bad = 0
     for i in range(m):
@@ -428,7 +423,7 @@ def suite_subdivision(cfg):
     for i in range(cnt):
         n = 1 + (i % 3)
         w = dm.include_k(n, dm.random_disk(n, rng))
-        if not sd.in_L(n, sd.psi(n, w, wrinkle=True), tol=cfg.tol_rt):
+        if not sd.in_L(n, sd.psi(n, w, wrinkle=True)):
             misses += 1
     out.append(_within("psi_boundary_into_L", cnt, misses, 0.0))
 
@@ -441,7 +436,7 @@ def suite_subdivision(cfg):
         w = dm.random_disk(n + 1, rng)
         w2 = sd.psi_inv(n, sd.psi(n, w, wrinkle=True), wrinkle=True)
         d = max_dev(w2, w)
-        if d <= cfg.tol_rt:
+        if d <= TOL_RT:
             dev = worst(dev, d)
             continue
         # the wrinkle flattens bands of the chart onto the subdivision
@@ -453,7 +448,7 @@ def suite_subdivision(cfg):
             collapsed += 1
         else:
             genuine += 1
-    out.append(_rec("psi_roundtrip_forward", n_rt, dev, cfg.tol_rt, genuine == 0,
+    out.append(_rec("psi_roundtrip_forward", n_rt, dev, TOL_RT, genuine == 0,
                     f"{collapsed} samples in certified wrinkle-collapse fibers "
                     f"(forward images bit-close), {genuine} genuine defects"))
 
@@ -463,7 +458,7 @@ def suite_subdivision(cfg):
         c = sd.CylPoint(dm.random_disk(n, rng), float(rng.uniform()))
         c2 = sd.psi(n, sd.psi_inv(n, c, wrinkle=True), wrinkle=True)
         dev = worst(dev, max_dev(c2, c))
-    out.append(_within("psi_roundtrip_backward", n_rt, dev, cfg.tol_rt))
+    out.append(_within("psi_roundtrip_backward", n_rt, dev, TOL_RT))
 
     dev = 0.0
     for _ in range(cfg.count(200)):
@@ -471,7 +466,7 @@ def suite_subdivision(cfg):
         w = np.array([math.cos(math.pi * t), math.sin(math.pi * t)])
         c = sd.psi(0, w)
         dev = worst(dev, max_dev(c, (1.0, t)))
-    out.append(_within("psi0_inverts_chart", cfg.count(200), dev, cfg.tol_alg))
+    out.append(_within("psi0_inverts_chart", cfg.count(200), dev, TOL_ALG))
 
     dev = 0.0
     cnt = cfg.count(300)
@@ -481,7 +476,7 @@ def suite_subdivision(cfg):
         s = s / 6.0 if i % 2 == 0 else 5.0 / 6.0 + s / 6.0
         w = sd.source_point(n, dm.random_disk(n - 1, rng), s, float(rng.uniform()))
         dev = worst(dev, max_dev(sd.rho(n, w), w))
-    out.append(_within("rho_fixes_outer_bands", cnt, dev, cfg.tol_rt))
+    out.append(_within("rho_fixes_outer_bands", cnt, dev, TOL_RT))
 
     w = sd.source_point(2, dm.random_disk(1, rng), 0.25, 0.4)
     wit = max_dev(sd.rho(2, sd.rho(2, w)), sd.rho(2, w))
@@ -490,7 +485,6 @@ def suite_subdivision(cfg):
 
     # the seam checks differentiate psi across phi's walls in chart
     # parameters (sd.seam_curve), where the raw chart's kink has full size
-    orders = min(MAX_FD_ORDER, cfg.fd_order)
     curves = cfg.count(20)
     total, passed, failed_ctrl = 2 * curves, 0, 0
     for i in range(curves):
@@ -498,12 +492,12 @@ def suite_subdivision(cfg):
         v = dm.random_disk(n - 1, rng)
         t = float(rng.uniform(0.05, 0.95))
         for seam in (1.0 / 3.0, 2.0 / 3.0):
-            passed += smoothness_check(sd.seam_curve(n, v, t, wrinkle), seam, orders,
-                                       cfg.fd()).passed
-            failed_ctrl += smoothness_check(sd.seam_curve(n, v, t, False), seam, 1,
-                                            cfg.fd()).verdicts[1] == "fail"
+            passed += smoothness_check(sd.seam_curve(n, v, t), seam,
+                                       MAX_FD_ORDER).passed
+            failed_ctrl += smoothness_check(sd.seam_curve(n, v, t, False), seam,
+                                            1).verdicts[1] == "fail"
     out.append(_within("seam_smoothness_wrinkled", total, total - passed, 0.0,
-                       "orders 1..%d two-sided agreement across both walls" % orders))
+                       "orders 1..%d two-sided agreement across both walls" % MAX_FD_ORDER))
     frac = failed_ctrl / total
     out.append(_rec("seam_control_fails_unwrinkled", total, 1.0 - frac, 0.1,
                     frac >= 0.9,
@@ -527,7 +521,7 @@ def suite_diffeology(cfg):
     out = []
     rng = cfg.rng("diffeology")
     R, It, I = _line_spaces()
-    sc = dg.SmoothCheckConfig(fd=cfg.fd(), seed=cfg.seed)
+    sc = dg.SmoothCheckConfig(seed=cfg.seed)
 
     consts = [0.0, 0.3, sf.lambda_fn(0.8), 1.0]
     ok = all(dg.smooth_check(dg.MapEvaluator(R, It, (lambda c: lambda x: c)(c),
@@ -626,8 +620,8 @@ def suite_lifting(cfg):
             dev_top = worst(dev_top, max_dev(got, want))
             w = dm.random_disk(n + 1, rng)
             dev_proj = worst(dev_proj, abs(p.project(H(w)) - bottom(w)))
-    out.append(_within("product_lift_restriction", m, dev_top, cfg.tol_rt))
-    out.append(_within("product_lift_projection", m, dev_proj, cfg.tol_rt))
+    out.append(_within("product_lift_restriction", m, dev_top, TOL_RT))
+    out.append(_within("product_lift_projection", m, dev_proj, TOL_RT))
 
     cnt = cfg.count(200)
     bad = 0
@@ -650,7 +644,7 @@ def suite_lifting(cfg):
     inst, _ = bundled_chep_instance()
     devs, _ = check_chep_instance(inst, cfg, rng)
     dev = worst(*devs)
-    out.append(_within("chep_demo_equations", cfg.count(1000), dev, cfg.tol_lift,
+    out.append(_within("chep_demo_equations", cfg.count(1000), dev, TOL_LIFT,
                        "H(x,0)=f, H|base=h, p(H)=k on the bundled instance"))
 
     rejected = False
@@ -658,34 +652,34 @@ def suite_lifting(cfg):
         bad_inst, _ = bundled_chep_instance(k_offset=0.5)
         chep(bad_inst.fibration, bad_inst.complex, bad_inst.f, bad_inst.h,
              bad_inst.k, precheck=[(bad_inst.complex.sample_point(rng), 0.5)
-                                   for _ in range(20)], tol=cfg.tol_lift)
+                                   for _ in range(20)], tol=TOL_LIFT)
     except LiftError:
         rejected = True
     out.append(_holds("chep_rejects_incompatible", 1, rejected, "negative control"))
 
     dev = _chep_order_independence(cfg)
-    out.append(_within("chep_order_independence", cfg.count(200), dev, cfg.tol_rt,
+    out.append(_within("chep_order_independence", cfg.count(200), dev, TOL_RT,
                        "independent cells permuted, outputs compared"))
 
     dev = _chep_stationary(cfg)
-    out.append(_within("chep_stationary_product", cfg.count(300), dev, cfg.tol_lift,
+    out.append(_within("chep_stationary_product", cfg.count(300), dev, TOL_LIFT,
                        "constant-in-time data lifts to the hand formula"))
 
     Hh = hep(inst.complex, inst.f, inst.h,
-             precheck=[(ComplexPoint.base(0.0), 0.0)], tol=cfg.tol_lift)
+             precheck=[(ComplexPoint.base(0.0), 0.0)], tol=TOL_LIFT)
     dev = 0.0
     for _ in range(cfg.count(400)):
         x = inst.complex.sample_point(rng)
         t = float(rng.uniform())
         dev = worst(dev, max_dev(Hh(x, 0.0), inst.f(x)),
                     max_dev(Hh(ComplexPoint.base(0.0), t), inst.h(0.0, t)))
-    out.append(_within("hep_contract", cfg.count(400), dev, cfg.tol_lift,
+    out.append(_within("hep_contract", cfg.count(400), dev, TOL_LIFT,
                        "H(x,0)=f and H over the base = h"))
 
     einst, _ = bundled_extend_instance()
     dev, restr = check_extend_instance(einst, cfg, rng)
-    out.append(_rec("extend_lift_demo", cfg.count(500), dev, cfg.tol_lift,
-                    dev <= cfg.tol_lift and restr,
+    out.append(_rec("extend_lift_demo", cfg.count(500), dev, TOL_LIFT,
+                    dev <= TOL_LIFT and restr,
                     "projection equation plus exact restriction to the base"))
 
     cx0 = CellComplex(base="pt")
@@ -709,7 +703,7 @@ def _chep_order_independence(cfg):
         def f(x, cx=cx, k=k):
             return (k(x, 0.0), math.cos(1.3 * chain_position(cx, x)))
 
-        lifts.append(chep(product_fibration("R", "R"), cx, f, None, k, tol=cfg.tol_lift))
+        lifts.append(chep(product_fibration("R", "R"), cx, f, None, k, tol=TOL_LIFT))
 
     dev = 0.0
     for _ in range(cfg.count(200)):
@@ -738,7 +732,7 @@ def _chep_stationary(cfg):
     def h(a, t):
         return (k(ComplexPoint.base(a), 0.0), fiber_c)
 
-    H = chep(inst.fibration, cx, f, h, k, tol=cfg.tol_lift)
+    H = chep(inst.fibration, cx, f, h, k, tol=TOL_LIFT)
     dev = 0.0
     for _ in range(cfg.count(300)):
         x = inst.complex.sample_point(rng)
@@ -762,7 +756,7 @@ def check_chep_instance(inst, cfg, rng):
     """
     pre = [(inst.complex.sample_point(rng), float(rng.uniform())) for _ in range(50)]
     H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k,
-             precheck=pre, tol=cfg.tol_lift)
+             precheck=pre, tol=TOL_LIFT)
     has_base = inst.complex.base is not None
     dev_f = dev_h = dev_p = 0.0
     rows = []
@@ -786,7 +780,7 @@ def check_extend_instance(inst, cfg, rng):
     lift restricts exactly to f over the base.
     """
     lift = extend_lift(inst.oracle, inst.complex, inst.f, inst.bottom,
-                       precheck=[ComplexPoint.base(0.0)], tol=cfg.tol_lift)
+                       precheck=[ComplexPoint.base(0.0)], tol=TOL_LIFT)
     dev = 0.0
     for _ in range(cfg.count(500)):
         x = inst.complex.sample_point(rng)

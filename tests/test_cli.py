@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -283,14 +284,14 @@ def test_dump_below_dimension_1_exits_2(n):
     ["chep", "bundled", "--samples", "inf"],
     ["verify", "smoothfn", "--samples", "1e305"],
     ["chep", "bundled", "--samples", "1000.5"],
-    ["verify", "smoothfn", "--tol-alg", "nan"],
-    ["verify", "smoothfn", "--tol-rt", "-1e-9"],
-    ["chep", "bundled", "--tol-lift", "inf"],
-    ["verify", "smoothfn", "--fd-order", "0"],
+    ["chep", "bundled", "--seed", "-1"],
+    ["verify", "smoothfn", "--seed", "1.5"],
+    ["verify", "smoothfn", "--samples", "-0.5"],
+    ["dump", "--n", "x"],
     ["verify", "smoothfn", "--seed", "-1"],
     ["dump", "--seed", "x"],
     ["dump", "--count", "-3"],
-    ["verify", "smoothfn", "--fd-order", "4"],
+    ["dump", "--count", "1.5"],
 ])
 def test_bad_numeric_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -299,10 +300,14 @@ def test_bad_numeric_flags_exit_2(argv, capsys):
     assert "error: argument" in capsys.readouterr().err
 
 
+# the run-configuration flags, the tolerance and FD-order flags that
+# pinning the ladder removed among them: a subcommand rejects each it
+# does not read
 CONFIG_FLAGS = ["--tol-alg", "--tol-rt", "--tol-fd", "--tol-lift", "--samples",
                 "--fd-order", "--seed", "--report", "--disable-wrinkle"]
-KEPT_FLAGS = {"eval": {"--disable-wrinkle"},
-              "chep": {"--tol-lift", "--samples", "--seed", "--report"},
+KEPT_FLAGS = {"verify": {"--samples", "--seed", "--report"},
+              "eval": {"--disable-wrinkle"},
+              "chep": {"--samples", "--seed", "--report"},
               "dump": {"--seed", "--disable-wrinkle"}}
 REMOVED = [(cmd, flag) for cmd, kept in KEPT_FLAGS.items()
            for flag in CONFIG_FLAGS if flag not in kept]
@@ -314,17 +319,17 @@ def test_each_subcommand_has_only_the_flags_it_reads():
     flags = {cmd: {o for a in p._actions for o in a.option_strings
                    if o.startswith("--") and o != "--help"}
              for cmd, p in sub.choices.items()}
-    assert flags["verify"] == set(CONFIG_FLAGS)
+    assert flags["verify"] == KEPT_FLAGS["verify"]
     assert flags["eval"] == KEPT_FLAGS["eval"] | {"--json-points"}
     assert flags["chep"] == KEPT_FLAGS["chep"] | {"--csv"}
     assert flags["dump"] == KEPT_FLAGS["dump"] | {"--n", "--count", "--out"}
-    assert sum(map(len, flags.values())) == 21
+    assert sum(map(len, flags.values())) == 14
 
 
 @pytest.mark.parametrize("cmd,flag", REMOVED)
 def test_flag_a_subcommand_does_not_read_exits_2(cmd, flag, capsys):
-    argv = {"eval": ["eval", "lambda", "0.5"], "chep": ["chep", "bundled"],
-            "dump": ["dump"]}[cmd]
+    argv = {"verify": ["verify", "smoothfn"], "eval": ["eval", "lambda", "0.5"],
+            "chep": ["chep", "bundled"], "dump": ["dump"]}[cmd]
     argv = argv + [flag] + ([] if flag == "--disable-wrinkle" else ["1"])
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -332,18 +337,39 @@ def test_flag_a_subcommand_does_not_read_exits_2(cmd, flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_verify_accepts_all_nine_flags():
-    from dataclasses import asdict
-    from difftop.cli import _config_from, build_parser
-    args = build_parser().parse_args([
-        "verify", "smoothfn", "--tol-alg", "1e-11", "--tol-rt", "1e-7",
-        "--tol-fd", "1e-3", "--tol-lift", "1e-5", "--samples", "0.5",
-        "--fd-order", "2", "--seed", "4", "--report", "text",
-        "--disable-wrinkle"])
-    assert args.report == "text"
-    assert asdict(_config_from(args)) == {
-        "tol_alg": 1e-11, "tol_rt": 1e-7, "tol_fd": 1e-3, "tol_lift": 1e-5,
-        "samples": 0.5, "fd_order": 2, "seed": 4, "disable_wrinkle": True}
+def test_report_config_is_samples_and_seed(capsys):
+    # the tolerances are pinned, so a report's config holds only the flags
+    for argv in (["verify", "smoothfn"], ["chep", "bundled"]):
+        code, out, _ = run_cli(argv + ["--samples", "0.05", "--seed", "4"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"] == {"samples": 0.05, "seed": 4}
+    code, out, _ = run_cli(["verify", "smoothfn", "--samples", "0.05", "--report", "text"],
+                           capsys)
+    assert code == 0 and out.endswith("result: pass\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv,to_stdout", [
+    (["verify", "smoothfn", "--samples", "0.05"], True),
+    (["dump", "--out", "/dev/full"], False),
+    (["chep", "bundled", "--samples", "0.05", "--csv", "/dev/full"], False),
+])
+def test_full_disk_exits_2_with_one_line(argv, to_stdout):
+    with open("/dev/full", "w") if to_stdout else contextlib.nullcontext() as out:
+        proc = subprocess.run([sys.executable, "-m", "difftop.cli"] + argv, stdout=out,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_closed_pipe_exits_2_with_one_line():
+    proc = subprocess.Popen([sys.executable, "-m", "difftop.cli", "dump", "--count", "20000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("n,s,t,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == "cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_samples_upper_bound_is_inclusive():

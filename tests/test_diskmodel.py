@@ -156,6 +156,7 @@ def test_max_dev_is_the_largest_coordinate_difference():
                    CylPoint(np.array([0.6, 0.8]), 0.75)) == 0.5
     assert max_dev(3.0, [3.0]) == 0.0
     assert max_dev((), np.zeros(0)) == 0.0
+    assert max_dev([math.inf], [-math.inf]) == math.inf
 
 
 @pytest.mark.parametrize("a,b", [
@@ -163,6 +164,7 @@ def test_max_dev_is_the_largest_coordinate_difference():
     ((0.5, np.array([1.0])), (0.5, 1.0, 2.0)),
     (np.array([1.0, math.nan]), np.array([1.0, 2.0])),  # NaN propagates
     ((math.nan, np.array([1.0])), (0.0, np.array([1.0]))),
+    ([math.inf], [math.inf]),                           # inf - inf, without a warning
 ])
 def test_max_dev_is_nan_where_points_cannot_agree(a, b):
     d = max_dev(a, b)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from difftop import smoothfn
 from difftop.diskmodel import random_disk
 from difftop.smoothfn import (
-    EvaluationError, FDConfig, fd_weights, gamma, lambda_fn, lambda_inv,
+    EvaluationError, fd_weights, gamma, lambda_fn, lambda_inv,
     smoothness_check, xi, xi_inv,
 )
 from difftop.subdivision import seam_curve
@@ -205,12 +205,6 @@ def test_smoothness_check_order_cap():
         smoothness_check(lambda_fn, 0.5, 9)
 
 
-def test_fd_config_override():
-    cfg = FDConfig(base_step=5e-3, levels=4, tol=1e-3)
-    rep = smoothness_check(math.sin, 0.4, 2, config=cfg)
-    assert rep.passed
-
-
 @pytest.mark.parametrize("max_order,calls", [(3, 25), (1, 13)])
 @pytest.mark.parametrize("point", [0.0, 1.0 / 3.0, 0.7, -2.5])
 def test_each_distinct_argument_is_evaluated_once(max_order, calls, point):
@@ -243,13 +237,13 @@ def test_a_raising_call_is_not_stored():
     assert calls.count(0.01) == 2
 
 
-def _estimates_every_node(f, values, x, order, side, cfg):
+def _estimates_every_node(f, values, x, order, side):
     """The estimator that calls f at every node of every stencil and level."""
     offsets, w = smoothfn._stencil(order, side)
     p, series = (2, 2) if side == 0 else (len(offsets) - order, 1)
     raw = []
-    h = cfg.base_step
-    for _ in range(cfg.levels):
+    h = smoothfn.FD_STEP
+    for _ in range(smoothfn.FD_LEVELS):
         try:
             rows = np.array([f(x + o * h) for o in offsets], dtype=float)
         except Exception as exc:

@@ -104,7 +104,7 @@ def test_psi_boundary_lands_in_L():
     for _ in range(100):
         n = int(RNG.integers(1, 4))
         w = include_k(n, random_disk(n, RNG))
-        assert in_L(n, psi(n, w), tol=1e-8)
+        assert in_L(n, psi(n, w))
 
 
 def test_psi_roundtrip_both_ways():

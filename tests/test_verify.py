@@ -4,7 +4,7 @@ import difftop.smoothfn
 from difftop.cli import _chep_props
 from difftop.instances import bundled_chep_instance, chep_instance_from_json
 from difftop.lifting import Fibration
-from difftop.verify import RunConfig, check_chep_instance, suite_smoothfn, worst
+from difftop.verify import TOL_LIFT, RunConfig, check_chep_instance, suite_smoothfn, worst
 
 
 def _props(records):
@@ -82,4 +82,4 @@ def test_chep_instance_samples_every_cell():
     devs, rows = check_chep_instance(inst, cfg, cfg.rng("every-cell"))
     cells = {x.cell for x, _, _ in rows}
     assert cells == {-1, 0, 1, 2}
-    assert all(d <= cfg.tol_lift for d in devs)
+    assert all(d <= TOL_LIFT for d in devs)
