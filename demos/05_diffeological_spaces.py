@@ -11,11 +11,13 @@ import numpy as np
 
 from difftop import (MapEvaluator, d_topology_open_sample, euclidean,
                      exponential_alpha, exponential_alpha_inv,
-                     irrational_torus, lambda_fn, product, quotient,
+                     irrational_torus, lambda_fn, lambda_inv, product, quotient,
                      smooth_check, subspace)
 
 R = euclidean(1)
-Itilde = quotient(R, lambda x: lambda_fn(float(np.atleast_1d(x)[0])), name="I~")
+# lambda_inv lifts a point of the flat interval back to the line
+Itilde = quotient(R, lambda x: lambda_fn(float(np.atleast_1d(x)[0])), name="I~",
+                  lift=lambda_inv)
 I = subspace(R, lambda p: 0.0 <= float(np.atleast_1d(p)[0]) <= 1.0, name="I")
 
 print("=== spaces ===")
@@ -63,6 +65,9 @@ print(f"  slope sqrt(2): eq(0, theta) = {T.eq(0.0, theta)}, "
       f"eq(0, 1/2) = {T.eq(0.0, 0.5)}")
 rep = smooth_check(MapEvaluator(R, T, lambda x: float(np.atleast_1d(x)[0]), "proj"))
 print("  projection line -> torus passes the checker:", rep.passed)
+# x + 3 can leave the chart window; the chart's inverse shifts it back by 3
+rep = smooth_check(MapEvaluator(R, T, lambda x: float(np.atleast_1d(x)[0]) + 3.0, "shift"))
+print("  x -> x + 3 into the torus passes the checker:", rep.passed)
 try:
     irrational_torus(2.0 / 3.0)
 except Exception as exc:

@@ -14,9 +14,9 @@ coproducts and subspaces compare with their factors' equalities.
 ``smooth_check`` is the executable reading of "composites with plots are
 plots": it samples each source generator, runs directional
 finite-difference smoothness on the composite, and witnesses that every
-sampled image point factors through some target generator by a local
-preimage search.  It produces evidence at pinned tolerances
-(``smoothfn.FD_TOL`` and ``FACTOR_TOL``), not proofs.
+sampled image point lies on some target chart, through the chart's
+closed-form inverse.  It produces evidence at pinned tolerances
+(``smoothfn.FD_TOL`` and ``EQ_TOL``), not proofs.
 """
 
 import math
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .smoothfn import FD_STEP, smoothness_check
+from .smoothfn import FD_STEP, _bisect_increasing, smoothness_check
 from .diskmodel import EQ_TOL, DomainError, max_dev
 
 __all__ = [
@@ -39,12 +39,16 @@ __all__ = [
 class Parameterization:
     """A chart from an open box in R^k into a carrier.
 
-    ``valid`` optionally filters the box (used by subspace restriction);
-    sampling rejects invalid parameters.
+    ``inverse`` maps a point to a chart parameter with that image (a float
+    array of length k, not necessarily in the box), or raises ValueError
+    or an ArithmeticError when there is none.  ``valid`` optionally filters
+    the box (used by subspace restriction); sampling rejects invalid
+    parameters.
     """
     lo: tuple
     hi: tuple
     fn: object
+    inverse: object
     valid: object = None
 
     @property
@@ -97,31 +101,34 @@ class MapEvaluator:
 WINDOW = 5.0
 
 
+def _as_vector(p):
+    return np.atleast_1d(np.asarray(p, dtype=float))
+
+
 def euclidean(n):
     """R^n with the identity chart on the window box (-WINDOW, WINDOW)^n."""
     gen = Parameterization((-WINDOW,) * n, (WINDOW,) * n,
-                           lambda u: np.asarray(u, dtype=float))
+                           lambda u: np.asarray(u, dtype=float), _as_vector)
     return DiffSpace(
         name=f"R^{n}",
         generators=(gen,),
         eq=lambda a, b: max_dev(a, b) <= EQ_TOL,
-        flatten=lambda p: np.atleast_1d(np.asarray(p, dtype=float)),
+        flatten=_as_vector,
         construction="euclidean",
     )
 
 
 def product(X, Y):
     """Product space; points are pairs, charts are pairs of charts."""
-    gens = tuple(
-        Parameterization(
+    def chart(gx, gy):
+        return Parameterization(
             gx.lo + gy.lo, gx.hi + gy.hi,
-            (lambda gx, gy: lambda u: (gx(u[:gx.dim]), gy(u[gx.dim:])))(gx, gy),
-            valid=(lambda gx, gy: (
-                None if gx.valid is None and gy.valid is None else
-                lambda p: gx.admits(p[0]) and gy.admits(p[1])))(gx, gy),
-        )
-        for gx in X.generators for gy in Y.generators
-    )
+            lambda u: (gx(u[:gx.dim]), gy(u[gx.dim:])),
+            lambda p: np.concatenate([gx.inverse(p[0]), gy.inverse(p[1])]),
+            valid=None if gx.valid is None and gy.valid is None else
+            lambda p: gx.admits(p[0]) and gy.admits(p[1]))
+
+    gens = tuple(chart(gx, gy) for gx in X.generators for gy in Y.generators)
     return DiffSpace(
         name=f"({X.name} x {Y.name})",
         generators=gens,
@@ -133,12 +140,16 @@ def product(X, Y):
 
 def coproduct(X, Y):
     """Disjoint union; points are (tag, point) with tag 0 or 1."""
-    gens = tuple(
-        Parameterization(g.lo, g.hi, (lambda g, tag: lambda u: (tag, g(u)))(g, tag),
-                         valid=(lambda g, tag: None if g.valid is None
-                                else lambda p: g.valid(p[1]))(g, tag))
-        for tag, Z in ((0, X), (1, Y)) for g in Z.generators
-    )
+    def chart(g, tag):
+        def inverse(p):
+            if p[0] != tag:
+                raise ValueError(f"a point tagged {p[0]!r} is off summand {tag}")
+            return g.inverse(p[1])
+
+        return Parameterization(g.lo, g.hi, lambda u: (tag, g(u)), inverse,
+                                valid=None if g.valid is None else lambda p: g.valid(p[1]))
+
+    gens = tuple(chart(g, tag) for tag, Z in ((0, X), (1, Y)) for g in Z.generators)
 
     def eq(a, b):
         if a[0] != b[0]:
@@ -159,7 +170,7 @@ def subspace(Y, membership, name=None):
     parameters whose images satisfy the predicate.
     """
     gens = tuple(
-        Parameterization(g.lo, g.hi, g.fn,
+        Parameterization(g.lo, g.hi, g.fn, g.inverse,
                          valid=(lambda g: lambda p: g.admits(p) and membership(p))(g))
         for g in Y.generators
     )
@@ -167,7 +178,39 @@ def subspace(Y, membership, name=None):
                      "subspace")
 
 
-def quotient(Y, canonicalizer, name=None):
+_SCAN_NODES = 81  # evenly spaced nodes of a lift-less quotient's scan, walls included
+
+
+def _scan_inverse(g, canonicalizer):
+    """Chart inverse of a quotient of a 1-D space that has no lift.
+
+    Scans the interior nodes of g's box for the first zero or sign change
+    of canonicalizer(g(u)) - y and bisects it; raises ValueError when
+    there is none, or when y or a representative is not one number.
+    """
+    nodes = np.linspace(g.lo[0], g.hi[0], _SCAN_NODES)[1:-1].tolist()
+
+    def inverse(y):
+        y = np.asarray(y, dtype=float).item()
+
+        def h(t):
+            return np.asarray(canonicalizer(g.fn(np.array([t]))), dtype=float).item() - y
+
+        a = ha = None
+        for b in nodes:
+            hb = h(b)
+            if hb == 0.0:
+                return np.array([b])
+            if ha is not None and (ha < 0.0) != (hb < 0.0):
+                sign = 1.0 if ha < 0.0 else -1.0
+                return np.array([_bisect_increasing(lambda t: sign * h(t), 0.0, a, b)])
+            a, ha = b, hb
+        raise ValueError(f"no parameter of the chart reaches {y!r}")
+
+    return inverse
+
+
+def quotient(Y, canonicalizer, name=None, lift=None):
     """Quotient of Y along a canonicalizing projection.
 
     The projection must send every ambient point of a class to one
@@ -176,14 +219,26 @@ def quotient(Y, canonicalizer, name=None):
     projection, and equality compares representatives directly (the
     projection is not assumed idempotent, so it is never re-applied to
     quotient points).
+
+    ``lift`` sends a representative to an ambient point of its class
+    (``smoothfn.lambda_inv`` for the line modulo lambda), raising
+    ValueError for a point of no class; the charts invert through it.
+    Without one they invert by a scan of the ambient chart, which must
+    be 1-D (else TypeError), for scalar representatives.
     """
-    gens = tuple(
-        Parameterization(g.lo, g.hi, (lambda g: lambda u: canonicalizer(g(u)))(g),
-                         valid=g.valid)
-        for g in Y.generators
-    )
+    if lift is None and any(g.dim != 1 for g in Y.generators):
+        raise TypeError(f"quotient of {Y.name}: without a lift every ambient chart "
+                        "must be 1-D")
+
+    def chart(g):
+        inverse = (_scan_inverse(g, canonicalizer) if lift is None
+                   else lambda y: g.inverse(lift(y)))
+        return Parameterization(g.lo, g.hi, lambda u: canonicalizer(g(u)), inverse,
+                                valid=g.valid)
+
+    gens = tuple(chart(g) for g in Y.generators)
     return DiffSpace(name or f"{Y.name}/~", gens, lambda a, b: max_dev(a, b) <= EQ_TOL,
-                     lambda p: np.atleast_1d(np.asarray(p, dtype=float)), "quotient")
+                     _as_vector, "quotient")
 
 
 def functional(X, Y):
@@ -214,11 +269,6 @@ def functional(X, Y):
 # directions per sample
 _LINE_ORDER = 1
 _DIRECTIONS = 2
-# a sampled image factors through a target chart when some parameter
-# lands within FACTOR_TOL of it; the local search starts from at most
-# _MULTISTART distinct coarse candidates per chart
-FACTOR_TOL = 1e-7
-_MULTISTART = 4
 
 
 @dataclass(frozen=True)
@@ -257,92 +307,22 @@ def _grid_samples(gen, cfg, margin):
     return pts
 
 
-def _distinct_starts(vals, count):
-    """Indices of the ``count`` smallest values, one per distinct value.
+def _factors_through(y, target):
+    """Whether the image point y lies on some target chart.
 
-    Values are told apart by log10 to six decimals, so a flat plateau
-    cannot eat the whole multistart budget.
+    A chart's inverse proposes a parameter; y lies on the chart when that
+    parameter is inside the chart's open box, the chart's ``valid`` filter
+    admits its image, and the target's ``eq`` identifies that image with
+    y.  An inverse that rejects y says only that y is off that chart.
     """
-    seen, starts = set(), []
-    for i in sorted(range(len(vals)), key=vals.__getitem__):
-        key = round(math.log10(vals[i] + 1e-300), 6)
-        if key in seen:
-            continue
-        seen.add(key)
-        starts.append(i)
-        if len(starts) >= count:
-            break
-    return starts
-
-
-# a filtered-out parameter costs inf, and the optimizers' inf - inf steps
-# are harmless: the bounded scalar search falls back to golden section
-@np.errstate(invalid="ignore")
-def _factors_through(y_flat, target, rng):
-    """Search the target charts for a local preimage of the flattened point.
-
-    Only parameters whose image the chart's ``valid`` filter admits count.
-
-    A coarse scan seeds the local optimizer: charts built from the flat
-    profiles have wide zero-gradient plateaus where a descent method
-    would otherwise stall at the first iterate.
-    """
-    # imported here, its one use: it is most of the import time of difftop
-    from scipy import optimize
-
     for g in target.generators:
-        if g.dim == 0:
-            y = g(np.zeros(0))
-            if g.admits(y) and max_dev(target.flatten(y), y_flat) <= FACTOR_TOL:
-                return True
+        try:
+            u = g.inverse(y)
+        except (ValueError, ArithmeticError):
             continue
-
-        def dist2(u):
-            try:
-                y = g.fn(u)
-                if not g.admits(y):
-                    return np.inf
-                return float(np.sum((target.flatten(y) - y_flat) ** 2))
-            except Exception:
-                return np.inf
-
-        lo, hi = np.asarray(g.lo), np.asarray(g.hi)
-        thresh = FACTOR_TOL ** 2
-
-        if g.dim == 1:
-            # bracketed scalar search around the best coarse nodes
-            nodes = np.linspace(lo[0], hi[0], 81)
-            vals = [dist2(np.array([a])) for a in nodes]
-            step = nodes[1] - nodes[0]
-            for i in _distinct_starts(vals, _MULTISTART):
-                if vals[i] < thresh:
-                    return True
-                res = optimize.minimize_scalar(
-                    lambda a: dist2(np.array([a])), method="bounded",
-                    bounds=(max(lo[0], nodes[i] - step), min(hi[0], nodes[i] + step)),
-                    options={"xatol": 1e-13})
-                if res.fun < thresh:
-                    return True
-            continue
-
-        cloud = [0.5 * (lo + hi)]
-        cloud += [rng.uniform(lo, hi) for _ in range(40)]
-        vals = [dist2(u) for u in cloud]
-        for i in _distinct_starts(vals, _MULTISTART):
-            if vals[i] < thresh:
-                return True
-            res = optimize.minimize(dist2, cloud[i], method="L-BFGS-B",
-                                    bounds=list(zip(lo, hi)),
-                                    options={"ftol": 1e-18, "gtol": 1e-14})
-            if res.fun < thresh:
-                return True
-            # derivative-free polish; the descent step can stall short of
-            # the tolerance when the chart's slope is small
-            res = optimize.minimize(dist2, res.x, method="Nelder-Mead",
-                                    options={"fatol": 1e-18, "xatol": 1e-12,
-                                             "maxiter": 400})
-            if res.fun < thresh:
-                return True
+        if (u.shape == (g.dim,) and all(lo < a < hi for lo, a, hi in zip(g.lo, u, g.hi))
+                and g.admits(p := g.fn(u)) and target.eq(p, y)):
+            return True
     return False
 
 
@@ -352,10 +332,10 @@ def smooth_check(f, config=None):
     For every generator of the source: composites are probed on a grid
     plus random parameters; at each sample the composite must (a) have
     directionally agreeing one-sided derivative estimates along the axes
-    and random directions, and (b) land, within tolerance, on some
-    target generator (local preimage search).  Failures carry witnesses;
-    evaluation breakdowns mark the report inconclusive rather than
-    passing.
+    and random directions, and (b) land on some target generator, whose
+    inverse gives a parameter in its box with that image up to the
+    target's ``eq``.  Failures carry witnesses; evaluation breakdowns mark
+    the report inconclusive rather than passing.
     """
     cfg = config or SmoothCheckConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -375,7 +355,8 @@ def smooth_check(f, config=None):
                 return f.target.flatten(f.fn(gen.fn(u_)))
 
             try:
-                y_flat = composite(u)
+                y = f.fn(gen.fn(u))
+                y_flat = f.target.flatten(y)
             except Exception as exc:
                 report.inconclusive = True
                 report.add_failure("evaluation", {"generator": gi, "u": list(u),
@@ -397,7 +378,7 @@ def smooth_check(f, config=None):
                         "coord": rep.component[_LINE_ORDER],
                         "direction": list(d), "estimates": rep.side_estimates})
 
-            if f.target.generators and not _factors_through(y_flat, f.target, rng):
+            if f.target.generators and not _factors_through(y, f.target):
                 report.add_failure("factorization", {
                     "generator": gi, "u": list(u), "image": list(y_flat)})
     if report.inconclusive:
@@ -493,9 +474,12 @@ def irrational_torus(theta):
     Point equality identifies x and y when x - y = m + n*theta, up to
     EQ_TOL, for some integers with |m|, |n| <= COEFF_BOUND.  The subgroup
     is dense, so the bound is what keeps equality from degenerating to
-    "always true".  A theta within 1e-12 of a fraction p/q with
-    q <= COEFF_BOUND is rejected.
+    "always true".  A non-finite theta, and a theta within 1e-12 of a
+    fraction p/q with q <= COEFF_BOUND, are rejected.  The chart's
+    inverse moves a point into the window by such a shift m + n*theta.
     """
+    if not math.isfinite(theta):
+        raise DomainError(f"theta={theta!r} is not a finite slope")
     for qd in range(1, COEFF_BOUND + 1):
         if abs(theta * qd - round(theta * qd)) / qd < 1e-12:
             raise DomainError(
@@ -510,7 +494,17 @@ def irrational_torus(theta):
                 return True
         return False
 
-    gen = Parameterization((-WINDOW,), (WINDOW,), lambda u: float(u[0]))
+    shifts = sorted(range(-COEFF_BOUND, COEFF_BOUND + 1), key=abs)
+
+    def inverse(p):
+        x = float(p)
+        for nn in shifts:
+            u = x - nn * theta - max(-COEFF_BOUND, min(COEFF_BOUND, round(x - nn * theta)))
+            if -WINDOW < u < WINDOW:
+                return np.array([u])
+        raise ValueError(f"no shift m + n*theta moves {x!r} into the window")
+
+    gen = Parameterization((-WINDOW,), (WINDOW,), lambda u: float(u[0]), inverse)
     return DiffSpace(
         name=f"T_theta({theta:.6g})",
         generators=(gen,),

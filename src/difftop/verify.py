@@ -512,7 +512,8 @@ def suite_subdivision(cfg):
 
 def _line_spaces():
     R = dg.euclidean(1)
-    It = dg.quotient(R, lambda x: sf.lambda_fn(float(np.atleast_1d(x)[0])), name="I~")
+    It = dg.quotient(R, lambda x: sf.lambda_fn(float(np.atleast_1d(x)[0])), name="I~",
+                     lift=sf.lambda_inv)
     I = dg.subspace(R, lambda p: 0.0 <= float(np.atleast_1d(p)[0]) <= 1.0, name="I")
     return R, It, I
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from difftop.diffeology import (
     MapEvaluator, SmoothCheckConfig, coproduct, d_topology_open_sample,
@@ -9,16 +10,20 @@ from difftop.diffeology import (
     irrational_torus, product, quotient, smooth_check, subspace,
 )
 from difftop.diskmodel import DomainError
-from difftop.smoothfn import lambda_fn
-
-R = euclidean(1)
-ITILDE = quotient(R, lambda x: lambda_fn(float(np.atleast_1d(x)[0])), name="I~")
-I_SUB = subspace(R, lambda p: 0.0 <= float(np.atleast_1d(p)[0]) <= 1.0, name="I")
-CFG = SmoothCheckConfig()
+from difftop.smoothfn import lambda_fn, lambda_inv
 
 
 def _scalar(x):
     return float(np.atleast_1d(x)[0])
+
+
+R = euclidean(1)
+ITILDE = quotient(R, lambda x: lambda_fn(_scalar(x)), name="I~", lift=lambda_inv)
+# the same quotient inverting its chart by the default scan
+ITILDE_SCAN = quotient(R, lambda x: lambda_fn(_scalar(x)), name="I~ scan")
+I_SUB = subspace(R, lambda p: 0.0 <= _scalar(p) <= 1.0, name="I")
+TORUS = irrational_torus(math.sqrt(2.0))
+CFG = SmoothCheckConfig()
 
 
 def test_product_generator_dimension():
@@ -71,6 +76,66 @@ def test_smooth_check_rejects_images_outside_a_subspace():
     images = [r["witness"]["image"][0] for r in rep.records]
     assert images and all(r["kind"] == "factorization" for r in rep.records)
     assert all(not 0.0 <= y <= 1.0 for y in images)
+
+
+@pytest.mark.parametrize("shift", [3.0, 7.0, 40.0])
+def test_smooth_check_accepts_shifts_into_the_torus(shift):
+    # x + shift is the projection R -> T after a translation; a shift by
+    # m + n*theta leaves the chart window but not the torus
+    rep = smooth_check(MapEvaluator(R, TORUS, lambda x: _scalar(x) + shift, "shift"), CFG)
+    assert rep.passed, rep.records
+
+
+@pytest.mark.parametrize("target, fn", [
+    (product(R, R), lambda x: (x, x)),
+    (coproduct(R, R), lambda x: (0, x)),
+    (coproduct(R, R), lambda x: (1, x)),
+], ids=["diagonal", "inject_left", "inject_right"])
+def test_smooth_check_accepts_maps_into_products_and_coproducts(target, fn):
+    rep = smooth_check(MapEvaluator(R, target, fn, "f"), CFG)
+    assert rep.passed, rep.records
+
+
+STEP = quotient(R, lambda x: float(_scalar(x) > 0.0), name="R/step")
+
+
+@pytest.mark.parametrize("target, fn", [
+    # 2.0 is no value of lambda, so the constant map 2.0 misses I~
+    (ITILDE, lambda x: 2.0),
+    (ITILDE_SCAN, lambda x: 2.0),
+    # step - 1/2 changes sign at 0 without a root: the scan's bracket
+    # holds no preimage, and the target's eq must say so
+    (STEP, lambda x: 0.5),
+    # R^1's one chart is defined on the window box (-5, 5) only, so a
+    # parameter the inverse finds outside it is no witness
+    (R, lambda x: x + 7.0),
+], ids=["off_quotient_lift", "off_quotient_scan", "scan_bracket_jump", "outside_window"])
+def test_smooth_check_rejects_images_on_no_chart(target, fn):
+    rep = smooth_check(MapEvaluator(R, target, fn, "f"), CFG)
+    assert not rep.passed and not rep.inconclusive
+    assert rep.records and all(r["kind"] == "factorization" for r in rep.records)
+
+
+def test_liftless_quotient_needs_one_dimensional_charts():
+    with pytest.raises(TypeError):
+        quotient(euclidean(2), lambda p: p)
+    quotient(euclidean(2), lambda p: p, lift=lambda y: y)
+
+
+SPACES = [euclidean(1), euclidean(2), euclidean(3), I_SUB, product(R, ITILDE),
+          coproduct(R, euclidean(2)), ITILDE, ITILDE_SCAN, TORUS]
+CHARTS = [(X, g) for X in SPACES for g in X.generators]
+
+
+@pytest.mark.parametrize("space, g", CHARTS,
+                         ids=[f"{X.name}-{i}" for i, (X, _) in enumerate(CHARTS)])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, database=None)
+def test_chart_inverse_round_trip(space, g, data):
+    u = np.array([data.draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+                  for lo, hi in zip(g.lo, g.hi)])
+    p = g.fn(u)
+    assert space.eq(g.fn(g.inverse(p)), p)
 
 
 def test_smooth_check_rejects_kink():
@@ -174,9 +239,14 @@ def test_torus_rejects_rational_and_near_rational():
         irrational_torus(1.0 / 3.0 + 1e-14)
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_torus_rejects_a_non_finite_slope(theta):
+    with pytest.raises(DomainError, match="theta=.*not a finite"):
+        irrational_torus(theta)
+
+
 def test_torus_projection_is_smooth():
-    T = irrational_torus(math.sqrt(2.0))
-    rep = smooth_check(MapEvaluator(R, T, lambda x: _scalar(x), "proj"), CFG)
+    rep = smooth_check(MapEvaluator(R, TORUS, lambda x: _scalar(x), "proj"), CFG)
     assert rep.passed
 
 
