@@ -17,6 +17,11 @@ n-disk is the full unit (n-1)-sphere sitting in the equator plane
 ``max_dev`` is the package's one point-agreement rule: two points agree
 within tol when max_dev(a, b) <= tol, and every equality and gluing check
 uses it, with EQ_TOL as the slack of point equality.
+
+The ``*_batch`` functions are the array entry points: they take an
+(N, n+1) array whose rows are points (an (N, n) array of cube
+coordinates for Q) and return arrays of rows that agree with the scalar
+function applied row by row within 1e-14 per coordinate.
 """
 
 import math
@@ -32,6 +37,8 @@ __all__ = [
     "q", "Q", "gen_plot", "section",
     "include_j", "include_k", "reflect", "retract", "retract_homotopy",
     "random_disk", "random_sphere",
+    "max_dev_batch", "check_disk_batch", "q_batch", "Q_batch", "section_batch",
+    "random_disk_batch",
 ]
 
 # membership slack for |norm - 1| and hemisphere sign; round-trips through
@@ -254,3 +261,121 @@ def retract_homotopy(n, w, s):
     t = section(n + 1, w)
     t[n] *= 1.0 - lambda_fn(s)
     return Q(n + 1, t)
+
+
+# ---------------------------------------------------------------------------
+# Array entry points: one point per row
+# ---------------------------------------------------------------------------
+
+def max_dev_batch(a, b):
+    """max_dev row by row: an (N,) array for two (N, k) arrays of points.
+
+    A NaN coordinate or two equal infinite ones give NaN for that row, and
+    no RuntimeWarning; rows of no coordinates give 0.0.  Rows share one
+    width, so arrays of different shapes are a caller's error (ValueError).
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError(f"max_dev_batch: shapes {a.shape} and {b.shape} "
+                         "are not one (N, k)")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN
+        return np.max(np.abs(a - b), axis=1, initial=0.0)
+
+
+def check_disk_batch(w, n):
+    """Assert every row of w lies on the upper hemisphere of the n-disk.
+
+    The rules of check_disk row by row: n + 1 coordinates, all finite, norm
+    within POINT_TOL of 1, last coordinate at least -POINT_TOL.  The
+    DomainError names the first row that breaks one.  Returns w as a
+    C-contiguous float array.
+    """
+    w = np.asarray(w, dtype=float, order="C")
+    if w.ndim != 2 or w.shape[1] != n + 1:
+        raise DomainError(f"expected rows of dim {n} (length {n + 1}), "
+                          f"got an array of shape {w.shape}")
+    # the squares of a huge finite coordinate overflow to inf, which the
+    # norm test rejects
+    with np.errstate(over="ignore"):
+        r = np.sqrt(np.einsum("ij,ij->i", w, w))
+    finite = np.isfinite(w).all(axis=1)
+    bad = ~finite | ~(np.abs(r - 1.0) <= POINT_TOL) | (w[:, -1] < -POINT_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite[i]:
+            why = f"non-finite coordinates {w[i]!r}"
+        elif not abs(r[i] - 1.0) <= POINT_TOL:
+            why = f"|point| = {float(r[i])!r} is not 1 within {POINT_TOL}"
+        else:
+            why = (f"last coordinate {float(w[i, -1])!r} < 0: "
+                   "not in the upper hemisphere")
+        raise DomainError(f"row {i}: {why}")
+    return w
+
+
+def _suspend_rows(w, t):
+    """The suspension step of q on every row: its last coordinate x becomes
+    (x cos(pi t), x sin(pi t))."""
+    out = np.empty((w.shape[0], w.shape[1] + 1))
+    out[:, :-2] = w[:, :-1]
+    a = math.pi * np.asarray(t, dtype=float)
+    out[:, -2] = w[:, -1] * np.cos(a)
+    out[:, -1] = w[:, -1] * np.sin(a)
+    return out
+
+
+def q_batch(n, v, t):
+    """q row by row: rows v of the n-disk, one time t per row."""
+    return _suspend_rows(check_disk_batch(v, n), t)
+
+
+def Q_batch(n, t):
+    """Q row by row: an (N, n) array of cube coordinates to N disk points."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 2 or t.shape[1] != n:
+        raise DomainError(f"expected rows of {n} cube coordinates, "
+                          f"got an array of shape {t.shape}")
+    w = np.ones((t.shape[0], 1))
+    for i in range(n):
+        w = _suspend_rows(w, t[:, i])
+    return w
+
+
+def section_batch(n, w):
+    """section row by row, with its pole convention.
+
+    A row whose tail vanishes exactly keeps 0 in every later slot; the
+    tail norms are taken from the right, so they may differ from
+    section's in the last bit.
+    """
+    w = check_disk_batch(w, n)
+    t = np.zeros((w.shape[0], n))
+    if n == 0:
+        return t
+    # rest[:, i] = |w[:, i+1:]|
+    rest = np.sqrt(np.cumsum((w * w)[:, :0:-1], axis=1)[:, ::-1])
+    live = np.ones(w.shape[0], dtype=bool)
+    for i in range(n - 1):
+        t[live, i] = np.arctan2(rest[live, i], w[live, i]) / math.pi
+        live &= rest[:, i] != 0.0
+    t[live, n - 1] = np.arctan2(np.abs(w[live, n]), w[live, n - 1]) / math.pi
+    return t
+
+
+def random_disk_batch(n, count, rng):
+    """``count`` uniform samples of the n-disk, as rows (see random_disk).
+
+    The draw rejects and redraws a normal vector shorter than 1e-6, as
+    random_sphere does, so the rows follow the same law as random_disk's,
+    though not the same stream of the generator.
+    """
+    g = rng.standard_normal((count, n + 1))
+    r = np.linalg.norm(g, axis=1)
+    short = np.flatnonzero(r <= 1e-6)
+    while short.size:
+        g[short] = rng.standard_normal((short.size, n + 1))
+        r[short] = np.linalg.norm(g[short], axis=1)
+        short = short[r[short] <= 1e-6]
+    w = g / r[:, None]
+    w[:, -1] = np.abs(w[:, -1])
+    return w

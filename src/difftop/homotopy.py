@@ -29,7 +29,7 @@ from .diskmodel import EQ_TOL, DomainError, Q, check_disk, max_dev, section
 __all__ = [
     "Homotopy", "PairMapRep", "to_tilde_homotopy", "concat",
     "star", "delta_restrict", "glue_double",
-    "path_components", "UnionFind",
+    "path_components",
 ]
 
 

@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "gamma", "lambda_fn", "lambda_inv",
     "xi", "xi_inv",
+    "lambda_fn_batch", "lambda_inv_batch", "xi_batch", "xi_inv_batch",
     "SmoothnessReport", "smoothness_check",
     "fd_weights", "EvaluationError",
 ]
@@ -131,6 +132,104 @@ def xi_inv(y):
     if y < 1.0 / 3.0:
         return _bisect_increasing(xi, y, 1.0 / 6.0, 1.0 / 3.0)
     return _bisect_increasing(xi, y, 2.0 / 3.0, 5.0 / 6.0)
+
+
+# ---------------------------------------------------------------------------
+# Array entry points: the profiles and their inverses elementwise
+# ---------------------------------------------------------------------------
+#
+# Each ``*_batch`` function takes an array (of one or more dimensions) and
+# returns one of the same shape whose entries agree with the scalar function
+# within 1e-14: numpy's exp and log may differ from math's in the last bit.
+# Where xi is flat to double precision that bit can move xi_inv's bisection
+# to another point with the same image.  exp and log run only on the entries
+# that need them, so no entry raises a floating-point warning; a NaN entry
+# of lambda_fn_batch or xi_batch gives NaN, as the scalar functions do.
+
+# exp(-1/t) underflows to exactly 0.0 for t <= 1e-3 (1/t >= 1000 > 745.2),
+# which also keeps 1/t of a subnormal t from overflowing
+_GAMMA_FLOOR = 1e-3
+
+
+def _gamma_batch(t):
+    g = np.zeros_like(t)
+    m = t > _GAMMA_FLOOR
+    g[m] = np.exp(-1.0 / t[m])
+    return g
+
+
+def lambda_fn_batch(t):
+    """lambda_fn elementwise."""
+    t = np.asarray(t, dtype=float)
+    out = np.clip(t, 0.0, 1.0)  # the plateaus; NaN entries stay NaN
+    m = (t > 0.0) & (t < 1.0)
+    g = _gamma_batch(t[m])
+    out[m] = g / (g + _gamma_batch(1.0 - t[m]))
+    return out
+
+
+def _check_unit_interval(name, y):
+    bad = np.flatnonzero(~((y >= 0.0) & (y <= 1.0)))
+    if bad.size:
+        raise ValueError(f"{name}: entry {bad[0]}, y={float(y.flat[bad[0]])!r}, "
+                         "outside [0,1]")
+
+
+def lambda_inv_batch(y):
+    """lambda_inv elementwise; ValueError names the first entry outside [0,1].
+
+    Entries are counted in C order over the flattened array.
+    """
+    y = np.asarray(y, dtype=float)
+    _check_unit_interval("lambda_inv", y)
+    out = y.copy()  # 0 and 1 are their own preimages
+    m = (y > 0.0) & (y < 1.0)
+    L = np.log(y[m]) - np.log1p(-y[m])
+    out[m] = 2.0 / ((2.0 - L) + np.sqrt(L * L + 4.0))
+    return out
+
+
+def xi_batch(s):
+    """xi elementwise."""
+    s = np.asarray(s, dtype=float)
+    out = s.copy()  # the identity bands; NaN entries stay NaN
+    mid = (s >= 1.0 / 3.0) & (s <= 2.0 / 3.0)
+    out[mid] = lambda_fn_batch(3.0 * s[mid] - 1.0) / 3.0 + 1.0 / 3.0
+    low = (s > 1.0 / 6.0) & (s < 1.0 / 3.0)
+    sl = s[low]
+    out[low] = sl + lambda_fn_batch(6.0 * sl - 1.0) * (1.0 / 3.0 - sl)
+    high = (s > 2.0 / 3.0) & (s < 5.0 / 6.0)
+    r = 1.0 - s[high]
+    out[high] = 1.0 - (r + lambda_fn_batch(6.0 * r - 1.0) * (1.0 / 3.0 - r))
+    return out
+
+
+def xi_inv_batch(y):
+    """xi_inv elementwise; ValueError names the first entry outside [0,1].
+
+    The blend bands bisect all their entries at once, each inside its own
+    band's bracket and to the scalar's 1e-14 width.  xi fixes the band
+    ends, so the scalar's end-point tests never fire there.
+    """
+    y = np.asarray(y, dtype=float)
+    _check_unit_interval("xi_inv", y)
+    out = y.copy()  # identity bands
+    mid = (y >= 1.0 / 3.0) & (y <= 2.0 / 3.0)
+    out[mid] = (lambda_inv_batch(3.0 * y[mid] - 1.0) + 1.0) / 3.0
+    blend = ((y > 1.0 / 6.0) & (y < 1.0 / 3.0)) | ((y > 2.0 / 3.0) & (y < 5.0 / 6.0))
+    yb = y[blend]
+    lower = yb < 1.0 / 3.0
+    lo = np.where(lower, 1.0 / 6.0, 2.0 / 3.0)
+    hi = np.where(lower, 1.0 / 3.0, 5.0 / 6.0)
+    active = np.flatnonzero(hi - lo > 1e-14)
+    while active.size:
+        m = 0.5 * (lo[active] + hi[active])
+        below = xi_batch(m) - yb[active] <= 0.0
+        lo[active[below]] = m[below]
+        hi[active[~below]] = m[~below]
+        active = active[hi[active] - lo[active] > 1e-14]
+    out[blend] = 0.5 * (lo + hi)
+    return out
 
 
 # ---------------------------------------------------------------------------

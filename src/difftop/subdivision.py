@@ -27,24 +27,32 @@ chart Q(n+1, (e_1, ..., e_{n-1}, lambda(s), lambda(t))) with v =
 Q(n-1, e) the underlying (n-1)-disk point, s the subdivided slot and t
 the cylinder slot.  ``source_point`` builds such a point; psi and
 psi_inv recover the parameters through the canonical section.
+
+psi_batch and psi_inv_batch are the array entry points: they map N points
+at once, as rows, and agree with psi and psi_inv row by row.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .smoothfn import lambda_fn, lambda_inv, xi, xi_inv
-from .diskmodel import DomainError, Q, check_disk, q, section
+from .smoothfn import (lambda_fn, lambda_fn_batch, lambda_inv, lambda_inv_batch, xi,
+                       xi_batch, xi_inv, xi_inv_batch)
+from .diskmodel import DomainError, Q, Q_batch, check_disk, q, section, section_batch
 
 __all__ = [
     "CylPoint", "source_point", "PHI_BRANCHES", "phi_branch", "target_walls",
     "phi_map", "region_classify",
-    "rho", "psi", "psi_inv", "seam_curve", "in_L",
+    "rho", "psi", "psi_inv", "psi_batch", "psi_inv_batch", "seam_curve", "in_L",
 ]
 
 
 class CylPoint(NamedTuple):
-    """A point of disk^n x [0,1]: hemisphere coordinates plus a time."""
+    """A point of disk^n x [0,1]: hemisphere coordinates plus a time.
+
+    psi_batch and psi_inv_batch hold N points in one CylPoint: an (N, n+1)
+    array of disk rows and an (N,) array of times.
+    """
     disk: np.ndarray
     time: float
 
@@ -67,15 +75,29 @@ PHI_BRANCHES = (
 
 
 def phi_branch(s):
-    """Index into PHI_BRANCHES of the slab of s; a wall joins the slab below."""
-    if s <= 1.0 / 3.0:
-        return 0
-    return 1 if s <= 2.0 / 3.0 else 2
+    """Index into PHI_BRANCHES of the slab of s; a wall joins the slab below.
+
+    s in [0,1] may be a float or an array, giving an index per entry.
+    """
+    return (s > 1.0 / 3.0) * 1 + (s > 2.0 / 3.0) * 1
 
 
 def target_walls(t):
     """The walls s = t/3 and s = 1 - t/3 between the target regions."""
     return t / 3.0, 1.0 - t / 3.0
+
+
+def _outer_slab(a, b):
+    """The s of PHI_BRANCHES[0] with target (a, b); the time there is a / s.
+
+    The upper branch inverts through the reflection a -> 1 - a, s -> 1 - s.
+    """
+    return (1.0 + 3.0 * a - b) / 3.0
+
+
+def _middle_slab(a, b):
+    """The s of PHI_BRANCHES[1] with target (a, b); the time there is b."""
+    return (a + 1.0 - b) / (3.0 - 2.0 * b)
 
 
 def phi_map(n, s, t, v):
@@ -171,20 +193,79 @@ def psi_inv(n, cyl, wrinkle=True):
     b = lambda_inv(y)
     lo, hi = target_walls(b)
     if a <= lo:
-        sw = (1.0 + 3.0 * a - b) / 3.0
+        sw = _outer_slab(a, b)
         t = a / sw if sw > 0.0 else 0.0
     elif a >= hi:
         a1 = 1.0 - a
-        s1 = (1.0 + 3.0 * a1 - b) / 3.0
+        s1 = _outer_slab(a1, b)
         t = a1 / s1 if s1 > 0.0 else 0.0
         sw = 1.0 - s1
     else:
         t = b
-        sw = (a + 1.0 - t) / (3.0 - 2.0 * t)
+        sw = _middle_slab(a, b)
     sw = min(1.0, max(0.0, sw))
     t = min(1.0, max(0.0, t))
     s = xi_inv(sw) if wrinkle else sw
     return Q(n + 1, e[:n - 1].tolist() + [lambda_fn(s), lambda_fn(t)])
+
+
+def psi_batch(n, w, wrinkle=True):
+    """psi row by row: N rows of disk^(n+1) points to a CylPoint of N rows.
+
+    DomainError names the first row off the disk.
+    """
+    c = section_batch(n + 1, w)
+    if n == 0:
+        return CylPoint(np.ones((len(c), 1)), c[:, 0])
+    s = lambda_inv_batch(c[:, n - 1])
+    t = lambda_inv_batch(c[:, n])
+    if wrinkle:
+        s = xi_batch(s)
+    a, b = np.empty_like(s), np.empty_like(s)
+    branch = phi_branch(s)
+    for k, formula in enumerate(PHI_BRANCHES):
+        m = branch == k
+        a[m], b[m] = formula(s[m], t[m])
+    disk = Q_batch(n, np.column_stack([c[:, :n - 1], lambda_fn_batch(a)]))
+    return CylPoint(disk, lambda_fn_batch(b))
+
+
+def psi_inv_batch(n, cyl, wrinkle=True):
+    """psi_inv row by row: a CylPoint of N rows to an (N, n+2) array.
+
+    The branches invert through the formulas psi_inv uses.  DomainError
+    names the first row whose disk point is off the disk, else the first
+    time outside [0,1].
+    """
+    e = section_batch(n, cyl[0])
+    y = np.asarray(cyl[1], dtype=float)
+    if y.shape != (len(e),):
+        raise DomainError(f"expected {len(e)} times, got an array of shape {y.shape}")
+    bad = ~((y >= 0.0) & (y <= 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"row {i}: time {float(y[i])!r} outside [0,1]")
+    if n == 0:
+        return Q_batch(1, y[:, None])
+    a = lambda_inv_batch(e[:, n - 1])
+    b = lambda_inv_batch(y)
+    lo, hi = target_walls(b)
+    high = a >= hi
+    outer = (a <= lo) | high
+    # the lower region, and the upper one reflected onto it
+    ao = np.where(high[outer], 1.0 - a[outer], a[outer])
+    so = _outer_slab(ao, b[outer])
+    mid = ~outer
+    t = b.copy()  # the middle region keeps the time
+    t[outer] = np.divide(ao, so, out=np.zeros_like(so), where=so > 0.0)
+    sw = np.empty_like(a)
+    sw[mid] = _middle_slab(a[mid], b[mid])
+    sw[outer] = np.where(high[outer], 1.0 - so, so)
+    sw = np.clip(sw, 0.0, 1.0)
+    t = np.clip(t, 0.0, 1.0)
+    s = xi_inv_batch(sw) if wrinkle else sw
+    return Q_batch(n + 1, np.column_stack([e[:, :n - 1], lambda_fn_batch(s),
+                                           lambda_fn_batch(t)]))
 
 
 def seam_curve(n, v, t, wrinkle=True):
@@ -209,6 +290,9 @@ L_TOL = 1e-8
 
 
 def in_L(n, cyl):
-    """Membership in L^n: time 0, or disk component on the boundary sphere."""
+    """Membership in L^n: time 0, or disk component on the boundary sphere.
+
+    On a CylPoint of rows (see psi_batch) it gives one verdict per row.
+    """
     disk = np.asarray(cyl[0], dtype=float)
-    return float(cyl[1]) <= L_TOL or abs(disk[-1]) <= L_TOL
+    return (cyl[1] <= L_TOL) | (np.abs(disk[..., -1]) <= L_TOL)

@@ -6,7 +6,10 @@ Each suite returns a list of property records
 
 sorted by property name.  Each record's ``tol`` is a pinned constant of
 the ladder below.  All sampling is driven by the run seed, so two runs
-with the same seed and samples produce byte-identical reports.  The
+with the same seed and samples produce byte-identical reports.  A
+property over thousands of sampled disk or cylinder points draws one
+array per dimension and evaluates it through the array entry points
+(``*_batch``) of diskmodel, smoothfn and subdivision.  The
 negative controls (the kink detector, the unwrinkled seam control, the
 singleton open-set) are first-class properties: they pass exactly when
 the checked machinery *rejects* what it must reject, guarding the
@@ -31,7 +34,7 @@ from .homotopy import (Homotopy, PairMapRep, concat, glue_double, path_component
 from .lifting import (LiftError, chep, extend_lift, hep, product_fibration)
 from .instances import bundled_chep_instance, bundled_extend_instance, chain_position
 
-__all__ = ["MAX_FD_ORDER", "RunConfig", "SUITES", "run_suite", "suite_names",
+__all__ = ["RunConfig", "SUITES", "run_suite", "suite_names",
            "worst", "check_chep_instance", "check_extend_instance"]
 
 # highest derivative order the suites check: the flatness claims on lambda
@@ -94,6 +97,26 @@ def worst(*devs):
     evaluation produced NaN pass.  inf fails every tolerance.
     """
     return max(d if math.isfinite(d) else math.inf for d in devs)
+
+
+def _worst_rows(devs):
+    """worst() over an array of deviations, 0.0 when the array is empty."""
+    devs = np.asarray(devs, dtype=float)
+    return float(np.max(np.where(np.isfinite(devs), devs, math.inf), initial=0.0))
+
+
+def _per_n(total, ns):
+    """(n, count) pairs when sample i of ``total`` has dimension ns[i % len(ns)].
+
+    The suites draw one array of points per n; the counts keep the sample
+    mix of a loop over i.
+    """
+    return [(n, len(range(j, total, len(ns)))) for j, n in enumerate(ns)]
+
+
+def _cyl_rows(c):
+    """A CylPoint of rows as one (N, n+2) array: disk coordinates, then time."""
+    return np.column_stack([c.disk, c.time])
 
 
 # ---------------------------------------------------------------------------
@@ -175,23 +198,24 @@ def suite_diskmodel(cfg):
 
     n_samp = cfg.count(10000)
     dev = 0.0
-    for i in range(n_samp):
-        n = 1 + (i % 3)
-        w = dm.gen_plot(n, rng.uniform(-1.5, 2.5, size=n))
-        dev = worst(dev, max_dev(dm.Q(n, dm.section(n, w)), w))
+    for n, k in _per_n(n_samp, (1, 2, 3)):
+        # gen_plot, the lambda chart: its saturation collar reaches the poles
+        w = dm.Q_batch(n, sf.lambda_fn_batch(rng.uniform(-1.5, 2.5, size=(k, n))))
+        dev = worst(dev, _worst_rows(dm.max_dev_batch(dm.Q_batch(n, dm.section_batch(n, w)),
+                                                      w)))
     out.append(_within("q_section_roundtrip", n_samp, dev, TOL_DISK))
 
     m = cfg.count(1000)
     dev0 = dev1 = devn = 0.0
-    for i in range(m):
-        n = i % 3
-        v = dm.random_disk(n, rng)
-        w0 = dm.q(n, v, 0.0)
-        dev0 = worst(dev0, max_dev(w0, (v, 0.0)))
-        w1 = dm.q(n, v, 1.0)
-        dev1 = worst(dev1, abs(w1[-1]), abs(w1[-2] + v[-1]))
-        x = rng.uniform(-1.5, 2.5, size=n + 1)
-        devn = worst(devn, abs(float(np.linalg.norm(dm.gen_plot(n + 1, x))) - 1.0))
+    for n, k in _per_n(m, (0, 1, 2)):
+        v = dm.random_disk_batch(n, k, rng)
+        w0 = dm.q_batch(n, v, np.zeros(k))
+        dev0 = worst(dev0, _worst_rows(dm.max_dev_batch(w0, np.column_stack([v, np.zeros(k)]))))
+        w1 = dm.q_batch(n, v, np.ones(k))
+        dev1 = worst(dev1, _worst_rows(np.abs(w1[:, -1])),
+                     _worst_rows(np.abs(w1[:, -2] + v[:, -1])))
+        w = dm.Q_batch(n + 1, sf.lambda_fn_batch(rng.uniform(-1.5, 2.5, size=(k, n + 1))))
+        devn = worst(devn, _worst_rows(np.abs(np.linalg.norm(w, axis=1) - 1.0)))
     out.append(_within("q_base_inclusion_exact", m, dev0, 0.0))
     out.append(_within("q_top_reflects", m, dev1, TOL_ALG))
     out.append(_within("unit_norm_outputs", m, devn, TOL_ALG))
@@ -396,15 +420,15 @@ def suite_subdivision(cfg):
 
     m = cfg.count(1000)
     dev = 0.0
-    for i in range(m):
-        n = 1 + (i % 3)
-        v = dm.random_disk(n - 1, rng)
-        t = float(rng.uniform())
+    for n, k in _per_n(m, (1, 2, 3)):
+        v = dm.random_disk_batch(n - 1, k, rng)
+        t = rng.uniform(size=k)
         for s0, branches in ((1.0 / 3.0, sd.PHI_BRANCHES[:2]),
                              (2.0 / 3.0, sd.PHI_BRANCHES[1:])):
-            (a1, b1), (a2, b2) = (br(s0, t) for br in branches)
-            d1, d2 = (dm.q(n - 1, v, sf.lambda_fn(a)) for a in (a1, a2))
-            dev = worst(dev, max_dev((d1, sf.lambda_fn(b1)), (d2, sf.lambda_fn(b2))))
+            c1, c2 = (sd.CylPoint(dm.q_batch(n - 1, v, sf.lambda_fn_batch(a)),
+                                  sf.lambda_fn_batch(b))
+                      for a, b in (br(s0, t) for br in branches))
+            dev = worst(dev, _worst_rows(dm.max_dev_batch(_cyl_rows(c1), _cyl_rows(c2))))
     out.append(_within("phi_branch_agreement", m, dev, TOL_ALG))
 
     bad = 0
@@ -420,44 +444,44 @@ def suite_subdivision(cfg):
 
     cnt = cfg.count(1000)
     misses = 0
-    for i in range(cnt):
-        n = 1 + (i % 3)
-        w = dm.include_k(n, dm.random_disk(n, rng))
-        if not sd.in_L(n, sd.psi(n, w, wrinkle=True)):
-            misses += 1
+    for n, k in _per_n(cnt, (1, 2, 3)):
+        w = np.column_stack([dm.random_disk_batch(n, k, rng), np.zeros(k)])  # include_k
+        misses += int(np.sum(~sd.in_L(n, sd.psi_batch(n, w))))
     out.append(_within("psi_boundary_into_L", cnt, misses, 0.0))
 
     n_rt = cfg.count(10000)
     dev = 0.0
     collapsed = 0
     genuine = 0
-    for i in range(n_rt):
-        n = i % 4
-        w = dm.random_disk(n + 1, rng)
-        w2 = sd.psi_inv(n, sd.psi(n, w, wrinkle=True), wrinkle=True)
-        d = max_dev(w2, w)
-        if d <= TOL_RT:
-            dev = worst(dev, d)
-            continue
+    for n, k in _per_n(n_rt, (0, 1, 2, 3)):
+        w = dm.random_disk_batch(n + 1, k, rng)
+        c = sd.psi_batch(n, w)
+        w2 = sd.psi_inv_batch(n, c)
+        d = dm.max_dev_batch(w2, w)
         # the wrinkle flattens bands of the chart onto the subdivision
         # walls; inside them distinct points have bit-identical images
         # and no inverse exists.  Certify: the forward images must agree.
-        c1, c2 = sd.psi(n, w, wrinkle=True), sd.psi(n, w2, wrinkle=True)
-        img = max_dev(c1, c2)
-        if img <= 1e-11:
-            collapsed += 1
-        else:
-            genuine += 1
+        # A non-finite w2 has no image: its row stays a defect at inf.
+        off = ~(d <= TOL_RT)
+        cert = off & np.isfinite(w2).all(axis=1)
+        dev = worst(dev, _worst_rows(d[~cert]))
+        img = dm.max_dev_batch(_cyl_rows(sd.psi_batch(n, w2[cert])), _cyl_rows(c)[cert])
+        certified = int(np.sum(img <= 1e-11))
+        collapsed += certified
+        genuine += int(np.sum(off)) - certified
     out.append(_rec("psi_roundtrip_forward", n_rt, dev, TOL_RT, genuine == 0,
                     f"{collapsed} samples in certified wrinkle-collapse fibers "
                     f"(forward images bit-close), {genuine} genuine defects"))
 
     dev = 0.0
-    for i in range(n_rt):
-        n = i % 4
-        c = sd.CylPoint(dm.random_disk(n, rng), float(rng.uniform()))
-        c2 = sd.psi(n, sd.psi_inv(n, c, wrinkle=True), wrinkle=True)
-        dev = worst(dev, max_dev(c2, c))
+    for n, k in _per_n(n_rt, (0, 1, 2, 3)):
+        c = sd.CylPoint(dm.random_disk_batch(n, k, rng), rng.uniform(size=k))
+        w = sd.psi_inv_batch(n, c)
+        # psi rejects a non-finite row; its deviation is inf
+        ok = np.isfinite(w).all(axis=1)
+        d = np.full(k, math.inf)
+        d[ok] = dm.max_dev_batch(_cyl_rows(sd.psi_batch(n, w[ok])), _cyl_rows(c)[ok])
+        dev = worst(dev, _worst_rows(d))
     out.append(_within("psi_roundtrip_backward", n_rt, dev, TOL_RT))
 
     dev = 0.0

@@ -103,6 +103,18 @@ def test_verify_smoothfn_passes(capsys):
     assert rep["passed"] and rep["suite"] == "smoothfn"
 
 
+def test_verify_all_at_tiny_samples_passes(capsys):
+    # every count is 1, so three of the four per-n groups of a property
+    # drawn per dimension are empty
+    code, out, _ = run_cli(["verify", "all", "--samples", "0.0001", "--report", "json"],
+                           capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"]
+    samples = {p["property"]: p["samples"] for p in rep["properties"]}
+    assert samples["subdivision.psi_roundtrip_forward"] == 1
+    assert samples["diskmodel.q_section_roundtrip"] == 1
+
+
 def test_verify_unknown_suite_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "difftop.cli", "verify", "nope"],

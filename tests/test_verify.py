@@ -1,10 +1,16 @@
 import math
 
+import numpy as np
+import pytest
+
+import difftop.diskmodel
 import difftop.smoothfn
+import difftop.subdivision
 from difftop.cli import _chep_props
 from difftop.instances import bundled_chep_instance, chep_instance_from_json
 from difftop.lifting import Fibration
-from difftop.verify import TOL_LIFT, RunConfig, check_chep_instance, suite_smoothfn, worst
+from difftop.verify import (TOL_LIFT, RunConfig, check_chep_instance, suite_diskmodel,
+                            suite_smoothfn, suite_subdivision, worst)
 
 
 def _props(records):
@@ -34,6 +40,41 @@ def test_nan_inverse_fails_roundtrip_property(monkeypatch):
     rec = _props(suite_smoothfn(cfg))["xi_inv_roundtrip"]
     assert not rec["pass"]
     assert rec["worst_dev"] == math.inf
+
+
+def _nan_in_row(f, row):
+    """f with its result's row ``row`` set to NaN, on arrays that have it."""
+    def patched(*args, **kwargs):
+        out = f(*args, **kwargs)
+        if len(out) > row:
+            out = out.copy()
+            out[row] = math.nan
+        return out
+    return patched
+
+
+@pytest.mark.parametrize("module, name, suite, props", [
+    (difftop.subdivision, "psi_inv_batch", suite_subdivision,
+     ["psi_roundtrip_forward", "psi_roundtrip_backward"]),
+    (difftop.diskmodel, "section_batch", suite_diskmodel, ["q_section_roundtrip"]),
+])
+def test_nan_row_fails_batched_roundtrip_properties(monkeypatch, module, name, suite, props):
+    # negative control on the array path: one NaN row among the passing
+    # ones must reach the record as inf, not be dropped by a max
+    cfg = RunConfig(samples=0.05)
+    assert all(_props(suite(cfg))[p]["pass"] for p in props)
+    monkeypatch.setattr(module, name, _nan_in_row(getattr(module, name), 1))
+    rec = _props(suite(cfg))
+    for p in props:
+        assert not rec[p]["pass"]
+        assert rec[p]["worst_dev"] == math.inf
+
+
+def test_worst_rows_counts_non_finite_as_inf():
+    from difftop.verify import _worst_rows
+    assert _worst_rows(np.array([])) == 0.0
+    assert _worst_rows(np.array([1e-3, math.nan, 2e-3])) == math.inf
+    assert _worst_rows(np.array([1e-3, 2e-3])) == 2e-3
 
 
 def test_nan_lift_fails_chep_check():
