@@ -209,7 +209,7 @@ def psi_inv(n, cyl, wrinkle=True):
     return Q(n + 1, e[:n - 1].tolist() + [lambda_fn(s), lambda_fn(t)])
 
 
-def psi_batch(n, w, wrinkle=True):
+def psi_batch(n, w):
     """psi row by row: N rows of disk^(n+1) points to a CylPoint of N rows.
 
     DomainError names the first row off the disk.
@@ -219,8 +219,7 @@ def psi_batch(n, w, wrinkle=True):
         return CylPoint(np.ones((len(c), 1)), c[:, 0])
     s = lambda_inv_batch(c[:, n - 1])
     t = lambda_inv_batch(c[:, n])
-    if wrinkle:
-        s = xi_batch(s)
+    s = xi_batch(s)
     a, b = np.empty_like(s), np.empty_like(s)
     branch = phi_branch(s)
     for k, formula in enumerate(PHI_BRANCHES):
@@ -230,7 +229,7 @@ def psi_batch(n, w, wrinkle=True):
     return CylPoint(disk, lambda_fn_batch(b))
 
 
-def psi_inv_batch(n, cyl, wrinkle=True):
+def psi_inv_batch(n, cyl):
     """psi_inv row by row: a CylPoint of N rows to an (N, n+2) array.
 
     The branches invert through the formulas psi_inv uses.  DomainError
@@ -263,7 +262,7 @@ def psi_inv_batch(n, cyl, wrinkle=True):
     sw[outer] = np.where(high[outer], 1.0 - so, so)
     sw = np.clip(sw, 0.0, 1.0)
     t = np.clip(t, 0.0, 1.0)
-    s = xi_inv_batch(sw) if wrinkle else sw
+    s = xi_inv_batch(sw)
     return Q_batch(n + 1, np.column_stack([e[:, :n - 1], lambda_fn_batch(s),
                                            lambda_fn_batch(t)]))
 

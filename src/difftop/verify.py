@@ -445,7 +445,7 @@ def suite_subdivision(cfg):
     cnt = cfg.count(1000)
     misses = 0
     for n, k in _per_n(cnt, (1, 2, 3)):
-        w = np.column_stack([dm.random_disk_batch(n, k, rng), np.zeros(k)])  # include_k
+        w = dm.q_batch(n, dm.random_disk_batch(n, k, rng), np.zeros(k))
         misses += int(np.sum(~sd.in_L(n, sd.psi_batch(n, w))))
     out.append(_within("psi_boundary_into_L", cnt, misses, 0.0))
 

@@ -66,8 +66,8 @@ def _cyl(c):
     return np.concatenate([c.disk, [c.time]])
 
 
-def _psi_rows(n, w, wrinkle):
-    cs = [psi(n, row, wrinkle) for row in w]
+def _psi_rows(n, w):
+    cs = [psi(n, row) for row in w]
     return np.array([_cyl(c) for c in cs]).reshape(len(w), n + 2)
 
 
@@ -222,33 +222,33 @@ def test_max_dev_batch_edge_cases():
 # subdivision
 # ---------------------------------------------------------------------------
 
-@given(dims, seeds, row_counts, st.booleans())
+@given(dims, seeds, row_counts)
 @settings(max_examples=200, deadline=None)
-def test_psi_matches(n, seed, rows, wrinkle):
+def test_psi_matches(n, seed, rows):
     rng = np.random.default_rng(seed)
     w = _disk_rows(rng, n + 1, rows)
     if n >= 1:
         w = np.concatenate([w, _collapse_rows(rng, n, rows)])
-    got = _batch_cyl(psi_batch(n, w, wrinkle))
-    assert np.max(np.abs(got - _psi_rows(n, w, wrinkle)), initial=0.0) <= AGREE
+    got = _batch_cyl(psi_batch(n, w))
+    assert np.max(np.abs(got - _psi_rows(n, w)), initial=0.0) <= AGREE
 
 
-@given(dims, seeds, row_counts, st.booleans())
+@given(dims, seeds, row_counts)
 @settings(max_examples=200, deadline=None)
-def test_psi_inv_matches(n, seed, rows, wrinkle):
+def test_psi_inv_matches(n, seed, rows):
     rng = np.random.default_rng(seed)
     disk = _disk_rows(rng, n, rows)
     time = np.where(rng.uniform(size=rows) < 0.2, rng.integers(2, size=rows),
                     rng.uniform(size=rows))
     if n >= 1:  # images of the collapse bands: their preimages are not unique
-        img = _psi_rows(n, _collapse_rows(rng, n, rows), wrinkle)
+        img = _psi_rows(n, _collapse_rows(rng, n, rows))
         disk = np.concatenate([disk, img[:, :-1]])
         time = np.concatenate([time, img[:, -1]])
-    got = psi_inv_batch(n, CylPoint(disk, time), wrinkle)
+    got = psi_inv_batch(n, CylPoint(disk, time))
     for g, d, y in zip(got, disk, time.tolist()):
-        want = psi_inv(n, CylPoint(d, y), wrinkle)
+        want = psi_inv(n, CylPoint(d, y))
         if max_dev(g, want) > AGREE:
-            assert max_dev(_cyl(psi(n, g, wrinkle)), _cyl(psi(n, want, wrinkle))) <= AGREE
+            assert max_dev(_cyl(psi(n, g)), _cyl(psi(n, want))) <= AGREE
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
