@@ -85,7 +85,7 @@ def _norm(x):
     dot fuses multiply-adds, so a Python sum of squares or math.hypot
     differs in the last bit on 8-18% of vectors of length 2 to 5; on a
     strided array of length >= 4 BLAS sums in another order, which is why
-    the membership checks make their arrays C-contiguous.
+    check_disk returns a C-contiguous array for section's tail norms.
     """
     return math.sqrt(x.dot(x))
 
@@ -111,9 +111,10 @@ def point_to_json(w):
 def check_sphere(v):
     """Assert v is a unit vector (a point of the full boundary sphere)."""
     v = np.asarray(v, dtype=float, order="C")
-    r = _norm(v)
-    # a non-finite coordinate makes r NaN or inf; so does a finite vector
-    # whose squares overflow, which the norm test below rejects
+    # hypot squares nothing, so a huge finite point gets its norm (inf only
+    # past the float range) and no overflow RuntimeWarning, and the norm
+    # test below rejects it; a non-finite coordinate makes r NaN or inf
+    r = math.hypot(*v.tolist())
     if not math.isfinite(r) and not np.isfinite(v).all():
         raise DomainError(f"non-finite coordinates {v!r}")
     if abs(r - 1.0) > POINT_TOL:

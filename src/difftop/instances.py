@@ -325,24 +325,20 @@ extend_instance_from_json = ExtendInstance
 # Bundled demos
 # ---------------------------------------------------------------------------
 
-def bundled_chep_instance(k_offset=0.0, relative=True):
+def bundled_chep_instance(k_offset=0.0):
     """Interval complex over the product fibration, nonconstant data.
 
-    With ``relative`` the interval hangs off a base point (so the
-    base-tracking equation is exercised); without it the complex is two
-    0-cells joined by an edge.  ``k_offset`` produces the incompatible
-    negative-control instance.
+    The interval hangs off a base point, so the base-tracking equation is
+    exercised.  ``k_offset`` produces the incompatible negative-control
+    instance.
     """
-    cells = ([{"dim": 0},
-              {"dim": 1, "attach": {"kind": "endpoints",
-                                    "pos": {"base": True}, "neg": {"cell": 0}}}]
-             if relative else
-             [{"dim": 0}, {"dim": 0},
-              {"dim": 1, "attach": {"kind": "endpoints",
-                                    "pos": {"cell": 0}, "neg": {"cell": 1}}}])
     desc = {
         "fibration": {"kind": "product"},
-        "complex": {"base": "point" if relative else None, "cells": cells},
+        "complex": {"base": "point", "cells": [
+            {"dim": 0},
+            {"dim": 1, "attach": {"kind": "endpoints",
+                                  "pos": {"base": True}, "neg": {"cell": 0}}},
+        ]},
         "k": {"op": "add", "args": [
             {"op": "mul", "args": [0.4, {"op": "sin", "args": [
                 {"op": "mul", "args": [2.2, {"op": "var", "index": 0}]}]}]},

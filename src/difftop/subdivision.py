@@ -28,7 +28,9 @@ Q(n-1, e) the underlying (n-1)-disk point, s the subdivided slot and t
 the cylinder slot.  ``source_point`` builds such a point; psi and
 psi_inv recover the parameters through the canonical section.
 
-psi_batch and psi_inv_batch are the array entry points: they map N points
+psi picks its branch by PHI_BRANCHES[phi_branch(s)], psi_inv by
+PHI_INVERSES[target_region(a, b)].  The array entry points psi_batch and
+psi_inv_batch run the same tables with one mask per branch on N points
 at once, as rows, and agree with psi and psi_inv row by row.
 """
 
@@ -42,7 +44,7 @@ from .diskmodel import DomainError, Q, Q_batch, check_disk, q, section, section_
 
 __all__ = [
     "CylPoint", "source_point", "PHI_BRANCHES", "phi_branch", "target_walls",
-    "phi_map", "region_classify",
+    "PHI_INVERSES", "target_region", "phi_map", "region_classify",
     "rho", "psi", "psi_inv", "psi_batch", "psi_inv_batch", "seam_curve", "in_L",
 ]
 
@@ -57,12 +59,16 @@ class CylPoint(NamedTuple):
     time: float
 
 
-def source_point(n, v, s, t):
-    """The disk^(n+1) point with parameters (v, s, t); v in disk^(n-1)."""
+def _check_params(s, t):
+    """Assert the chart parameters s and t lie in [0,1]."""
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise DomainError(f"parameters s={s!r}, t={t!r} outside [0,1]")
-    e = section(n - 1, v)
-    return Q(n + 1, e.tolist() + [lambda_fn(s), lambda_fn(t)])
+
+
+def source_point(n, v, s, t):
+    """The disk^(n+1) point with parameters (v, s, t); v in disk^(n-1)."""
+    _check_params(s, t)
+    return Q(n + 1, section(n - 1, v).tolist() + [lambda_fn(s), lambda_fn(t)])
 
 
 # target parameters (a, b) of phi on each slab of s, in slab order: the
@@ -87,17 +93,42 @@ def target_walls(t):
     return t / 3.0, 1.0 - t / 3.0
 
 
-def _outer_slab(a, b):
-    """The s of PHI_BRANCHES[0] with target (a, b); the time there is a / s.
+def target_region(a, b):
+    """Index into PHI_INVERSES of the target region of (a, b); a wall joins
+    the outer region.  Like phi_branch, it takes floats or arrays."""
+    lo, hi = target_walls(b)
+    return (a > lo) * 1 + (a >= hi) * 1
 
-    The upper branch inverts through the reflection a -> 1 - a, s -> 1 - s.
-    """
-    return (1.0 + 3.0 * a - b) / 3.0
+
+def _lower_inverse(a, b):
+    """(s, t) of PHI_BRANCHES[0] with target (a, b).  At the cylinder top
+    over the boundary, a = 0 with b = 1, s is 0 and t is taken to be 0,
+    consistent with the quotient identifications at the poles."""
+    s = (1.0 + 3.0 * a - b) / 3.0
+    return s, a / (s + (s == 0.0))
 
 
-def _middle_slab(a, b):
-    """The s of PHI_BRANCHES[1] with target (a, b); the time there is b."""
-    return (a + 1.0 - b) / (3.0 - 2.0 * b)
+def _upper_inverse(a, b):
+    """The lower inverse under the reflection a -> 1 - a, s -> 1 - s."""
+    s, t = _lower_inverse(1.0 - a, b)
+    return 1.0 - s, t
+
+
+# source parameters (s, t) of phi's target pair (a, b), in region order
+PHI_INVERSES = (
+    _lower_inverse,
+    lambda a, b: ((a + 1.0 - b) / (3.0 - 2.0 * b), b),
+    _upper_inverse,
+)
+
+
+def _by_index(table, k, x, y):
+    """table[k[i]](x[i], y[i]) for every entry i of the arrays, as two arrays."""
+    u, v = np.empty_like(x), np.empty_like(x)
+    for j, formula in enumerate(table):
+        m = k == j
+        u[m], v[m] = formula(x[m], y[m])
+    return u, v
 
 
 def phi_map(n, s, t, v):
@@ -108,8 +139,7 @@ def phi_map(n, s, t, v):
     mismatched derivatives; see ``psi`` for the smoothed composite.
     v is validated by ``q``.
     """
-    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
-        raise DomainError(f"parameters s={s!r}, t={t!r} outside [0,1]")
+    _check_params(s, t)
     a, b = PHI_BRANCHES[phi_branch(s)](s, t)
     return CylPoint(q(n - 1, v, lambda_fn(a)), lambda_fn(b))
 
@@ -165,23 +195,20 @@ def psi(n, w, wrinkle=True):
     c = section(n + 1, w)
     if n == 0:
         return CylPoint(np.array([1.0]), float(c[0]))
-    v = Q(n - 1, c[:n - 1])
     s = lambda_inv(c[n - 1])
     t = lambda_inv(c[n])
     if wrinkle:
         s = xi(s)
-    return phi_map(n, s, t, v)
+    a, b = PHI_BRANCHES[phi_branch(s)](s, t)
+    return CylPoint(Q(n, c[:n - 1].tolist() + [lambda_fn(a)]), lambda_fn(b))
 
 
 def psi_inv(n, cyl, wrinkle=True):
     """Inverse of psi, branch by the target region.
 
     Recovers the target parameters (a, b) of the cylinder point, inverts
-    the matching phi branch in closed form, undoes the wrinkle by
-    xi_inv, and reassembles through the canonical chart.  Where the
-    branch-1 formula degenerates (a = 0 with b = 1, the cylinder top
-    over the boundary) the time parameter is taken to be 0, consistent
-    with the quotient identifications at the poles.
+    the matching phi branch by PHI_INVERSES, undoes the wrinkle by
+    xi_inv, and reassembles through the canonical chart.
     """
     e = section(n, cyl[0])
     y = float(cyl[1])
@@ -191,21 +218,10 @@ def psi_inv(n, cyl, wrinkle=True):
         return Q(1, [y])
     a = lambda_inv(e[n - 1])
     b = lambda_inv(y)
-    lo, hi = target_walls(b)
-    if a <= lo:
-        sw = _outer_slab(a, b)
-        t = a / sw if sw > 0.0 else 0.0
-    elif a >= hi:
-        a1 = 1.0 - a
-        s1 = _outer_slab(a1, b)
-        t = a1 / s1 if s1 > 0.0 else 0.0
-        sw = 1.0 - s1
-    else:
-        t = b
-        sw = _middle_slab(a, b)
-    sw = min(1.0, max(0.0, sw))
+    s, t = PHI_INVERSES[target_region(a, b)](a, b)
+    s = min(1.0, max(0.0, s))
     t = min(1.0, max(0.0, t))
-    s = xi_inv(sw) if wrinkle else sw
+    s = xi_inv(s) if wrinkle else s
     return Q(n + 1, e[:n - 1].tolist() + [lambda_fn(s), lambda_fn(t)])
 
 
@@ -220,11 +236,7 @@ def psi_batch(n, w):
     s = lambda_inv_batch(c[:, n - 1])
     t = lambda_inv_batch(c[:, n])
     s = xi_batch(s)
-    a, b = np.empty_like(s), np.empty_like(s)
-    branch = phi_branch(s)
-    for k, formula in enumerate(PHI_BRANCHES):
-        m = branch == k
-        a[m], b[m] = formula(s[m], t[m])
+    a, b = _by_index(PHI_BRANCHES, phi_branch(s), s, t)
     disk = Q_batch(n, np.column_stack([c[:, :n - 1], lambda_fn_batch(a)]))
     return CylPoint(disk, lambda_fn_batch(b))
 
@@ -232,9 +244,8 @@ def psi_batch(n, w):
 def psi_inv_batch(n, cyl):
     """psi_inv row by row: a CylPoint of N rows to an (N, n+2) array.
 
-    The branches invert through the formulas psi_inv uses.  DomainError
-    names the first row whose disk point is off the disk, else the first
-    time outside [0,1].
+    DomainError names the first row whose disk point is off the disk, else
+    the first time outside [0,1].
     """
     e = section_batch(n, cyl[0])
     y = np.asarray(cyl[1], dtype=float)
@@ -248,21 +259,9 @@ def psi_inv_batch(n, cyl):
         return Q_batch(1, y[:, None])
     a = lambda_inv_batch(e[:, n - 1])
     b = lambda_inv_batch(y)
-    lo, hi = target_walls(b)
-    high = a >= hi
-    outer = (a <= lo) | high
-    # the lower region, and the upper one reflected onto it
-    ao = np.where(high[outer], 1.0 - a[outer], a[outer])
-    so = _outer_slab(ao, b[outer])
-    mid = ~outer
-    t = b.copy()  # the middle region keeps the time
-    t[outer] = np.divide(ao, so, out=np.zeros_like(so), where=so > 0.0)
-    sw = np.empty_like(a)
-    sw[mid] = _middle_slab(a[mid], b[mid])
-    sw[outer] = np.where(high[outer], 1.0 - so, so)
-    sw = np.clip(sw, 0.0, 1.0)
+    s, t = _by_index(PHI_INVERSES, target_region(a, b), a, b)
+    s = xi_inv_batch(np.clip(s, 0.0, 1.0))
     t = np.clip(t, 0.0, 1.0)
-    s = xi_inv_batch(sw)
     return Q_batch(n + 1, np.column_stack([e[:, :n - 1], lambda_fn_batch(s),
                                            lambda_fn_batch(t)]))
 

@@ -87,6 +87,17 @@ def test_eval_argument_outside_its_domain_exits_2(capsys, argv, message):
     assert err == f"eval error: {message}\n"
 
 
+def test_eval_point_whose_squares_overflow_exits_2_without_a_warning():
+    # any RuntimeWarning from the membership check would be an error here,
+    # and one printed warning would add lines to stderr
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "difftop.cli", "eval", "section", "1",
+         "1e200", "1e200"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("eval error: |point| = ")
+
+
 def test_eval_accepts_the_ends_of_its_domains(capsys):
     code, out, _ = run_cli(["eval", "Q", "2", "0", "1"], capsys)
     assert code == 0 and len(out.split()) == 3
@@ -241,7 +252,12 @@ def test_eval_json_points(capsys):
 
 
 def test_chep_no_base_is_vacuous_over_base(tmp_path, capsys):
-    _, desc = bundled_chep_instance(relative=False)
+    _, desc = bundled_chep_instance()
+    # no base: two 0-cells joined by an edge
+    desc["complex"] = {"base": None, "cells": [
+        {"dim": 0}, {"dim": 0},
+        {"dim": 1, "attach": {"kind": "endpoints", "pos": {"cell": 0}, "neg": {"cell": 1}}},
+    ]}
     path = tmp_path / "absolute.json"
     path.write_text(json.dumps(desc))
     code, out, _ = run_cli(["chep", str(path), "--samples", "0.2"], capsys)

@@ -136,7 +136,13 @@ def test_chep_rejects_incompatible_data():
 
 
 def test_chep_absolute_complex_two_vertices():
-    inst, _ = bundled_chep_instance(relative=False)
+    _, desc = bundled_chep_instance()
+    # no base: two 0-cells joined by an edge
+    desc["complex"] = {"base": None, "cells": [
+        {"dim": 0}, {"dim": 0},
+        {"dim": 1, "attach": {"kind": "endpoints", "pos": {"cell": 0}, "neg": {"cell": 1}}},
+    ]}
+    inst = chep_instance_from_json(desc)
     rng = np.random.default_rng(8)
     H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k)
     dev = 0.0

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from difftop.diskmodel import DomainError, include_k, q, random_disk, section
 from difftop.smoothfn import lambda_fn, lambda_inv, smoothness_check, xi
 from difftop.subdivision import (
-    CylPoint, in_L, phi_map, psi, psi_inv, region_classify, rho, seam_curve,
-    source_point,
+    PHI_BRANCHES, PHI_INVERSES, CylPoint, in_L, phi_branch, phi_map, psi, psi_inv,
+    region_classify, rho, seam_curve, source_point, target_region,
 )
 
 RNG = np.random.default_rng(77)
@@ -43,6 +43,39 @@ def test_phi_domain_errors():
         phi_map(2, 1.2, 0.5, v)
     with pytest.raises(DomainError):
         source_point(2, v, 0.5, -0.1)
+
+
+# s in [1e-3, 1 - 1e-3]: toward s = 0 every t maps near the corner (0, 1),
+# and t = a / s loses about 3e-16 / s of its accuracy (likewise at s = 1)
+@given(st.one_of(st.floats(1e-3, 1.0 - 1e-3), st.sampled_from([1.0 / 3.0, 2.0 / 3.0])),
+       st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])))
+@settings(max_examples=300, deadline=None)
+def test_phi_inverses_invert_phi_branches(s, t):
+    k = phi_branch(s)
+    a, b = PHI_BRANCHES[k](s, t)
+    j = target_region(a, b)
+    s1, t1 = PHI_INVERSES[j](a, b)
+    assert abs(s1 - s) <= 1e-12 and abs(t1 - t) <= 1e-12
+    # the float rules and their array forms pick the same index
+    assert phi_branch(np.array([s]))[0] == k
+    assert target_region(np.array([a]), np.array([b]))[0] == j
+
+
+def test_target_region_walls_join_the_outer_regions():
+    assert target_region(0.0, 0.0) == 0 and target_region(1.0, 0.0) == 2
+    # at b = 1 the walls are 1/3 and 1 - 1/3, one ulp above 2/3
+    assert target_region(1.0 / 3.0, 1.0) == 0
+    assert target_region(1.0 - 1.0 / 3.0, 1.0) == 2
+    assert target_region(0.5, 0.5) == 1
+    assert list(target_region(np.array([0.0, 0.5, 1.0]), np.zeros(3))) == [0, 1, 2]
+
+
+def test_phi_inverse_corner_has_time_zero():
+    # a = 0, b = 1: the cylinder top over the boundary, where s = 0
+    assert target_region(0.0, 1.0) == 0
+    assert PHI_INVERSES[0](0.0, 1.0) == (0.0, 0.0)
+    s, t = PHI_INVERSES[0](np.array([0.0, 0.1]), np.array([1.0, 1.0]))
+    assert s[0] == t[0] == 0.0 and t[1] == pytest.approx(1.0)
 
 
 def test_region_classify_examples():
