@@ -10,9 +10,9 @@ raw chart fails it.
 
 import numpy as np
 
-from difftop import (in_L, include_k, phi_map, psi, psi_inv, random_disk,
-                     region_classify, rho, smoothness_check)
-from difftop.subdivision import seam_curve, source_point
+from difftop import (in_L, include_k, phi_map, psi, psi_inv, random_disk, rho,
+                     smoothness_check)
+from difftop.subdivision import phi_branch, seam_curve, source_point
 
 rng = np.random.default_rng(42)
 n = 2
@@ -21,9 +21,8 @@ print("=== the three slabs and their target regions ===")
 v = random_disk(n - 1, rng)
 for s in (0.15, 0.5, 0.85):
     t = 0.4
-    tags = region_classify(s, t, "V")
     d, y = phi_map(n, s, t, v)
-    print(f"  s={s:.2f}: slab {tags}, target disk slot last coords "
+    print(f"  s={s:.2f}: slab {phi_branch(s) + 1}, target disk slot last coords "
           f"{np.round(d[-2:], 5)}, time {y:.5f}")
 
 print("\n=== wall agreement of adjacent branches ===")

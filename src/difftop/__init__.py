@@ -31,7 +31,7 @@ from .diskmodel import (
     DomainError, Q, gen_plot, include_j, include_k, q, random_disk,
     random_sphere, reflect, retract, retract_homotopy, section,
 )
-from .subdivision import CylPoint, in_L, phi_map, psi, psi_inv, region_classify, rho
+from .subdivision import CylPoint, in_L, phi_map, psi, psi_inv, rho
 from .cellcomplex import Cell, CellComplex, ComplexPoint
 from .homotopy import (
     Homotopy, PairMapRep, concat, delta_restrict, glue_double,

@@ -209,11 +209,10 @@ def cmd_dump(args):
         for _ in range(args.count):
             v = dm.random_disk(n - 1, rng)
             s, t = float(rng.uniform()), float(rng.uniform())
-            tags = sd.region_classify(s, t, "V")
             c = sd.psi(n, sd.source_point(n, v, s, t), wrinkle=not args.disable_wrinkle)
             row = ([str(n), "%.17g" % s, "%.17g" % t]
                    + ["%.17g" % x for x in v]
-                   + ["|".join(map(str, tags))]
+                   + [str(sd.phi_branch(s) + 1)]
                    + ["%.17g" % x for x in c.disk] + ["%.17g" % c.time])
             fh.write(",".join(row) + "\n")
     return _EXIT_PASS

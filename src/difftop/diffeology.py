@@ -285,8 +285,9 @@ class SmoothCheckReport:
     inconclusive: bool = False
     records: list = field(default_factory=list)
 
-    def add_failure(self, kind, witness):
+    def add_failure(self, kind, witness, inconclusive=False):
         self.passed = False
+        self.inconclusive = self.inconclusive or inconclusive
         self.records.append({"kind": kind, "witness": witness})
 
 
@@ -334,17 +335,22 @@ def smooth_check(f, config=None):
     directionally agreeing one-sided derivative estimates along the axes
     and random directions, and (b) land on some target generator, whose
     inverse gives a parameter in its box with that image up to the
-    target's ``eq``.  Failures carry witnesses; evaluation breakdowns mark
-    the report inconclusive rather than passing.
+    target's ``eq``.  Failures carry witnesses; evaluation breakdowns, and
+    a source generator with no sample or no generator at all, mark the
+    report inconclusive rather than passing.
     """
     cfg = config or SmoothCheckConfig()
     rng = np.random.default_rng(cfg.seed)
     report = SmoothCheckReport(map_name=f.name or "<map>")
     margin = FD_STEP * (_LINE_ORDER + 2)
 
+    if not f.source.generators:
+        report.add_failure("no_samples", {"source": f.source.name}, inconclusive=True)
     for gi, gen in enumerate(f.source.generators):
         samples = _grid_samples(gen, cfg, margin)
         samples += gen.sample(rng, cfg.samples_per_generator, margin=margin)
+        if not samples:
+            report.add_failure("no_samples", {"generator": gi}, inconclusive=True)
         for u in samples:
             dirs = [np.eye(gen.dim)[a] for a in range(gen.dim)]
             for _ in range(_DIRECTIONS if gen.dim > 0 else 0):
@@ -358,9 +364,8 @@ def smooth_check(f, config=None):
                 y = f.fn(gen.fn(u))
                 y_flat = f.target.flatten(y)
             except Exception as exc:
-                report.inconclusive = True
                 report.add_failure("evaluation", {"generator": gi, "u": list(u),
-                                                  "error": repr(exc)})
+                                                  "error": repr(exc)}, inconclusive=True)
                 continue
 
             if len(y_flat) == 0:
@@ -369,9 +374,8 @@ def smooth_check(f, config=None):
                 rep = smoothness_check(lambda s, d=d: composite(u + s * d), 0.0,
                                        _LINE_ORDER)
                 if rep.inconclusive:
-                    report.inconclusive = True
                     report.add_failure("inconclusive", {
-                        "generator": gi, "u": list(u), "direction": list(d)})
+                        "generator": gi, "u": list(u), "direction": list(d)}, inconclusive=True)
                 elif not rep.passed:
                     report.add_failure("smoothness", {
                         "generator": gi, "u": list(u),
@@ -381,8 +385,6 @@ def smooth_check(f, config=None):
             if f.target.generators and not _factors_through(y, f.target):
                 report.add_failure("factorization", {
                     "generator": gi, "u": list(u), "image": list(y_flat)})
-    if report.inconclusive:
-        report.passed = False
     return report
 
 

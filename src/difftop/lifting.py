@@ -70,7 +70,7 @@ def product_fibration(B, F):
     return Fibration(total=(B, F), base=B, project=lambda e: e[0], lift_k=lift_k)
 
 
-def point_fibration(Y=None):
+def point_fibration():
     """The projection to a point; the retraction is the lift.
 
     Base points are the number 0.0, which keeps the sampled equation
@@ -79,7 +79,7 @@ def point_fibration(Y=None):
     def lift_k(n, top, bottom):
         return lambda w: top(retract(n, w))
 
-    return Fibration(total=Y, base=None, project=lambda e: 0.0, lift_k=lift_k)
+    return Fibration(total=None, base=None, project=lambda e: 0.0, lift_k=lift_k)
 
 
 def chep(p, complex_, f, h, k, precheck=None, tol=1e-6):

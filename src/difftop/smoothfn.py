@@ -54,13 +54,8 @@ def lambda_fn(t):
 
 
 def _bisect_increasing(f, y, lo, hi):
-    # plain bisection to a 1e-14 bracket; unconditionally correct for
-    # non-decreasing f
-    flo = f(lo) - y
-    if flo >= 0.0:
-        return lo
-    if f(hi) - y <= 0.0:
-        return hi
+    # plain bisection to a 1e-14 bracket of a non-decreasing f; the caller
+    # guarantees f(lo) < y < f(hi), so neither end point is the answer
     while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if f(mid) - y <= 0.0:

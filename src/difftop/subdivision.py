@@ -44,8 +44,8 @@ from .diskmodel import DomainError, Q, Q_batch, check_disk, q, section, section_
 
 __all__ = [
     "CylPoint", "source_point", "PHI_BRANCHES", "phi_branch", "target_walls",
-    "PHI_INVERSES", "target_region", "phi_map", "region_classify",
-    "rho", "psi", "psi_inv", "psi_batch", "psi_inv_batch", "seam_curve", "in_L",
+    "PHI_INVERSES", "target_region", "phi_map", "rho", "psi", "psi_inv",
+    "psi_batch", "psi_inv_batch", "seam_curve", "in_L",
 ]
 
 
@@ -142,31 +142,6 @@ def phi_map(n, s, t, v):
     _check_params(s, t)
     a, b = PHI_BRANCHES[phi_branch(s)](s, t)
     return CylPoint(q(n - 1, v, lambda_fn(a)), lambda_fn(b))
-
-
-def region_classify(s, t, side, tol=0.0):
-    """Region tags (1, 2, 3) of a parameter pair, on either side of phi.
-
-    side "V" tags the source by the slab of s alone; side "W" tags the
-    target pair (s, t) -- understood as the preimage parameters of the
-    point (lambda(s), lambda(t)) -- by s <= t/3, t/3 <= s <= 1 - t/3,
-    s >= 1 - t/3.  Points within ``tol`` of a wall carry both adjacent
-    tags; the result is a sorted tuple.
-    """
-    if side == "V":
-        lo, hi = 1.0 / 3.0, 2.0 / 3.0
-    elif side == "W":
-        lo, hi = target_walls(t)
-    else:
-        raise ValueError(f"side must be 'V' or 'W', got {side!r}")
-    tags = []
-    if s <= lo + tol:
-        tags.append(1)
-    if lo - tol <= s <= hi + tol:
-        tags.append(2)
-    if s >= hi - tol:
-        tags.append(3)
-    return tuple(tags)
 
 
 def rho(n, w):

@@ -431,14 +431,17 @@ def suite_subdivision(cfg):
             dev = worst(dev, _worst_rows(dm.max_dev_batch(_cyl_rows(c1), _cyl_rows(c2))))
     out.append(_within("phi_branch_agreement", m, dev, TOL_ALG))
 
+    # slab j's branch lands in [0,1]^2 (target_region extends its regions
+    # off it), in target region j up to 1e-9 of rounding across a wall
+    s, t = rng.uniform(size=(m, 2)).T
+    k = sd.phi_branch(s)
     bad = 0
-    for i in range(m):
-        s, t = float(rng.uniform()), float(rng.uniform())
-        src = sd.region_classify(s, t, "V")
-        sp, tp = sd.PHI_BRANCHES[sd.phi_branch(s)](s, t)
-        tgt = sd.region_classify(sp, tp, "W", tol=1e-9)
-        if not set(src) & set(tgt):
-            bad += 1
+    for j, branch in enumerate(sd.PHI_BRANCHES):
+        a, b = branch(s[k == j], t[k == j])
+        lo, hi = sd.target_walls(b)
+        off_wall = np.minimum(np.abs(a - lo), np.abs(a - hi)) > 1e-9
+        off_square = np.maximum(np.abs(a - 0.5), np.abs(b - 0.5)) > 0.5 + 1e-9
+        bad += int(np.sum(off_square | ((sd.target_region(a, b) != j) & off_wall)))
     out.append(_within("region_preservation", m, bad, 0.0,
                        "source slab tags survive into target region tags"))
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from difftop import cli
 from difftop.cli import main
 from difftop.instances import bundled_chep_instance, bundled_extend_instance
+from difftop.subdivision import phi_branch
 
 
 def run_cli(args, capsys):
@@ -218,6 +219,14 @@ def test_dump_csv_header_and_shape(capsys):
     assert len(lines) == 6
     row = lines[1].split(",")
     assert row[0] == "2" and len(row) == 10
+
+
+def test_dump_region_is_the_slab_of_s(capsys):
+    _, out, _ = run_cli(["dump", "--n", "2", "--count", "200", "--seed", "1"], capsys)
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert {r[5] for r in rows} == {"1", "2", "3"}
+    for r in rows:
+        assert r[5] == str(phi_branch(float(r[1])) + 1)
 
 
 def test_dump_is_deterministic(capsys):

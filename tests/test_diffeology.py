@@ -165,6 +165,21 @@ def test_smooth_check_inconclusive_never_passes():
     assert not rep.passed
 
 
+def test_smooth_check_without_samples_is_inconclusive():
+    # a kink on a subspace too thin for any grid or sampled parameter
+    thin = subspace(R, lambda p: abs(_scalar(p) - 0.3) < 1e-6)
+    rep = smooth_check(MapEvaluator(thin, R, lambda x: np.abs(x - 0.3), "kink"), CFG)
+    assert rep.inconclusive and not rep.passed
+    assert rep.records == [{"kind": "no_samples", "witness": {"generator": 0}}]
+
+
+def test_smooth_check_of_a_source_without_generators_is_inconclusive():
+    source = functional(R, R)
+    rep = smooth_check(MapEvaluator(source, R, lambda f: 0.0, "const"), CFG)
+    assert rep.inconclusive and not rep.passed
+    assert rep.records == [{"kind": "no_samples", "witness": {"source": source.name}}]
+
+
 def test_exponential_alpha_values():
     R2 = product(R, R)
     f = MapEvaluator(R2, R, lambda xy: _scalar(xy[0]) + _scalar(xy[1]), "add")

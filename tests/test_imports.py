@@ -1,6 +1,7 @@
-"""Import hygiene: no unused imports, and no scipy at CLI start or in use.
+"""Import hygiene: no unused imports or exports, and no scipy at CLI start or in use.
 
-Lint: every name a module imports is referenced in that module, and no
+Lint: every name a module imports is referenced in that module, every
+name in a package module's ``__all__`` is referenced outside it, and no
 module of the package calls ``allclose``.
 
 Standard-library only (ast), so it runs wherever the tests run.  A name
@@ -22,6 +23,15 @@ FILES = sorted(p for p in [*ROOT.glob("src/difftop/*.py"), *ROOT.glob("tests/*.p
                             *ROOT.glob("demos/*.py")] if p.name != "__init__.py")
 
 
+def exported_names(source):
+    """The names listed in source's top-level ``__all__``, if any."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
 def unused_imports(source):
     """Names bound by an import in source and never referenced, sorted."""
     tree = ast.parse(source)
@@ -33,11 +43,7 @@ def unused_imports(source):
             imported |= {a.asname or a.name.split(".")[0]
                          for a in node.names if a.name != "*"}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
-    return sorted(imported - used)
+    return sorted(imported - used - set(exported_names(source)))
 
 
 def test_checker_finds_unused_and_skips_reexports():
@@ -83,3 +89,41 @@ def test_cli_import_leaves_scipy_unloaded():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def referenced_names(source):
+    """Names, attributes, imported names and identifier strings in source.
+
+    A string counts because perfbench's tracer patches functions by name.
+    """
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_checker_collects_references():
+    src = "from m import a\nb.c(d)\ngetattr(m, 'e')\n__all__ = ['f']\n"
+    assert {"a", "b", "c", "d", "e", "f"} <= referenced_names(src)
+    assert exported_names(src) == ["f"]
+
+
+PACKAGE = sorted(ROOT.glob("src/difftop/*.py"))
+USERS = PACKAGE + sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py"),
+                          *ROOT.glob("perfbench/**/*.py")])
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_export_is_used_outside_its_module(path):
+    # an export nothing else names is dead API: delete it or drop it from
+    # __all__ (the package __init__ re-exporting a name counts as a use)
+    refs = set().union(*(referenced_names(p.read_text()) for p in USERS if p != path))
+    assert [name for name in exported_names(path.read_text()) if name not in refs] == []

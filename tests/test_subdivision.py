@@ -8,7 +8,7 @@ from difftop.diskmodel import DomainError, include_k, q, random_disk, section
 from difftop.smoothfn import lambda_fn, lambda_inv, smoothness_check, xi
 from difftop.subdivision import (
     PHI_BRANCHES, PHI_INVERSES, CylPoint, in_L, phi_branch, phi_map, psi, psi_inv,
-    region_classify, rho, seam_curve, source_point, target_region,
+    rho, seam_curve, source_point, target_region,
 )
 
 RNG = np.random.default_rng(77)
@@ -78,14 +78,10 @@ def test_phi_inverse_corner_has_time_zero():
     assert s[0] == t[0] == 0.0 and t[1] == pytest.approx(1.0)
 
 
-def test_region_classify_examples():
-    assert region_classify(0.1, 0.5, "V") == (1,)
-    assert region_classify(0.5, 0.9, "W") == (2,)
-    assert region_classify(0.2, 0.9, "W") == (1,)
-    assert region_classify(1.0 / 3.0, 0.2, "V") == (1, 2)
-    assert region_classify(0.3, 0.9, "W") == (1, 2)
-    with pytest.raises(ValueError):
-        region_classify(0.1, 0.5, "X")
+def test_phi_branch_walls_join_the_slab_below():
+    assert phi_branch(1.0 / 3.0) == 0 and phi_branch(2.0 / 3.0) == 1
+    assert phi_branch(0.0) == 0 and phi_branch(0.5) == 1 and phi_branch(1.0) == 2
+    assert list(phi_branch(np.array([1.0 / 3.0, 2.0 / 3.0]))) == [0, 1]
 
 
 def test_rho_fixes_identity_bands():

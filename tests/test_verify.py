@@ -70,6 +70,19 @@ def test_nan_row_fails_batched_roundtrip_properties(monkeypatch, module, name, s
         assert rec[p]["worst_dev"] == math.inf
 
 
+@pytest.mark.parametrize("order", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
+def test_swapped_branches_fail_region_preservation(monkeypatch, order):
+    # negative control: a slab evaluated by another slab's branch lands off
+    # the target square or in another target region
+    cfg = RunConfig(samples=0.05)
+    assert _props(suite_subdivision(cfg))["region_preservation"]["pass"]
+    branches = difftop.subdivision.PHI_BRANCHES
+    monkeypatch.setattr(difftop.subdivision, "PHI_BRANCHES", tuple(branches[i] for i in order))
+    rec = _props(suite_subdivision(cfg))["region_preservation"]
+    assert not rec["pass"]
+    assert rec["worst_dev"] > 0
+
+
 def test_worst_rows_counts_non_finite_as_inf():
     from difftop.verify import _worst_rows
     assert _worst_rows(np.array([])) == 0.0
