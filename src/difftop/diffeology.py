@@ -488,15 +488,15 @@ def irrational_torus(theta):
                 f"theta={theta!r} looks rational (denominator {qd}); "
                 "the quotient would collapse")
 
+    shifts = sorted(range(-COEFF_BOUND, COEFF_BOUND + 1), key=abs)
+
     def eq(x, y):
         d = float(x) - float(y)
-        for nn in range(-COEFF_BOUND, COEFF_BOUND + 1):
+        for nn in shifts:
             m = round(d - nn * theta)
             if abs(m) <= COEFF_BOUND and abs(d - nn * theta - m) < EQ_TOL:
                 return True
         return False
-
-    shifts = sorted(range(-COEFF_BOUND, COEFF_BOUND + 1), key=abs)
 
     def inverse(p):
         x = float(p)

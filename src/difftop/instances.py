@@ -10,14 +10,23 @@ composition expressed by nesting:
 
 Complexes built from files are "chain-shaped": a point base, 0-cells,
 1-cells joining earlier targets, and optional 2-cells wrapping a 1-cell.
-``chain_position`` gives every point of such a complex a scalar position
-coordinate, which is what the bundled homotopy data is expressed in.
-Every node is type-checked when the file is loaded, so a malformed file
-raises InstanceError there and never a TypeError deep in the lifting.
+``chain_position(cx)`` is the map giving every point of such a complex a
+scalar position coordinate, which is what the bundled homotopy data is
+expressed in.  Every node is type-checked when the file is loaded, so a
+malformed file raises InstanceError there and never a TypeError deep in
+the lifting.
+
+What the file fixes is worked out once, at load: each expression becomes
+a tree of closures whose arithmetic nodes call the ``operator`` functions
+(a fold of two arguments is one call), and each complex gets one position
+table, the positions of its 0-cells, of its 1-cells' ends and of its
+2-cells' poles.  Evaluation computes only what depends on the point, in
+the order the definitions state, so every value keeps its bits.
 """
 
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -66,16 +75,13 @@ def _number(node, what):
 
 
 _UNARY = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp, "neg": lambda v: -v,
+    "sin": math.sin, "cos": math.cos, "exp": math.exp, "neg": operator.neg,
     "abs": abs, "lambda": lambda_fn, "xi": xi, "gamma": gamma,
 }
 
 _BINARY_FOLD = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "pow": lambda a, b: a ** b,
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": operator.truediv, "pow": operator.pow,
 }
 
 
@@ -105,6 +111,9 @@ def _compile(node, nvars):
     if len(parts) < 2:
         raise InstanceError(f"{op} takes at least two arguments")
     fold, first, rest = _BINARY_FOLD[op], parts[0], parts[1:]
+    if len(rest) == 1:
+        (second,) = rest
+        return lambda u: fold(first(u), second(u))
 
     def folded(u):
         out = first(u)
@@ -119,14 +128,17 @@ def compile_expr(node, nvars, field="expression"):
     """The evaluator of an expression AST over nvars variables.
 
     Ops, arity and var indices are checked here, when the instance is
-    loaded, so evaluation never meets a malformed node.  An evaluation
-    that raises (exp overflow, sin(inf), division by zero) or yields a
-    non-real or non-finite value raises InstanceError naming ``field``.
+    loaded, so evaluation never meets a malformed node.  The evaluator
+    takes a list of the variables' values (or anything np.atleast_1d
+    accepts).  An evaluation that raises (exp overflow, sin(inf),
+    division by zero) or yields a non-real or non-finite value raises
+    InstanceError naming ``field``.
     """
     fn = _compile(node, nvars)
 
     def evaluate(u):
-        u = np.atleast_1d(u)
+        if not isinstance(u, list):
+            u = np.atleast_1d(u)
         try:
             value = float(fn(u))
             if math.isfinite(value):
@@ -226,35 +238,55 @@ def _fibration(desc, kinds, what):
     return build(_keys(desc, keys, f"{kind} {what}"))
 
 
-def chain_position(cx, x):
-    """Scalar position of a point in a chain-shaped complex.
+def chain_position(cx):
+    """The scalar position map x -> float of a chain-shaped complex.
 
     The base sits at 0; the j-th 0-cell at j+1; a 1-cell interpolates
     linearly (in its canonical slot) between the positions of its two
     boundary targets; a 2-cell inherits the position of the edge point
     it wraps onto.  This is the coordinate the bundled homotopy data is
-    written in.
+    written in.  The complex is immutable, so the positions of its
+    0-cells, of each 1-cell's two ends and of each 2-cell's pole are
+    worked out once here; the map only applies a 2-cell's wrap and
+    interpolates along a 1-cell.
     """
-    x = cx.canonicalize(x)
-    if x.kind == "base":
-        return 0.0
-    cell = cx.cells[x.cell]
-    if cell.dim == 0:
-        return float(cx.zero_cells().index(x.cell) + 1)
-    if cell.dim == 1:
-        s = float(section(1, x.point)[0])
-        pos_at = chain_position(cx, cell.attach(np.array([1.0])))
-        neg_at = chain_position(cx, cell.attach(np.array([-1.0])))
-        return (1.0 - s) * pos_at + s * neg_at
-    if cell.dim == 2:
-        w = x.point
-        nrm = float(np.linalg.norm(w[:2]))
-        if nrm < 1e-12:
-            # the wrap coordinate collapses at the pole of the 2-cell;
-            # pick the 0-end of the wrapped edge as its representative
-            return chain_position(cx, cell.attach(np.array([1.0, 0.0])))
-        return chain_position(cx, cell.attach(np.asarray(w[:2]) / nrm))
-    raise InstanceError(f"chain_position undefined for a {cell.dim}-cell")
+    table = []    # per cell: its position, its ends' positions, or its pole's
+
+    def position(x):
+        x = cx.canonicalize(x)
+        if x.kind == "base":
+            return 0.0
+        cell, fixed = cx.cells[x.cell], table[x.cell]
+        dim = cell.dim
+        if dim == 0:
+            return fixed
+        if dim == 1:
+            s = float(section(1, x.point)[0])
+            pos_at, neg_at = fixed
+            return (1.0 - s) * pos_at + s * neg_at
+        if dim == 2:
+            w = x.point
+            nrm = float(np.linalg.norm(w[:2]))
+            if nrm < 1e-12:
+                # the wrap coordinate collapses at the pole of the 2-cell;
+                # the 0-end of the wrapped edge represents it
+                return fixed
+            return position(cell.attach(np.asarray(w[:2]) / nrm))
+        raise InstanceError(f"chain_position undefined for a {dim}-cell")
+
+    zero_cells = 0
+    for cell in cx.cells:
+        if cell.dim == 0:
+            zero_cells += 1
+            table.append(float(zero_cells))
+        elif cell.dim == 1:
+            table.append((position(cell.attach(np.array([1.0]))),
+                          position(cell.attach(np.array([-1.0])))))
+        elif cell.dim == 2:
+            table.append(position(cell.attach(np.array([1.0, 0.0]))))
+        else:
+            table.append(None)
+    return position
 
 
 class ChepInstance:
@@ -273,13 +305,14 @@ class ChepInstance:
         self.fibration = _fibration(desc.get("fibration", {}), _CHEP_FIBRATIONS,
                                     "fibration")
         self.complex = complex_from_json(_field(desc, "complex"))
+        self._position = chain_position(self.complex)
         self._k = compile_expr(_field(desc, "k"), 2, "k")
         self._f0 = compile_expr(_field(desc, "fiber0"), 1, "fiber0")
         self._fb = compile_expr(_field(desc, "fiber_base"), 1, "fiber_base")
         self._off = _number(desc.get("k_offset", 0.0), "k_offset")
 
     def position(self, x):
-        return chain_position(self.complex, x)
+        return self._position(x)
 
     def k(self, x, t):
         return self._k([self.position(x), lambda_fn(t)]) + self._off
@@ -305,10 +338,11 @@ class ExtendInstance:
                                 f"{self.oracle.fiber_dim} numbers, not {f_fiber!r:.80}")
         self._f_fiber = np.array([_number(v, "f_fiber entry") for v in f_fiber])
         self.complex = complex_from_json(_field(desc, "complex"))
+        self._position = chain_position(self.complex)
         self._bottom = compile_expr(_field(desc, "bottom"), 1, "bottom")
 
     def position(self, x):
-        return chain_position(self.complex, x)
+        return self._position(x)
 
     def bottom(self, x):
         return self._bottom([self.position(x)])

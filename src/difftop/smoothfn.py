@@ -37,7 +37,9 @@ def gamma(t):
     """Flat exponential: 0 for t <= 0, exp(-1/t) for t > 0."""
     if t <= 0.0:
         return 0.0
-    return math.exp(-1.0 / t)
+    # Python's float division: a subnormal t gives -inf and exp(-inf) = 0.0,
+    # where a numpy float64 t would warn of overflow
+    return math.exp(-1.0 / float(t))
 
 
 def lambda_fn(t):

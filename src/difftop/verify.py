@@ -723,13 +723,14 @@ def _chep_order_independence(cfg):
     lifts = []
     for swapped in (False, True):
         cx = _pair_complex(swapped)
-
         # chain_position is the same on both edge orders
-        def k(x, t, cx=cx):
-            return 0.3 * math.sin(2.0 * chain_position(cx, x)) + 0.2 * sf.lambda_fn(t)
+        position = chain_position(cx)
 
-        def f(x, cx=cx, k=k):
-            return (k(x, 0.0), math.cos(1.3 * chain_position(cx, x)))
+        def k(x, t, position=position):
+            return 0.3 * math.sin(2.0 * position(x)) + 0.2 * sf.lambda_fn(t)
+
+        def f(x, position=position, k=k):
+            return (k(x, 0.0), math.cos(1.3 * position(x)))
 
         lifts.append(chep(product_fibration("R", "R"), cx, f, None, k, tol=TOL_LIFT))
 

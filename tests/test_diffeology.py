@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from difftop.diffeology import (
-    MapEvaluator, SmoothCheckConfig, coproduct, d_topology_open_sample,
+    COEFF_BOUND, MapEvaluator, SmoothCheckConfig, coproduct, d_topology_open_sample,
     euclidean, exponential_alpha, exponential_alpha_inv, functional,
     irrational_torus, product, quotient, smooth_check, subspace,
 )
-from difftop.diskmodel import DomainError
+from difftop.diskmodel import EQ_TOL, DomainError
 from difftop.smoothfn import lambda_fn, lambda_inv
 
 
@@ -245,6 +245,34 @@ def test_torus_eq_examples():
     assert T.eq(0.0, 1.0 + theta)
     assert not T.eq(0.0, 0.5)
     assert T.eq(0.25, 0.25 + 3.0 - 2.0 * theta)
+
+
+def _torus_eq_by_scan(theta, x, y):
+    """Some integers |m|, |n| <= COEFF_BOUND with |x - y - n theta - m| < EQ_TOL."""
+    d = float(x) - float(y)
+    return any(abs(d - nn * theta - m) < EQ_TOL
+               for nn in range(-COEFF_BOUND, COEFF_BOUND + 1)
+               for m in range(-COEFF_BOUND, COEFF_BOUND + 1))
+
+
+@pytest.mark.parametrize("theta", [math.sqrt(2.0), (math.sqrt(5.0) - 1.0) / 2.0, -math.pi])
+def test_torus_eq_agrees_with_a_scan_of_every_shift(theta):
+    T = irrational_torus(theta)
+    rng = np.random.default_rng(17)
+    bound = COEFF_BOUND
+    coeffs = [-bound - 1, -bound, -1, 0, 1, bound, bound + 1]
+    offsets = [0.0, EQ_TOL, -EQ_TOL, 0.25]
+    offsets += [s * EQ_TOL + e for s in (1, -1) for e in (-1e-12, -1e-13, 1e-13, 1e-12)]
+    pairs = []
+    for _ in range(120):
+        m = int(rng.choice(coeffs)) if rng.uniform() < 0.5 else int(rng.integers(-bound, bound + 1))
+        nn = int(rng.choice(coeffs)) if rng.uniform() < 0.5 else int(rng.integers(-bound, bound + 1))
+        off = float(rng.choice(offsets)) if rng.uniform() < 0.8 else float(rng.uniform(-1, 1))
+        y = float(rng.uniform(-5.0, 5.0))
+        pairs.append((y + m + nn * theta + off, y))
+    verdicts = [T.eq(x, y) for x, y in pairs]
+    assert verdicts == [_torus_eq_by_scan(theta, x, y) for x, y in pairs]
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_torus_rejects_rational_and_near_rational():

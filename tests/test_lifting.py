@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from difftop.cellcomplex import BOUNDARY_TOL, CellComplex, ComplexPoint
 from difftop.diskmodel import DomainError, include_k, random_disk, random_sphere, section
 from difftop.homotopy import path_components
 from difftop.instances import (
-    bundled_chep_instance, bundled_extend_instance, chain_position,
+    InstanceError, bundled_chep_instance, bundled_extend_instance, chain_position,
     chep_instance_from_json, compile_expr, complex_from_json,
 )
 from difftop.lifting import (
     LiftError, TrivialProductFibration, chep, extend_lift, hep,
     point_fibration, product_fibration, transfinite_extension,
 )
+from difftop.smoothfn import gamma, lambda_fn, xi
 
 RNG = np.random.default_rng(2024)
 
@@ -229,6 +231,119 @@ def test_expression_language():
     assert compile_expr({"op": "mul", "args": [2.0, 3.0, 4.0]}, 0)([]) == 24.0
     with pytest.raises(ValueError):
         compile_expr({"op": "zap"}, 0)
+    with pytest.raises(InstanceError, match=r"^big cannot be evaluated at \(\): the value inf"):
+        compile_expr({"op": "mul", "args": [1e308, 10.0]}, 0, "big")([])
+
+
+_REF_UNARY = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "neg": lambda v: -v,
+              "abs": abs, "lambda": lambda_fn, "xi": xi, "gamma": gamma}
+_REF_FOLD = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+             "mul": lambda a, b: a * b, "div": lambda a, b: a / b,
+             "pow": lambda a, b: a ** b}
+
+
+def _evaluate_by_recursion(node, u):
+    """The value of an expression AST, worked out node by node."""
+    if not isinstance(node, dict):
+        return float(node)
+    if node["op"] == "const":
+        return float(node["value"])
+    if node["op"] == "var":
+        return float(u[node.get("index", 0)])
+    values = [_evaluate_by_recursion(a, u) for a in node["args"]]
+    if node["op"] in _REF_UNARY:
+        return _REF_UNARY[node["op"]](values[0])
+    out = values[0]
+    for v in values[1:]:
+        out = _REF_FOLD[node["op"]](out, v)
+    return out
+
+
+def _expressions(nvars):
+    numbers = st.one_of(st.floats(-4.0, 4.0), st.integers(-3, 3),
+                        st.sampled_from([-0.0, 1e-300, 700.0, 1e300]))
+    leaves = st.one_of(
+        numbers,
+        st.builds(lambda v: {"op": "const", "value": v}, numbers),
+        st.builds(lambda i: {"op": "var", "index": i}, st.integers(0, nvars - 1)),
+        st.just({"op": "var"}))
+    return st.recursive(leaves, lambda args: st.one_of(
+        st.builds(lambda op, a: {"op": op, "args": [a]}, st.sampled_from(sorted(_REF_UNARY)), args),
+        st.builds(lambda op, a: {"op": op, "args": a}, st.sampled_from(sorted(_REF_FOLD)),
+                  st.lists(args, min_size=2, max_size=4))), max_leaves=12)
+
+
+_EXPRESSIONS = {nvars: _expressions(nvars) for nvars in (1, 2, 3)}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_compiled_expression_matches_a_recursive_evaluator(data):
+    """Same bits as the node-by-node value; a raise or a non-finite value names the field."""
+    nvars = data.draw(st.integers(1, 3))
+    node = data.draw(_EXPRESSIONS[nvars])
+    u = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=nvars, max_size=nvars))
+    evaluate = compile_expr(node, nvars, "probe")
+    try:
+        ref = float(_evaluate_by_recursion(node, u))
+        finite = math.isfinite(ref)
+    except (ArithmeticError, ValueError, TypeError):
+        finite = False
+    for args in (u, np.array(u)):
+        if finite:
+            assert evaluate(args).hex() == ref.hex()
+        else:
+            with pytest.raises(InstanceError, match=r"^probe cannot be evaluated at \("):
+                evaluate(args)
+
+
+def _position_by_recursion(cx, x):
+    """chain_position's definition, re-derived from the complex at every call."""
+    x = cx.canonicalize(x)
+    if x.kind == "base":
+        return 0.0
+    cell = cx.cells[x.cell]
+    if cell.dim == 0:
+        return float(cx.zero_cells().index(x.cell) + 1)
+    if cell.dim == 1:
+        s = float(section(1, x.point)[0])
+        return ((1.0 - s) * _position_by_recursion(cx, cell.attach(np.array([1.0])))
+                + s * _position_by_recursion(cx, cell.attach(np.array([-1.0]))))
+    nrm = float(np.linalg.norm(x.point[:2]))
+    if nrm < 1e-12:
+        return _position_by_recursion(cx, cell.attach(np.array([1.0, 0.0])))
+    return _position_by_recursion(cx, cell.attach(np.asarray(x.point[:2]) / nrm))
+
+
+@pytest.mark.parametrize("segments", [2, 3, 4])
+def test_chain_position_matches_its_recursive_definition(segments):
+    cells, prev = [], {"base": True}
+    for _ in range(segments):
+        cells.append({"dim": 0})
+        zero = {"cell": len(cells) - 1}
+        cells.append({"dim": 1, "attach": {"kind": "endpoints", "pos": prev, "neg": zero}})
+        cells.append({"dim": 2, "attach": {"kind": "wrap", "cell": len(cells) - 1}})
+        prev = zero
+    # an edge with both ends on the base, and a 2-cell wrapped on it
+    cells.append({"dim": 1, "attach": {"kind": "endpoints",
+                                       "pos": {"base": True}, "neg": {"base": True}}})
+    cells.append({"dim": 2, "attach": {"kind": "wrap", "cell": len(cells) - 1}})
+    cx = complex_from_json({"base": "point", "cells": cells})
+    rng = np.random.default_rng(segments)
+    points = [cx.sample_point(rng) for _ in range(300)]
+    for i, cell in enumerate(cx.cells):
+        if cell.dim == 1:
+            ws = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]
+        elif cell.dim == 2:
+            # the wrap pole, a point within 1e-12 of it, and boundary points
+            ws = [[0.0, 0.0, 1.0], [3e-13, -4e-13, 1.0], [1.0, 0.0, 0.0],
+                  [-1.0, 0.0, 0.0], [0.6, -0.8, 0.0]]
+        else:
+            ws = [[1.0]]
+        points += [ComplexPoint.in_cell(i, np.array(w)) for w in ws]
+    position = chain_position(cx)
+    for x in points:
+        assert position(x).hex() == _position_by_recursion(cx, x).hex()
 
 
 def test_complex_from_json_chain():
@@ -237,10 +352,11 @@ def test_complex_from_json_chain():
         {"dim": 1, "attach": {"kind": "endpoints",
                               "pos": {"base": True}, "neg": {"cell": 0}}}]})
     assert len(cx) == 2
-    assert chain_position(cx, ComplexPoint.base(0.0)) == 0.0
-    assert chain_position(cx, ComplexPoint.in_cell(0, np.array([1.0]))) == 1.0
+    position = chain_position(cx)
+    assert position(ComplexPoint.base(0.0)) == 0.0
+    assert position(ComplexPoint.in_cell(0, np.array([1.0]))) == 1.0
     mid = ComplexPoint.in_cell(1, np.array([0.0, 1.0]))
-    assert chain_position(cx, mid) == pytest.approx(0.5, abs=1e-12)
+    assert position(mid) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_chep_instance_json_roundtrip():

@@ -36,6 +36,11 @@ def test_gamma_values():
     assert gamma(0.5) > 0.0
 
 
+def test_gamma_of_a_subnormal_numpy_float_is_zero_without_a_warning():
+    # -1/t overflows for a subnormal t; the suite turns warnings into errors
+    assert gamma(np.float64(5e-324)) == 0.0
+
+
 def test_gamma_increasing_on_positive_axis():
     ts = np.linspace(1e-3, 5.0, 500)
     vals = [gamma(t) for t in ts]
