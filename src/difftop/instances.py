@@ -18,9 +18,9 @@ the lifting.
 
 What the file fixes is worked out once, at load: each expression becomes
 a tree of closures whose arithmetic nodes call the ``operator`` functions
-(a fold of two arguments is one call), and each complex gets one position
-table, the positions of its 0-cells, of its 1-cells' ends and of its
-2-cells' poles.  Evaluation computes only what depends on the point, in
+(a fold of n arguments nests left into two-argument calls), and each
+complex gets one position table, the positions of its 0-cells, of its
+1-cells' ends and of its 2-cells' poles.  Evaluation computes only what depends on the point, in
 the order the definitions state, so every value keeps its bits.
 """
 
@@ -110,18 +110,11 @@ def _compile(node, nvars):
         return lambda u: fn(arg(u))
     if len(parts) < 2:
         raise InstanceError(f"{op} takes at least two arguments")
-    fold, first, rest = _BINARY_FOLD[op], parts[0], parts[1:]
-    if len(rest) == 1:
-        (second,) = rest
-        return lambda u: fold(first(u), second(u))
-
-    def folded(u):
-        out = first(u)
-        for part in rest:
-            out = fold(out, part(u))
-        return out
-
-    return folded
+    # fold left at compile time into nested two-argument calls
+    fold, out = _BINARY_FOLD[op], parts[0]
+    for part in parts[1:]:
+        out = (lambda a, b: lambda u: fold(a(u), b(u)))(out, part)
+    return out
 
 
 def compile_expr(node, nvars, field="expression"):
@@ -129,16 +122,13 @@ def compile_expr(node, nvars, field="expression"):
 
     Ops, arity and var indices are checked here, when the instance is
     loaded, so evaluation never meets a malformed node.  The evaluator
-    takes a list of the variables' values (or anything np.atleast_1d
-    accepts).  An evaluation that raises (exp overflow, sin(inf),
-    division by zero) or yields a non-real or non-finite value raises
-    InstanceError naming ``field``.
+    takes a list of the variables' values.  An evaluation that raises
+    (exp overflow, sin(inf), division by zero) or yields a non-real or
+    non-finite value raises InstanceError naming ``field``.
     """
     fn = _compile(node, nvars)
 
     def evaluate(u):
-        if not isinstance(u, list):
-            u = np.atleast_1d(u)
         try:
             value = float(fn(u))
             if math.isfinite(value):
