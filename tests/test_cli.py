@@ -211,6 +211,22 @@ def test_chep_unopenable_csv_exits_2_before_sampling(tmp_path, capsys, monkeypat
     assert err.startswith("cannot open --csv file") and err.count("\n") == 1
 
 
+def test_chep_csv_on_an_extend_instance_exits_2_before_lifting(tmp_path, capsys,
+                                                               monkeypatch):
+    # --csv writes H of a chep instance; an extend instance has none to write
+    def no_lift(*args):
+        raise AssertionError("lifted an extend instance given --csv")
+
+    monkeypatch.setattr(cli, "check_extend_instance", no_lift)
+    path = tmp_path / "extend.json"
+    path.write_text(json.dumps(bundled_extend_instance()[1]))
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run_cli(["chep", str(path), "--csv", str(out_csv)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("--csv applies to chep instances only") and err.count("\n") == 1
+    assert not out_csv.exists()
+
+
 def test_dump_csv_header_and_shape(capsys):
     code, out, _ = run_cli(["dump", "--n", "2", "--count", "5"], capsys)
     assert code == 0
