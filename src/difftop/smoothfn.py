@@ -29,7 +29,7 @@ __all__ = [
     "xi", "xi_inv",
     "lambda_fn_batch", "lambda_inv_batch", "xi_batch", "xi_inv_batch",
     "SmoothnessReport", "smoothness_check",
-    "fd_weights", "EvaluationError",
+    "fd_weights",
 ]
 
 
@@ -233,10 +233,6 @@ def xi_inv_batch(y):
 # Finite-difference derivative estimation
 # ---------------------------------------------------------------------------
 
-class EvaluationError(RuntimeError):
-    """A stencil evaluation failed (exception or non-finite value)."""
-
-
 def fd_weights(order, offsets):
     """Finite-difference weights for the given derivative order at 0.
 
@@ -286,82 +282,47 @@ _MAX_ORDER = 6
 
 
 @functools.lru_cache(maxsize=None)
-def _stencil(order, side):
-    """Offsets and weights of the stencil for ``order`` on ``side``."""
-    # minimal stencils plus one node (accuracy 2); small coefficient sums
-    # keep the round-off floor low on the fine ladder levels
-    if side == 0:
-        r = (order + 2) // 2
-        offsets = list(range(-r, r + 1))
-    else:
-        offsets = [side * i for i in range(order + 2)]
-    w = fd_weights(order, offsets)
-    w.setflags(write=False)  # one array serves every caller
-    return offsets, w
+def _plan(order):
+    """The step ladder of one derivative order, compiled to (offsets, matrix).
 
-
-def _richardson(raw, p, series):
-    """Best entry of the Neville/Richardson table of a ladder, as (value, err)."""
-    best, best_err = raw[0], math.inf
-    for i in range(1, len(raw)):
-        err = abs(raw[i] - raw[i - 1])
-        if err < best_err:
-            best, best_err = raw[i], err
-    col = list(raw)
-    for j in range(1, len(raw)):
-        fac = 2.0 ** (p + (j - 1) * series)
-        nxt = []
-        for i in range(1, len(col)):
-            t = col[i] + (col[i] - col[i - 1]) / (fac - 1.0)
-            err = max(abs(t - col[i]), abs(t - col[i - 1]))
-            if err < best_err:
-                best, best_err = t, err
-            nxt.append(t)
-        col = nxt
-    return best, best_err
-
-
-def _estimates(f, values, x, order, side):
-    """Estimate f^(order)(x) on a shrinking step ladder, per component of f.
-
-    ``side`` 0 uses a symmetric central stencil, -1/+1 one-sided stencils
-    reaching only left/right of x.  Raw estimates at steps h, h/2, ... are
-    Richardson-extrapolated (error series h^2, h^4, ... for central
-    stencils, h^p, h^(p+1), ... one-sided) and the table entry with the
-    smallest neighbour-disagreement is kept as ``(value, err)``.  Node
-    values come from ``values``, a table keyed by the exact argument that
-    ``smoothness_check`` shares across sides, orders and ladder levels, so
-    each distinct argument is evaluated once per check; a call of f that
-    raises stores nothing.  The values form a C-contiguous (components,
-    nodes) array, so each component's weighted sum is the dot product a
-    float-valued f gets, bit for bit.
-
-    Raises EvaluationError if any stencil point cannot be evaluated.
+    ``offsets`` are the distinct nodes of all sides and FD_LEVELS levels in
+    finest steps, ordered by the lowest order that needs them (so each
+    order's nodes are a prefix of the next order's), then by distance from
+    x.  For the central, left and right stencil in turn, ``matrix`` maps
+    node values to the entries after the first of that side's
+    Neville/Richardson table, with 1/h**order folded in, then to their
+    error terms: the distance to the left neighbour in the previous column,
+    the larger disagreement, as t - col[i-1] = fac * (t - col[i]), fac >= 4.
     """
-    offsets, w = _stencil(order, side)
-    # symmetric stencils have an even error series
-    p, series = (2, 2) if side == 0 else (len(offsets) - order, 1)
-    raw = []  # raw[level][component]
-    h = FD_STEP
-    for _ in range(FD_LEVELS):
-        try:
-            nodes = []
-            for o in offsets:
-                t = x + o * h
-                if t not in values:
-                    values[t] = f(t)
-                nodes.append(values[t])
-            rows = np.array(nodes, dtype=float)
-        except Exception as exc:
-            raise EvaluationError(f"evaluation failed near {x!r}: {exc}") from exc
-        rows = rows.reshape(1, -1) if rows.ndim == 1 else rows.T.copy()
-        sums = [float(w.dot(row)) for row in rows]
-        # a non-finite value makes its sum non-finite, even at weight 0
-        if not all(map(math.isfinite, sums)) and not np.isfinite(rows).all():
-            raise EvaluationError(f"non-finite value near {x!r} at step {h!r}")
-        raw.append([v / h ** order for v in sums])
-        h *= 0.5
-    return [_richardson(ladder, p, series) for ladder in zip(*raw)]
+    shift = FD_LEVELS - 1  # the finest step is FD_STEP / 2**shift
+    used = {o << (shift - level) for o in range(-order - 1, order + 2)
+            for level in range(FD_LEVELS)}
+    lower = _plan(order - 1)[0] if order > 1 else ()
+    offsets = lower + tuple(sorted(used.difference(lower), key=lambda m: (abs(m), m)))
+    column = {m: i for i, m in enumerate(offsets)}
+    rows = []
+    for side in (0, -1, +1):
+        # minimal stencils plus one node (accuracy 2: error series h^2, h^4,
+        # ... centrally, h^2, h^3, ... one-sided); small coefficient sums
+        # keep the round-off floor low on the fine ladder levels
+        r = (order + 2) // 2
+        stencil = range(-r, r + 1) if side == 0 else [side * i for i in range(order + 2)]
+        weights = fd_weights(order, stencil)
+        col = [np.zeros(len(offsets)) for _ in range(FD_LEVELS)]
+        for level, row in enumerate(col):
+            for o, w in zip(stencil, weights):
+                row[column[o << (shift - level)]] = w / (FD_STEP * 0.5 ** level) ** order
+        entries, errors = col[1:], [b - a for a, b in zip(col, col[1:])]
+        for j in range(1, FD_LEVELS):
+            fac = 2.0 ** (2 + (j - 1) * (2 if side == 0 else 1))
+            nxt = [b + (b - a) / (fac - 1.0) for a, b in zip(col, col[1:])]
+            entries += nxt
+            errors += [t - a for a, t in zip(col, nxt)]
+            col = nxt
+        rows += entries + errors
+    matrix = np.array(rows)
+    matrix.setflags(write=False)  # one array serves every caller
+    return offsets, matrix
 
 
 @dataclass
@@ -396,34 +357,72 @@ def smoothness_check(f, point, max_order, expected=None):
     leaves both estimators confident and far apart.  When ``expected``
     supplies a target for an order (e.g. 0 for a flatness claim), the
     central estimate must instead match it within ``FD_TOL * max(1,
-    |target|)`` plus the same kind of allowance.  Any stencil evaluation
-    failure marks the order inconclusive -- an inconclusive report never
-    counts as passing.
+    |target|)`` plus the same kind of allowance.  An order is inconclusive
+    when one of its nodes raises or gives a non-finite value, or when an
+    entry or error term of its tables overflows; an inconclusive report
+    never counts as passing.
 
-    The stencils of all sides, orders and ladder levels share nodes (x +
-    2(h/2) is exactly x + h), and each distinct argument is evaluated once
-    per check: an order-3 check calls f at 25 arguments, an order-1 check
-    at 13.  This relies on f being a function of its argument alone that
-    returns a fresh value on each call.
+    Per order, the Richardson tables of all three sides are one linear map
+    of the node values (``_plan``), and each side keeps its first entry of
+    least error.  All sides, orders and ladder levels share nodes, and each
+    distinct argument is evaluated once per check: an order-3 check calls f
+    at 25 arguments, an order-1 check at 13.  f must be a function of its
+    argument alone that returns a fresh value on each call; a call that
+    raises stores nothing.
 
-    f may return a float or a non-empty 1-D array, whose components each
-    get a float-valued f's arithmetic.  An order fails when any component
-    fails; the report keeps the failing component with the largest
-    deviation, or if none fails, the one with the largest deviation.
+    f may return a float or a non-empty 1-D array; each component gets its
+    own matrix-vector product, so a one-component array gets a float's
+    bits.  Any other shape, or a max_order outside 1.._MAX_ORDER, raises
+    ValueError.  An order fails when any component fails; the report keeps
+    the failing component with the largest deviation, or if none fails,
+    the one with the largest deviation.
     """
-    if max_order > _MAX_ORDER:
-        raise ValueError(f"max_order {max_order} exceeds cap {_MAX_ORDER}")
+    if not 1 <= max_order <= _MAX_ORDER:
+        raise ValueError(f"max_order {max_order} outside 1..{_MAX_ORDER}")
     report = SmoothnessReport(point=float(point), max_order_tested=max_order,
                               tolerance_used=FD_TOL)
-    values = {}  # argument -> f(argument), filled as the stencils need it
+    h = FD_STEP * 0.5 ** (FD_LEVELS - 1)
+    args = [point + m * h for m in _plan(max_order)[0]]
+    values, evaluated = {}, []  # argument -> f(argument); orders with every node
     for k in range(1, max_order + 1):
-        try:
-            sides = [_estimates(f, values, point, k, side) for side in (0, -1, +1)]
-        except EvaluationError:
+        try:  # values holds a prefix of args, fewer keys where two coincide
+            for t in args[len(values):len(_plan(k)[0])]:
+                if t not in values:
+                    values[t] = f(t)
+        except Exception:
+            continue
+        evaluated.append(k)
+    if evaluated:
+        nodes = np.array([values[t] for t in args[:len(_plan(evaluated[-1])[0])]], dtype=float)
+        if nodes.ndim > 2 or nodes.size == 0:
+            raise ValueError(f"smoothness_check: f returned a value of shape {nodes.shape[1:]}, "
+                             "not a float or a non-empty 1-D array")
+        nodes = nodes.reshape(1, -1) if nodes.ndim == 1 else nodes.T.copy()  # (component, node)
+        width = 3 * len(nodes)  # (component, side) pairs of an order
+        table = np.empty((len(evaluated), len(nodes), len(_plan(max_order)[1])))
+        # every node has a nonzero coefficient, so a non-finite node value,
+        # like an overflow in the products, leaves a non-finite entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = nodes - nodes[:, :1]  # rows annihilate constants: keep f(x) out
+            for k, out in zip(evaluated, table):
+                offsets, matrix = _plan(k)
+                for row, product in zip(nodes, out):
+                    np.dot(matrix, row[:len(offsets)], out=product)
+        finite = np.isfinite(table).all(axis=(1, 2)).tolist()
+        table = table.reshape(len(evaluated) * width, 2, -1)  # (order, component, side), block
+        errors = np.abs(table[:, 1])
+        pick = np.arange(len(table)), errors.argmin(axis=1)
+        best, best_err = table[:, 0][pick].tolist(), errors[pick].tolist()
+    for k in range(1, max_order + 1):
+        if k not in evaluated or not finite[evaluated.index(k)]:
             report.verdicts[k] = "inconclusive"
             continue
+        at = width * evaluated.index(k)
+        est, err = best[at:at + width], best_err[at:at + width]
         rows = []  # (failed, dev, component, central, left, right)
-        for j, ((central, err_c), (left, err_l), (right, err_r)) in enumerate(zip(*sides)):
+        for j in range(len(nodes)):
+            central, left, right = est[3 * j:3 * j + 3]
+            err_c, err_l, err_r = err[3 * j:3 * j + 3]
             if expected is not None and k in expected:
                 target = expected[k]
                 dev = abs(central - target)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import functools
 import io
 import json
@@ -467,18 +468,37 @@ def test_report_config_is_samples_and_seed(capsys):
     assert code == 0 and out.endswith("result: pass\n")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def _full_disk_open(path, *args, **kwargs):
+    """open() whose file takes no write, as on a full disk."""
+    fh = open(path, *args, **kwargs)
+
+    def write(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    fh.write = write
+    return fh
+
+
 @pytest.mark.parametrize("argv,to_stdout", [
     (["verify", "smoothfn", "--samples", "0.05"], True),
-    (["dump", "--out", "/dev/full"], False),
-    (["chep", "bundled", "--samples", "0.05", "--csv", "/dev/full"], False),
+    (["dump", "--out", "rows.csv"], False),
+    (["chep", "bundled", "--samples", "0.05", "--csv", "rows.csv"], False),
 ])
-def test_full_disk_exits_2_with_one_line(argv, to_stdout):
-    with open("/dev/full", "w") if to_stdout else contextlib.nullcontext() as out:
-        proc = subprocess.run([sys.executable, "-m", "difftop.cli"] + argv, stdout=out,
-                              stderr=subprocess.PIPE, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr == "cannot write output: [Errno 28] No space left on device\n"
+def test_full_disk_exits_2_with_one_line(argv, to_stdout, tmp_path, capsys, monkeypatch):
+    if to_stdout:  # a redirected stdout: the system's full device
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        with open("/dev/full", "w") as out:
+            proc = subprocess.run([sys.executable, "-m", "difftop.cli"] + argv, stdout=out,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        code, err = proc.returncode, proc.stderr
+    else:  # an output file, in a temporary directory, whose writes fail
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "open", _full_disk_open, raising=False)
+        code, _, err = run_cli(argv, capsys)
+        assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+    assert code == 2
+    assert err == "cannot write output: [Errno 28] No space left on device\n"
 
 
 def test_closed_pipe_exits_2_with_one_line():

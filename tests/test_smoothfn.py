@@ -1,4 +1,7 @@
 import math
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from difftop import smoothfn
 from difftop.diskmodel import random_disk
 from difftop.smoothfn import (
-    EvaluationError, fd_weights, gamma, lambda_fn, lambda_inv,
-    smoothness_check, xi, xi_inv,
+    fd_weights, gamma, lambda_fn, lambda_inv, smoothness_check, xi, xi_inv,
 )
 from difftop.subdivision import seam_curve
 
@@ -206,8 +208,9 @@ def test_vector_check_inconclusive_on_a_non_finite_component():
 
 
 def test_smoothness_check_order_cap():
-    with pytest.raises(ValueError):
-        smoothness_check(lambda_fn, 0.5, 9)
+    for max_order in (9, 7, 0, -1):
+        with pytest.raises(ValueError, match=re.escape(f"max_order {max_order} outside 1..6")):
+            smoothness_check(lambda_fn, 0.5, max_order)
 
 
 @pytest.mark.parametrize("max_order,calls", [(3, 25), (1, 13)])
@@ -242,45 +245,233 @@ def test_a_raising_call_is_not_stored():
     assert calls.count(0.01) == 2
 
 
-def _estimates_every_node(f, values, x, order, side):
-    """The estimator that calls f at every node of every stencil and level."""
-    offsets, w = smoothfn._stencil(order, side)
+@pytest.mark.parametrize("value,shape", [(np.zeros(0), "(0,)"), (np.zeros((2, 3)), "(2, 3)")])
+def test_a_value_of_another_shape_is_rejected_by_name(value, shape):
+    with pytest.raises(ValueError, match=re.escape(f"returned a value of shape {shape}")):
+        smoothness_check(lambda t: value, 0.5, 1)
+
+
+def test_overflow_in_the_ladder_is_inconclusive_without_a_warning():
+    # the suite turns warnings into errors; an order whose table overflows
+    # has no verdict, and an order below it keeps its own
+    rep = smoothness_check(lambda t: 1e308 * (1.0 + t), 0.3, 2)
+    assert rep.verdicts == {1: "inconclusive", 2: "inconclusive"}
+    assert rep.fd_estimates == rep.side_estimates == rep.deviations == {}
+    rep = smoothness_check(lambda t: 1e303 * t, 0.5, 3)
+    assert rep.verdicts == {1: "pass", 2: "pass", 3: "inconclusive"}
+    assert rep.fd_estimates[1] == pytest.approx(1e303, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, None], ids=["inf", "nan", "raise"])
+def test_a_failing_node_leaves_the_orders_that_do_not_use_it(bad):
+    # x + 0.035 and beyond are nodes of order 3 only: order 2 reaches 0.03
+    def f(t):
+        if t <= 0.035:
+            return math.sin(t)
+        if bad is None:
+            raise RuntimeError("no value here")
+        return bad
+
+    rep = smoothness_check(f, 0.0, 3)
+    assert rep.verdicts == {1: "pass", 2: "pass", 3: "inconclusive"}
+
+
+def test_plans_are_built_on_first_use():
+    code = ("import difftop, difftop.verify; from difftop import smoothfn; "
+            "print(smoothfn._plan.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out == "0\n"
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_every_plan_entry_differentiates_polynomials(order):
+    # each row of the map is exact on polynomials of degree <= order + 1:
+    # a table entry gives d^order/dx^order of x^order/order! = 1 and of
+    # lower powers 0, and every error term is 0
+    offsets, matrix = smoothfn._plan(order)
+    assert offsets[0] == 0 and len(set(offsets)) == len(offsets)
+    # a non-finite node value then reaches some entry of the order's table
+    assert np.all(np.abs(matrix).max(axis=0) > 0)
+    if order > 1:
+        assert offsets[:len(smoothfn._plan(order - 1)[0])] == smoothfn._plan(order - 1)[0]
+    x = np.array(offsets) * (smoothfn.FD_STEP / 2 ** (smoothfn.FD_LEVELS - 1))
+    kinds = np.tile(np.repeat([1.0, 0.0], len(matrix) // 6), 3)  # entry or error row
+    for degree in range(order + 2):
+        v = x ** degree / math.factorial(degree)
+        want = kinds if degree == order else 0.0
+        assert np.all(np.abs(matrix @ v - want) <= 1e-12 * (np.abs(matrix) @ np.abs(v)) + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The reference ladder: the step-by-step estimator that the compiled plans
+# replaced, kept to pin their verdicts and estimates
+# ---------------------------------------------------------------------------
+
+class _NodeFailure(RuntimeError):
+    """A stencil node raised or gave a non-finite value."""
+
+
+def _stencil(order, side):
+    if side == 0:
+        r = (order + 2) // 2
+        offsets = list(range(-r, r + 1))
+    else:
+        offsets = [side * i for i in range(order + 2)]
+    return offsets, fd_weights(order, offsets)
+
+
+def _richardson(raw, p, series):
+    """Best entry of the Neville/Richardson table of a ladder, as (value, err)."""
+    best, best_err = raw[0], math.inf
+    for i in range(1, len(raw)):
+        err = abs(raw[i] - raw[i - 1])
+        if err < best_err:
+            best, best_err = raw[i], err
+    col = list(raw)
+    for j in range(1, len(raw)):
+        fac = 2.0 ** (p + (j - 1) * series)
+        nxt = []
+        for i in range(1, len(col)):
+            t = col[i] + (col[i] - col[i - 1]) / (fac - 1.0)
+            err = max(abs(t - col[i]), abs(t - col[i - 1]))
+            if err < best_err:
+                best, best_err = t, err
+            nxt.append(t)
+        col = nxt
+    return best, best_err
+
+
+def _estimates(f, values, x, order, side):
+    """f^(order)(x) per component of f, as (value, err), on one side's ladder."""
+    offsets, w = _stencil(order, side)
     p, series = (2, 2) if side == 0 else (len(offsets) - order, 1)
-    raw = []
+    raw = []  # raw[level][component]
     h = smoothfn.FD_STEP
     for _ in range(smoothfn.FD_LEVELS):
         try:
-            rows = np.array([f(x + o * h) for o in offsets], dtype=float)
+            nodes = []
+            for o in offsets:
+                t = x + o * h
+                if t not in values:
+                    values[t] = f(t)
+                nodes.append(values[t])
+            rows = np.array(nodes, dtype=float)
         except Exception as exc:
-            raise EvaluationError(f"evaluation failed near {x!r}: {exc}") from exc
+            raise _NodeFailure(f"evaluation failed near {x!r}: {exc}") from exc
         rows = rows.reshape(1, -1) if rows.ndim == 1 else rows.T.copy()
         sums = [float(w.dot(row)) for row in rows]
         if not all(map(math.isfinite, sums)) and not np.isfinite(rows).all():
-            raise EvaluationError(f"non-finite value near {x!r} at step {h!r}")
+            raise _NodeFailure(f"non-finite value near {x!r} at step {h!r}")
         raw.append([v / h ** order for v in sums])
         h *= 0.5
-    return [smoothfn._richardson(ladder, p, series) for ladder in zip(*raw)]
+    return [_richardson(ladder, p, series) for ladder in zip(*raw)]
 
 
-def test_reports_equal_those_of_evaluating_every_node(monkeypatch):
-    rng = np.random.default_rng(9)
-    cases = []
-    for p in rng.uniform(-0.2, 1.2, 6):
-        p = float(p)
-        cases += [(lambda_fn, p, 3, None), (xi, p, 3, None),
-                  (lambda t, p=p: 0.01 * abs(t - p) + lambda_fn(t), p, 1, None),
-                  (lambda t: np.array([lambda_fn(t), xi(t), math.sin(t)]), p, 3, None)]
-    cases += [(lambda_fn, 0.0, 3, {1: 0.0, 2: 0.0, 3: 0.0}), (xi, 1.0 / 3.0, 3, {1: 0.0}),
-              (abs, 0.0, 1, None), (lambda t: math.inf if t > 0.01 else t, 0.0, 2, None),
-              (lambda t: np.array([t, 1.0 / t]), 0.0, 2, None)]
-    for n in (1, 2, 3):
-        v = random_disk(n - 1, rng)
-        t = float(rng.uniform(0.05, 0.95))
-        for seam in (1.0 / 3.0, 2.0 / 3.0):
-            for wrinkle in (True, False):
-                cases.append((seam_curve(n, v, t, wrinkle), seam, 3, None))
-    reports = [smoothness_check(f, p, k, expected=e) for f, p, k, e in cases]
-    monkeypatch.setattr(smoothfn, "_estimates", _estimates_every_node)
-    for (f, p, k, e), rep in zip(cases, reports):
-        ref = smoothness_check(f, p, k, expected=e)
-        assert vars(rep) == vars(ref)
+def _reference_check(f, point, max_order, expected=None):
+    """smoothness_check computed with the reference ladder.
+
+    Returns the report and, per order, the error terms of the reported
+    component's left and right estimates.
+    """
+    report = smoothfn.SmoothnessReport(point=float(point), max_order_tested=max_order,
+                                       tolerance_used=smoothfn.FD_TOL)
+    tol = smoothfn.FD_TOL
+    values, side_errors = {}, {}
+    for k in range(1, max_order + 1):
+        try:
+            sides = [_estimates(f, values, point, k, side) for side in (0, -1, +1)]
+        except _NodeFailure:
+            report.verdicts[k] = "inconclusive"
+            continue
+        rows = []
+        for j, ((central, err_c), (left, err_l), (right, err_r)) in enumerate(zip(*sides)):
+            if expected is not None and k in expected:
+                dev = abs(central - expected[k])
+                ok = dev <= tol * max(1.0, abs(expected[k])) + 2.0 * err_c
+            else:
+                dev = abs(left - right)
+                ok = dev <= tol * max(1.0, abs(left), abs(right)) + 2.0 * (err_l + err_r)
+            rows.append((not ok, dev, j, central, left, right))
+        failed, dev, j, central, left, right = max(rows, key=lambda r: r[:2])
+        report.fd_estimates[k] = central
+        report.side_estimates[k] = (left, right)
+        report.deviations[k] = dev
+        report.component[k] = j
+        report.verdicts[k] = "fail" if failed else "pass"
+        side_errors[k] = (sides[1][j][1], sides[2][j][1])
+    return report, side_errors
+
+
+def _assert_matches_reference(f, point, max_order, expected=None, components=0):
+    """Equal verdicts, and estimates within 1e-5 * max(1, |reference|).
+
+    A one-sided estimate may also lie anywhere within the reference's own
+    error term: where two entries of its Richardson table have nearly equal
+    errors, round-off decides which one is kept.  A vector-valued f names
+    its number of components; its estimates are compared coordinate by
+    coordinate, since the component a passing order reports is the one of
+    largest round-off.
+    """
+    got = smoothness_check(f, point, max_order, expected=expected)
+    assert got.verdicts == _reference_check(f, point, max_order, expected)[0].verdicts, point
+    assert not components or len(f(point)) == components
+    for g in [lambda t, j=j: f(t)[j] for j in range(components)] or [f]:
+        a = smoothness_check(g, point, max_order, expected=expected)
+        b, side_errors = _reference_check(g, point, max_order, expected=expected)
+        assert a.verdicts == b.verdicts, (point, a, b)
+        for k in b.fd_estimates:
+            ref = b.fd_estimates[k]
+            assert abs(a.fd_estimates[k] - ref) <= 1e-5 * max(1.0, abs(ref)), (point, a, b)
+            for x, y, err in zip(a.side_estimates[k], b.side_estimates[k], side_errors[k]):
+                assert abs(x - y) <= 1e-5 * max(1.0, abs(y)) + err, (point, a, b)
+    return got
+
+
+INTERIOR = np.linspace(0.0, 1.0, 2002)[1:-1]
+
+
+@pytest.mark.parametrize("f", [lambda_fn, xi, gamma], ids=["lambda", "xi", "gamma"])
+def test_compiled_ladder_matches_the_reference_on_the_profiles(f):
+    # 2,000 interior points of [0, 1], orders 1..3 on each
+    for p in INTERIOR:
+        _assert_matches_reference(f, float(p), 3)
+
+
+def test_compiled_ladder_matches_the_reference_on_flatness_claims():
+    flat = {1: 0.0, 2: 0.0, 3: 0.0}
+    for f, p in ((lambda_fn, 0.0), (lambda_fn, 1.0), (xi, 1.0 / 3.0), (xi, 2.0 / 3.0)):
+        assert _assert_matches_reference(f, p, 3, flat).passed
+    assert _assert_matches_reference(abs, 0.0, 1).verdicts == {1: "fail"}
+
+
+def test_compiled_ladder_matches_the_reference_on_kink_controls():
+    rng = np.random.default_rng(18)
+    for p in rng.uniform(0.0, 1.0, 50):
+        for slope in (0.01, 1.0):
+            rep = _assert_matches_reference(
+                lambda t, p=float(p), s=slope: s * abs(t - p) + lambda_fn(t), float(p), 1)
+            assert rep.verdicts == {1: "fail"}
+
+
+def test_compiled_ladder_matches_the_reference_on_seam_curves():
+    # 100 curves across phi's walls: wrinkled at order 3, unwrinkled at 1
+    rng = np.random.default_rng(17)
+    for i in range(100):
+        n = 1 + i % 3
+        v, t = random_disk(n - 1, rng), float(rng.uniform(0.05, 0.95))
+        seam = (1.0 / 3.0, 2.0 / 3.0)[i % 2]
+        _assert_matches_reference(seam_curve(n, v, t, True), seam, 3, components=n + 1)
+        _assert_matches_reference(seam_curve(n, v, t, False), seam, 1, components=n + 1)
+
+
+def test_compiled_ladder_matches_the_reference_on_vectors_and_failures():
+    vector = lambda t: np.array([lambda_fn(t), xi(t), math.sin(t)])  # noqa: E731
+    for p in (-0.2, 0.1, 0.5, 1.2):
+        _assert_matches_reference(vector, p, 3, components=3)
+    assert _assert_matches_reference(
+        lambda t: math.inf if t > 0.01 else t, 0.0, 2).verdicts == {
+            1: "inconclusive", 2: "inconclusive"}
+    assert _assert_matches_reference(
+        lambda t: np.array([t, 1.0 / t]), 0.0, 2).verdicts == {
+            1: "inconclusive", 2: "inconclusive"}
