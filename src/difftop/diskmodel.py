@@ -38,7 +38,7 @@ __all__ = [
     "include_j", "include_k", "reflect", "retract", "retract_homotopy",
     "random_disk", "random_sphere",
     "max_dev_batch", "check_disk_batch", "q_batch", "Q_batch", "section_batch",
-    "random_disk_batch",
+    "retract_batch", "random_disk_batch",
 ]
 
 # membership slack for |norm - 1| and hemisphere sign; round-trips through
@@ -359,6 +359,12 @@ def section_batch(n, w):
         live &= rest[:, i] != 0.0
     t[live, n - 1] = np.arctan2(np.abs(w[live, n]), w[live, n - 1]) / math.pi
     return t
+
+
+def retract_batch(n, w):
+    """retract row by row: rows of disk^(n+1) to rows of disk^n."""
+    w = check_disk_batch(w, n + 1)
+    return np.column_stack([w[:, :-2], np.hypot(w[:, -2], w[:, -1])])
 
 
 def random_disk_batch(n, count, rng):

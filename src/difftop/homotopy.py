@@ -40,9 +40,12 @@ class Homotopy:
     ``kind`` records the parameterization convention of ``fn``: "R" for a
     family defined for all real times, "I" for the plain unit interval,
     "I_tilde" for the endpoint-flat convention this package works in.
+    ``rows``, when a construction supplies it, is an array form of ``fn``
+    (see lifting.chep).
     """
     fn: object
     kind: str = "I_tilde"
+    rows: object = None
 
     def __call__(self, x, t):
         return self.fn(x, t)

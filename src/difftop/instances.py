@@ -31,10 +31,11 @@ import sys
 
 import numpy as np
 
-from .smoothfn import gamma, lambda_fn, xi
-from .diskmodel import Q, section
-from .cellcomplex import CellComplex, ComplexPoint
-from .lifting import product_fibration, point_fibration, TrivialProductFibration
+from .smoothfn import gamma, gamma_batch, lambda_fn, lambda_fn_batch, xi, xi_batch
+from .diskmodel import Q, section, section_batch
+from .cellcomplex import BOUNDARY_TOL, CellComplex, ComplexPoint
+from .lifting import (ChepRows, ExtendRows, TrivialProductFibration, point_fibration,
+                      product_fibration)
 
 __all__ = [
     "compile_expr", "complex_from_json", "chain_position",
@@ -74,9 +75,12 @@ def _number(node, what):
     return float(node)
 
 
+# op -> (float function, array function); the arithmetic operators serve
+# numpy arrays as they are
 _UNARY = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp, "neg": operator.neg,
-    "abs": abs, "lambda": lambda_fn, "xi": xi, "gamma": gamma,
+    "sin": (math.sin, np.sin), "cos": (math.cos, np.cos), "exp": (math.exp, np.exp),
+    "neg": (operator.neg,) * 2, "abs": (abs,) * 2, "lambda": (lambda_fn, lambda_fn_batch),
+    "xi": (xi, xi_batch), "gamma": (gamma, gamma_batch),
 }
 
 _BINARY_FOLD = {
@@ -85,28 +89,32 @@ _BINARY_FOLD = {
 }
 
 
-def _compile(node, nvars):
+def _compile(node, nvars, rows):
+    """The closure tree of node, on a list of floats, or with ``rows`` on a
+    list of 1-D arrays (a constant is then an array of one entry)."""
     if not isinstance(node, dict):
         value = _number(node, "an expression that is not an object")
+        value = np.full(1, value) if rows else value
         return lambda u: value
     op = node.get("op")
     if op == "const":
         value = _number(_keys(node, ("op", "value"), "const").get("value"), "const value")
+        value = np.full(1, value) if rows else value
         return lambda u: value
     if op == "var":
         index = _typed(_keys(node, ("op", "index"), "var").get("index", 0), int, "var index")
         if not 0 <= index < nvars:
             raise InstanceError(f"var index {index} is not one of the {nvars} "
                                 "variables of this expression")
-        return lambda u: float(u[index])
+        return (lambda u: u[index]) if rows else (lambda u: float(u[index]))
     if not isinstance(op, str) or (op not in _UNARY and op not in _BINARY_FOLD):
         raise InstanceError(f"unknown expression op {op!r:.80}")
     args = _keys(node, ("op", "args"), op).get("args", [])
-    parts = [_compile(a, nvars) for a in _typed(args, list, f"args of {op}")]
+    parts = [_compile(a, nvars, rows) for a in _typed(args, list, f"args of {op}")]
     if op in _UNARY:
         if len(parts) != 1:
             raise InstanceError(f"{op} takes one argument")
-        fn, (arg,) = _UNARY[op], parts
+        fn, (arg,) = _UNARY[op][rows], parts
         return lambda u: fn(arg(u))
     if len(parts) < 2:
         raise InstanceError(f"{op} takes at least two arguments")
@@ -125,8 +133,16 @@ def compile_expr(node, nvars, field="expression"):
     takes a list of the variables' values.  An evaluation that raises
     (exp overflow, sin(inf), division by zero) or yields a non-real or
     non-finite value raises InstanceError naming ``field``.
+
+    Its ``rows`` attribute evaluates the same AST on a list of 1-D arrays
+    (or floats) of N rows, through numpy's sin, cos and exp and the
+    ``*_batch`` profiles, so a value may differ from the float one in the
+    last bit.  When some node overflows, divides by zero or leaves the
+    reals on some row, or a value is not finite, every row is evaluated
+    again by the float evaluator, so each gets that evaluator's value or
+    error; the InstanceError then names the field and the first bad row.
     """
-    fn = _compile(node, nvars)
+    fn, fn_rows = _compile(node, nvars, False), _compile(node, nvars, True)
 
     def evaluate(u):
         try:
@@ -139,6 +155,25 @@ def compile_expr(node, nvars, field="expression"):
         at = ", ".join("%.6g" % v for v in u)
         raise InstanceError(f"{field} cannot be evaluated at ({at}): {why}")
 
+    def evaluate_rows(u):
+        u = [np.atleast_1d(np.asarray(v, dtype=float)) for v in u]
+        shape = np.broadcast_shapes(*(v.shape for v in u))
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                value = fn_rows(u)
+            if np.isfinite(value).all():
+                return value if value.shape == shape else np.broadcast_to(value, shape).copy()
+        except FloatingPointError:
+            pass
+        out = np.empty(shape)
+        for i, args in enumerate(zip(*(np.broadcast_to(v, shape).tolist() for v in u))):
+            try:
+                out[i] = evaluate(args)
+            except InstanceError as exc:
+                raise InstanceError(f"row {i}: {exc}") from None
+        return out
+
+    evaluate.rows = evaluate_rows
     return evaluate
 
 
@@ -238,6 +273,12 @@ def chain_position(cx):
     0-cells, of each 1-cell's two ends and of each 2-cell's pole are
     worked out once here; the map only applies a 2-cell's wrap and
     interpolates along a 1-cell.
+
+    Its ``rows`` attribute answers rows of one cell: ``rows(cell, w)`` is
+    the position of every row of the (N, dim+1) array w of cell points, and
+    ``rows(-1, payloads)`` that of N base points.  A 1-cell interpolates
+    all its interior rows at once; boundary rows and 2-cell rows take the
+    float map one by one.
     """
     table = []    # per cell: its position, its ends' positions, or its pole's
 
@@ -263,6 +304,27 @@ def chain_position(cx):
             return position(cell.attach(np.asarray(w[:2]) / nrm))
         raise InstanceError(f"chain_position undefined for a {dim}-cell")
 
+    def position_rows(cell, w):
+        if cell < 0:
+            return np.zeros(len(w))
+        dim, fixed = cx.cells[cell].dim, table[cell]
+        w = np.asarray(w, dtype=float)
+        if dim == 0:
+            return np.full(len(w), fixed)
+        # boundary rows canonicalize one by one; a 2-cell's wrap is a float map
+        one_by_one = np.abs(w[:, -1]) <= BOUNDARY_TOL
+        out = np.empty(len(w))
+        if dim == 1:
+            s = section_batch(1, w)[:, 0]
+            pos_at, neg_at = fixed
+            out = (1.0 - s) * pos_at + s * neg_at
+        else:
+            one_by_one[:] = True
+        for i in np.flatnonzero(one_by_one).tolist():
+            out[i] = position(ComplexPoint.in_cell(cell, w[i]))
+        return out
+
+    position.rows = position_rows
     zero_cells = 0
     for cell in cx.cells:
         if cell.dim == 0:
@@ -314,6 +376,23 @@ class ChepInstance:
         lt = lambda_fn(t)
         return (self._k([0.0, lt]) + self._off, self._fb([lt]))
 
+    def rows(self):
+        """f, h and k on rows of one cell, the data of ``chep(..., rows=)``."""
+        position, k, f0, fb = self._position.rows, self._k.rows, self._f0.rows, self._fb.rows
+
+        def k_rows(cell, w, t):
+            return k([position(cell, w), lambda_fn_batch(t)]) + self._off
+
+        def f_rows(cell, w):
+            c = position(cell, w)
+            return np.column_stack([k([c, 0.0]), f0([c])])
+
+        def h_rows(a, t):
+            lt = lambda_fn_batch(t)
+            return np.column_stack([k([0.0, lt]) + self._off, fb([lt])])
+
+        return ChepRows(f=f_rows, h=h_rows, k=k_rows)
+
 
 class ExtendInstance:
     """A boundary-lift oracle, a complex, and the map to lift."""
@@ -338,6 +417,16 @@ class ExtendInstance:
 
     def f(self, a):
         return (self._bottom([0.0]), self._f_fiber.copy())
+
+    def rows(self):
+        """f and bottom on rows of one cell, the data of ``extend_lift(..., rows=)``."""
+        position, bottom = self._position.rows, self._bottom.rows
+
+        def f_rows(a):
+            return np.tile(np.concatenate([[self._bottom([0.0])], self._f_fiber]),
+                           (len(a), 1))
+
+        return ExtendRows(f=f_rows, bottom=lambda cell, w: bottom([position(cell, w)]))
 
 
 chep_instance_from_json = ChepInstance

@@ -17,18 +17,20 @@ point fibrations, TrivialProductFibration), everything else can be supplied.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .smoothfn import lambda_fn
-from .diskmodel import Q, include_k, max_dev, reflect, retract, section
-from .subdivision import L_TOL, CylPoint, in_L, psi, psi_inv
-from .cellcomplex import ComplexPoint
+from .smoothfn import lambda_fn, lambda_fn_batch
+from .diskmodel import (Q, Q_batch, _coords, include_k, max_dev, reflect, retract,
+                        retract_batch, section, section_batch)
+from .subdivision import L_TOL, CylPoint, in_L, psi, psi_batch, psi_inv, psi_inv_batch
+from .cellcomplex import BOUNDARY_TOL, ComplexPoint
 from .homotopy import Homotopy
 
 __all__ = [
     "Fibration", "product_fibration", "point_fibration",
-    "chep", "hep", "extend_lift",
+    "chep", "hep", "extend_lift", "ChepRows", "ExtendRows", "rows_at_points",
     "TrivialProductFibration",
     "LiftError",
 ]
@@ -36,6 +38,107 @@ __all__ = [
 
 class LiftError(RuntimeError):
     """A lifting square could not be completed."""
+
+
+# ---------------------------------------------------------------------------
+# Rows: points of one locus of a complex, evaluated in one call
+# ---------------------------------------------------------------------------
+#
+# The array forms below evaluate maps on the rows of one locus: an (N, n+1)
+# array of points of one n-cell, or for the base (cell -1) a list of N base
+# payloads.  A value is an (N, e) array whose row i holds the coordinates of
+# point i, flattened as max_dev flattens them, so a (base, fiber) pair
+# becomes one row.  Attaching maps stay float callables, applied to the few
+# rows that reach a cell's boundary.
+
+class ChepRows(NamedTuple):
+    """Array forms of chep's data, on rows of one locus.
+
+    ``f(cell, w)`` and ``k(cell, w, t)`` take the points of one open cell
+    (or the base, cell -1) and ``h(a, t)`` a list of base payloads; each
+    returns an (N, e) array (k may return an (N,) one).
+    """
+    f: object
+    h: object
+    k: object
+
+
+class ExtendRows(NamedTuple):
+    """Array forms of extend_lift's data: ``f(a)`` on a list of base
+    payloads and ``bottom(cell, w)`` on the points of one open cell."""
+    f: object
+    bottom: object
+
+
+def _as_rows(values):
+    """values as an (N, e) float array; an (N,) array becomes one column."""
+    values = np.asarray(values, dtype=float)
+    return values[:, None] if values.ndim == 1 else values
+
+
+def _row_by_row(fn, *columns):
+    """fn applied to each row of the columns, flattened into an (N, e) array."""
+    return np.array([_coords(fn(*args)) for args in zip(*columns)])
+
+
+def _gather(count, parts):
+    """One (count, e) array from (row indices, values) pairs covering range(count)."""
+    out = np.empty((count, 0))
+    for i, (idx, values) in enumerate(parts):
+        values = _as_rows(values)
+        if i == 0:
+            out = np.empty((count, values.shape[1]))
+        out[idx] = values
+    return out
+
+
+def _loci(points):
+    """Canonical points grouped by locus, in order of first appearance.
+
+    Yields (cell, row indices, points): cell -1 is the base, whose points
+    stay a list of payloads; a cell's points are stacked into rows.
+    """
+    groups = {}
+    for i, pt in enumerate(points):
+        groups.setdefault(pt.cell, []).append(i)
+    for cell, idx in groups.items():
+        pts = [points[i].point for i in idx]
+        yield cell, np.array(idx), pts if cell < 0 else np.array(pts)
+
+
+def _by_locus(complex_, cell, w):
+    """The rows w of ``cell`` grouped by canonical locus (see _loci).
+
+    The rows of the open cell come first, as they are; a row on the
+    boundary is canonicalized through the attaching maps.
+    """
+    if cell < 0 or complex_.cells[cell].dim == 0:
+        if len(w):
+            yield cell, np.arange(len(w)), w
+        return
+    edge = np.abs(w[:, -1]) <= BOUNDARY_TOL
+    inner = np.flatnonzero(~edge)
+    if inner.size:
+        yield cell, inner, w[inner]
+    edge = np.flatnonzero(edge)
+    points = [complex_.canonicalize(ComplexPoint.in_cell(cell, w[i])) for i in edge]
+    for locus, idx, pts in _loci(points):
+        yield locus, edge[idx], pts
+
+
+def rows_at_points(fn, points, *columns):
+    """An array form fn(cell, w, *columns) at a list of complex points.
+
+    One call per cell (and one for the base), in order of first
+    appearance, each with the rows of the arrays in ``columns`` that
+    belong to its points; the (N, e) result is in the order of ``points``.
+    """
+    return _gather(len(points), [(idx, fn(c, pts, *(col[idx] for col in columns)))
+                                 for c, idx, pts in _loci(points)])
+
+
+def _point(cell, p):
+    return ComplexPoint.base(p) if cell < 0 else ComplexPoint.in_cell(cell, p)
 
 
 @dataclass(frozen=True)
@@ -46,12 +149,17 @@ class Fibration:
     total space, bottom on disk^(n+1) into the base, commuting over the
     inclusion; it must return a map on disk^(n+1) into the total space
     restricting to ``top`` and projecting to ``bottom`` (within the
-    verification tolerances of the caller).
+    verification tolerances of the caller).  The optional
+    ``lift_k_rows(n, top, bottom)`` solves the same square on rows: its
+    top and bottom, and the map it returns, take arrays of disk rows and
+    give (N, e) arrays of flattened points.  Without it, the array form of
+    chep evaluates lift_k's map row by row.
     """
     total: object
     base: object
     project: object
     lift_k: object
+    lift_k_rows: object = None
 
 
 def product_fibration(B, F):
@@ -67,7 +175,14 @@ def product_fibration(B, F):
             return (bottom(w), top(retract(n, w))[1])
         return lifted
 
-    return Fibration(total=(B, F), base=B, project=lambda e: e[0], lift_k=lift_k)
+    def lift_k_rows(n, top, bottom):
+        def lifted(w):
+            base = _as_rows(bottom(w))
+            return np.column_stack([base, top(retract_batch(n, w))[:, base.shape[1]:]])
+        return lifted
+
+    return Fibration(total=(B, F), base=B, project=lambda e: e[0], lift_k=lift_k,
+                     lift_k_rows=lift_k_rows)
 
 
 def point_fibration():
@@ -79,10 +194,14 @@ def point_fibration():
     def lift_k(n, top, bottom):
         return lambda w: top(retract(n, w))
 
-    return Fibration(total=None, base=None, project=lambda e: 0.0, lift_k=lift_k)
+    def lift_k_rows(n, top, bottom):
+        return lambda w: top(retract_batch(n, w))
+
+    return Fibration(total=None, base=None, project=lambda e: 0.0, lift_k=lift_k,
+                     lift_k_rows=lift_k_rows)
 
 
-def chep(p, complex_, f, h, k, precheck=None, tol=1e-6):
+def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
     """Covering homotopy extension over a finite relative cell complex.
 
     Inputs: ``f`` maps complex points into the total space; ``h`` is a
@@ -96,6 +215,16 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6):
     oracle's accuracy.  ``precheck`` is an iterable of (complex point,
     time) pairs on which the compatibility equations are verified first;
     a violation raises LiftError with the witness.
+
+    ``H.rows(cell, w, t)`` is the array form: the (N, e) values of H at
+    the rows w of one cell (cell -1: a list of base payloads) and N times
+    t.  It inverts psi on all rows at once, fills the cell by the oracle's
+    ``lift_k_rows``, and descends in masks: slice rows with time at most
+    L_TOL go to f, wall rows to the cells their attaching map hits, base
+    rows to h.  ``rows`` gives the data in array form (a ChepRows);
+    without it, f, h and k are called row by row.  A hemisphere slice
+    off L^n raises LiftError naming the cell, and in the array form the
+    row of the slice and its time.
     """
     if precheck:
         for x, t in precheck:
@@ -109,8 +238,13 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6):
                 if not max_dev(p.project(h(a, t)), k(x, t)) <= tol:
                     raise LiftError(f"chep precondition p(h(a,t)) = k(a,t) fails "
                                     f"at {a!r}, t={t!r}")
+    if rows is None:
+        rows = ChepRows(f=lambda c, w: _row_by_row(lambda x: f(_point(c, x)), w),
+                        h=lambda a, t: _row_by_row(lambda x, s: h(x, float(s)), a, t),
+                        k=lambda c, w, t: _row_by_row(
+                            lambda x, s: k(_point(c, x), float(s)), w, t))
 
-    lifts = {}
+    lifts, lifts_rows = {}, {}
 
     def H_eval(pt, t):
         cp = complex_.canonicalize(pt)
@@ -118,6 +252,15 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6):
             return h(cp.point, t)
         return lifts[cp.cell](psi_inv(complex_.cells[cp.cell].dim,
                                       CylPoint(cp.point, float(t))))
+
+    def H_rows(cell, w, t):
+        if cell < 0:
+            return rows.h(w, t)
+        t = np.asarray(t, dtype=float)
+        return _gather(len(w), [
+            (idx, lifts_rows[c](psi_inv_batch(complex_.cells[c].dim, CylPoint(pts, t[idx])))
+             if c == cell else H_rows(c, pts, t[idx]))
+            for c, idx, pts in _by_locus(complex_, cell, w)])
 
     for beta, cell in enumerate(complex_.cells):
         n = cell.dim
@@ -141,18 +284,50 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6):
             d, tau = psi(cell.dim, w)
             return k(charact(d), tau)
 
+        def top_rows(wd, beta=beta, cell=cell):
+            d, tau = psi_batch(cell.dim, np.column_stack([wd, np.zeros(len(wd))]))
+            off = np.flatnonzero(~in_L(cell.dim, (d, tau)))
+            if off.size:
+                i = int(off[0])
+                raise LiftError(f"hemisphere slice left L^n at cell {beta}, row {i}, "
+                                f"time {float(tau[i])!r}: disk {d[i]!r}")
+            floor = np.flatnonzero(tau <= L_TOL)
+            parts = [(floor[idx], rows.f(c, pts))
+                     for c, idx, pts in _by_locus(complex_, beta, d[floor])]
+            # walls of the cylinder: descend through the attaching map
+            wall = np.flatnonzero(tau > L_TOL)
+            if wall.size:
+                ends = [complex_.canonicalize(cell.attach(v / np.linalg.norm(v)))
+                        for v in d[wall, :-1]]
+                parts.append((wall, rows_at_points(H_rows, ends, tau[wall])))
+            return _gather(len(wd), parts)
+
+        def bottom_rows(w, beta=beta, cell=cell):
+            d, tau = psi_batch(cell.dim, w)
+            return _gather(len(w), [(idx, rows.k(c, pts, tau[idx]))
+                                    for c, idx, pts in _by_locus(complex_, beta, d)])
+
         lifts[beta] = p.lift_k(n, top, bottom)
+        if p.lift_k_rows is not None:
+            lifts_rows[beta] = p.lift_k_rows(n, top_rows, bottom_rows)
+        else:
+            lifts_rows[beta] = (lambda lift: lambda w: _row_by_row(lift, w))(lifts[beta])
 
-    return Homotopy(H_eval, "I_tilde")
+    return Homotopy(H_eval, "I_tilde", rows=H_rows)
 
 
-def hep(complex_, f, h, precheck=None, tol=1e-6):
-    """Homotopy extension: chep against the projection to the point."""
+def hep(complex_, f, h, precheck=None, tol=1e-6, rows=None):
+    """Homotopy extension: chep against the projection to the point.
+
+    ``rows``, if given, is a ChepRows whose k is not used.
+    """
+    if rows is not None:
+        rows = rows._replace(k=lambda c, w, t: np.zeros(len(t)))
     return chep(point_fibration(), complex_, f, h, k=lambda x, t: 0.0,
-                precheck=precheck, tol=tol)
+                precheck=precheck, tol=tol, rows=rows)
 
 
-def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6):
+def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6, rows=None):
     """Extend a lift over a complex against a boundary-inclusion oracle.
 
     ``g`` must expose ``lift_j(n, top, square_bottom)`` solving squares
@@ -161,6 +336,12 @@ def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6):
     the map to lift, defined on complex points.  Returns a map on
     complex points restricting to ``f`` over the base and projecting to
     ``bottom``, up to the oracle's accuracy.
+
+    The map's ``rows(cell, w)`` attribute is its array form on the rows of
+    one cell (cell -1: a list of base payloads), giving an (N, e) array.
+    It fills each cell by the oracle's ``lift_j_rows`` if it has one, else
+    by lift_j's map row by row.  ``rows`` gives the data in array form (an
+    ExtendRows); without it, f and bottom are called row by row.
     """
     if precheck:
         for x in precheck:
@@ -168,14 +349,23 @@ def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6):
                 if not max_dev(g.project(f(x.point)), bottom(x)) <= tol:
                     raise LiftError(
                         f"extend_lift precondition p(f(a)) = bottom(a) fails at {x!r}")
+    if rows is None:
+        rows = ExtendRows(f=lambda a: _row_by_row(f, a),
+                          bottom=lambda c, w: _row_by_row(lambda x: bottom(_point(c, x)), w))
 
-    cell_lifts = {}
+    cell_lifts, cell_lifts_rows = {}, {}
 
     def lift_eval(pt):
         cp = complex_.canonicalize(pt)
         if cp.kind == "base":
             return f(cp.point)
         return cell_lifts[cp.cell](cp.point)
+
+    def lift_rows(cell, w):
+        if cell < 0:
+            return rows.f(w)
+        return _gather(len(w), [(idx, cell_lifts_rows[c](pts) if c == cell else lift_rows(c, pts))
+                                for c, idx, pts in _by_locus(complex_, cell, w)])
 
     for beta, cell in enumerate(complex_.cells):
         def top(v, cell=cell):
@@ -184,9 +374,22 @@ def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6):
         def square_bottom(w, beta=beta):
             return bottom(complex_.canonicalize(ComplexPoint.in_cell(beta, w)))
 
-        cell_lifts[beta] = g.lift_j(cell.dim, top if cell.dim > 0 else None,
-                                    square_bottom)
+        def top_rows(v, cell=cell):
+            return rows_at_points(lift_rows, [complex_.canonicalize(cell.attach(u)) for u in v])
 
+        def square_bottom_rows(w, beta=beta):
+            return _gather(len(w), [(idx, rows.bottom(c, pts))
+                                    for c, idx, pts in _by_locus(complex_, beta, w)])
+
+        cell_lifts[beta] = g.lift_j(cell.dim, top if cell.dim > 0 else None, square_bottom)
+        if hasattr(g, "lift_j_rows"):
+            cell_lifts_rows[beta] = g.lift_j_rows(cell.dim, top_rows if cell.dim > 0 else None,
+                                                  square_bottom_rows)
+        else:
+            cell_lifts_rows[beta] = (lambda lift: lambda w: _row_by_row(lift, w))(
+                cell_lifts[beta])
+
+    lift_eval.rows = lift_rows
     return lift_eval
 
 
@@ -203,6 +406,7 @@ class TrivialProductFibration:
     v = Q(n-1, t[:-1]) and its reflection with lambda_fn(t[-1]) weights:
     wall derivatives stay flat, and on the boundary, where t[-1] is 0 or
     1, it is ``top``'s.  The base component is the square's bottom map.
+    ``lift_j_rows`` is the same lift on rows (see Fibration.lift_k_rows).
     """
     fiber_dim: int = 1
 
@@ -219,5 +423,21 @@ class TrivialProductFibration:
             a = lambda_fn(t[-1])
             lo, hi = (np.asarray(top(u)[1], dtype=float) for u in (v, reflect(n - 1, v)))
             return (square_bottom(w), np.atleast_1d((1.0 - a) * lo + a * hi))
+
+        return lifted
+
+    def lift_j_rows(self, n, top, square_bottom):
+        m = self.fiber_dim
+        if n == 0:
+            return lambda w: np.column_stack([_as_rows(square_bottom(w)), np.zeros((len(w), m))])
+
+        def lifted(w):
+            t = section_batch(n, w)
+            v = Q_batch(n - 1, t[:, :-1])
+            a = lambda_fn_batch(t[:, -1])[:, None]
+            lo = top(v)[:, -m:]
+            v[:, -1] = -v[:, -1]  # the reflection
+            hi = top(v)[:, -m:]
+            return np.column_stack([_as_rows(square_bottom(w)), (1.0 - a) * lo + a * hi])
 
         return lifted

@@ -34,7 +34,8 @@ from .diskmodel import max_dev
 from .cellcomplex import CellComplex, ComplexPoint
 from .homotopy import (Homotopy, PairMapRep, concat, glue_double, path_components,
                        star)
-from .lifting import (LiftError, chep, extend_lift, hep, product_fibration)
+from .lifting import (ChepRows, LiftError, chep, extend_lift, hep, product_fibration,
+                      rows_at_points)
 from .instances import bundled_chep_instance, bundled_extend_instance, chain_position
 
 __all__ = ["RunConfig", "SUITES", "Tally", "make_report", "run_suite", "suite_names",
@@ -670,15 +671,16 @@ def suite_lifting(cfg):
     _chep_stationary(cfg, inst, out.open("chep_stationary_product", cfg.count(300), TOL_LIFT,
                                    "constant-in-time data lifts to the hand formula"))
 
+    data = inst.rows()
     Hh = hep(inst.complex, inst.f, inst.h,
-             precheck=[(ComplexPoint.base(0.0), 0.0)], tol=TOL_LIFT)
+             precheck=[(ComplexPoint.base(0.0), 0.0)], tol=TOL_LIFT, rows=data)
     contract = out.open("hep_contract", cfg.count(400), TOL_LIFT,
                         "H(x,0)=f and H over the base = h")
-    for _ in range(contract.samples):
-        x = inst.complex.sample_point(rng)
-        t = float(rng.uniform())
-        contract.add(max_dev(Hh(x, 0.0), inst.f(x)),
-                     max_dev(Hh(ComplexPoint.base(0.0), t), inst.h(0.0, t)))
+    xs, ts = _draw(rng, contract.samples, inst.complex.sample_point)
+    base = [0.0] * len(ts)
+    contract.add_rows(dm.max_dev_batch(rows_at_points(Hh.rows, xs, np.zeros(len(ts))),
+                                       rows_at_points(data.f, xs)))
+    contract.add_rows(dm.max_dev_batch(Hh.rows(-1, base, ts), data.h(base, ts)))
 
     einst, _ = bundled_extend_instance()
     (projects, restricts), _ = check_extend_instance(einst, cfg, rng)
@@ -695,6 +697,13 @@ def suite_lifting(cfg):
     return out.records()
 
 
+def _draw(rng, count, sample_point):
+    """count pairs (sample_point(rng), uniform time), drawn in turn, as a list
+    of points and an array of times."""
+    pairs = [(sample_point(rng), float(rng.uniform())) for _ in range(count)]
+    return [x for x, _ in pairs], np.array([t for _, t in pairs])
+
+
 def _chep_order_independence(cfg, tally):
     rng = cfg.rng("lifting-order")
     lifts = []
@@ -709,21 +718,33 @@ def _chep_order_independence(cfg, tally):
         def f(x, position=position, k=k):
             return (k(x, 0.0), math.cos(1.3 * position(x)))
 
-        lifts.append(chep(product_fibration("R", "R"), cx, f, None, k, tol=TOL_LIFT))
+        def k_rows(cell, w, t, position=position.rows):
+            return 0.3 * np.sin(2.0 * position(cell, w)) + 0.2 * sf.lambda_fn_batch(t)
 
+        def f_rows(cell, w, position=position.rows, k_rows=k_rows):
+            return np.column_stack([k_rows(cell, w, np.zeros(len(w))),
+                                    np.cos(1.3 * position(cell, w))])
+
+        lifts.append(chep(product_fibration("R", "R"), cx, f, None, k, tol=TOL_LIFT,
+                          rows=ChepRows(f=f_rows, h=None, k=k_rows)))
+
+    pts, ts = [], []
     for _ in range(tally.samples):
         ch = int(rng.integers(2))
         s = float(rng.uniform())
-        t = float(rng.uniform())
-        w = np.array([math.cos(math.pi * s), math.sin(math.pi * s)])
-        # the edge of chain ch is cell 4 + ch, and cell 5 - ch when swapped
-        tally.add(max_dev(lifts[0](ComplexPoint.in_cell(4 + ch, w), t),
-                          lifts[1](ComplexPoint.in_cell(5 - ch, w), t)))
+        ts.append(float(rng.uniform()))
+        pts.append((ch, np.array([math.cos(math.pi * s), math.sin(math.pi * s)])))
+    # the edge of chain ch is cell 4 + ch, and cell 5 - ch when swapped
+    ts = np.array(ts)
+    tally.add_rows(dm.max_dev_batch(
+        rows_at_points(lifts[0].rows, [ComplexPoint.in_cell(4 + ch, w) for ch, w in pts], ts),
+        rows_at_points(lifts[1].rows, [ComplexPoint.in_cell(5 - ch, w) for ch, w in pts], ts)))
 
 
 def _chep_stationary(cfg, inst, tally):
     rng = cfg.rng("lifting-stationary")
     fiber_c = 0.75
+    data = inst.rows()
 
     def k(x, t):
         return inst.k(x, 0.0)
@@ -734,11 +755,17 @@ def _chep_stationary(cfg, inst, tally):
     def h(a, t):
         return (k(ComplexPoint.base(a), 0.0), fiber_c)
 
-    H = chep(inst.fibration, inst.complex, f, h, k, tol=TOL_LIFT)
-    for _ in range(tally.samples):
-        x = inst.complex.sample_point(rng)
-        t = float(rng.uniform())
-        tally.add(max_dev(H(x, t), (k(x, t), fiber_c)))
+    def k_rows(cell, w, t):
+        return data.k(cell, w, np.zeros(len(w)))
+
+    def f_rows(cell, w):
+        return np.column_stack([k_rows(cell, w, None), np.full(len(w), fiber_c)])
+
+    H = chep(inst.fibration, inst.complex, f, h, k, tol=TOL_LIFT,
+             rows=ChepRows(f=f_rows, h=lambda a, t: f_rows(-1, a), k=k_rows))
+    xs, ts = _draw(rng, tally.samples, inst.complex.sample_point)
+    tally.add_rows(dm.max_dev_batch(rows_at_points(H.rows, xs, ts),
+                                    rows_at_points(f_rows, xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -750,13 +777,15 @@ def check_chep_instance(inst, cfg, rng):
 
     Draws 50 precheck pairs, builds H by ``chep`` (which raises
     LiftError on incompatible data), then samples cfg.count(1000) pairs
-    (x, t).  Returns the records ``difftop chep`` prints, of H(x, 0) =
-    f(x), of H = h over the base (vacuous when the complex has no base)
-    and of p(H(x, t)) = k(x, t), plus the sampled rows (x, t, H(x, t)).
+    (x, t) and evaluates them through H's array form, one call per cell.
+    Returns the records ``difftop chep`` prints, of H(x, 0) = f(x), of H =
+    h over the base (vacuous when the complex has no base) and of p(H(x,
+    t)) = k(x, t), plus the sampled rows (x, t, H(x, t)) in draw order.
     """
     pre = [(inst.complex.sample_point(rng), float(rng.uniform())) for _ in range(50)]
+    data = inst.rows()
     H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k,
-             precheck=pre, tol=TOL_LIFT)
+             precheck=pre, tol=TOL_LIFT, rows=data)
     has_base = inst.complex.base is not None
     cnt = cfg.count(1000)
     out = _Tallies()
@@ -764,40 +793,38 @@ def check_chep_instance(inst, cfg, rng):
     over_base = out.open("H_over_base_is_h", cnt, TOL_LIFT,
                          "" if has_base else "vacuous: the complex has no base")
     projection = out.open("projection_of_H_is_k", cnt, TOL_LIFT)
-    rows = []
-    for _ in range(cnt):
-        x = inst.complex.sample_point(rng)
-        t = float(rng.uniform())
-        at_zero.add(max_dev(H(x, 0.0), inst.f(x)))
-        Hxt = H(x, t)
-        projection.add(abs(Hxt[0] - inst.k(x, t)))
-        if has_base:
-            over_base.add(max_dev(H(ComplexPoint.base(0.0), t), inst.h(0.0, t)))
-        rows.append((x, t, Hxt))
-    return out.records(), rows
+    xs, ts = _draw(rng, cnt, inst.complex.sample_point)
+    at_zero.add_rows(dm.max_dev_batch(rows_at_points(H.rows, xs, np.zeros(cnt)),
+                                      rows_at_points(data.f, xs)))
+    Hxt = rows_at_points(H.rows, xs, ts)
+    projection.add_rows(np.abs(Hxt[:, 0] - rows_at_points(data.k, xs, ts)[:, 0]))
+    if has_base:
+        base = [0.0] * cnt
+        over_base.add_rows(dm.max_dev_batch(H.rows(-1, base, ts), data.h(base, ts)))
+    return out.records(), list(zip(xs, ts.tolist(), Hxt))
 
 
 def check_extend_instance(inst, cfg, rng):
     """Lift an extend instance and sample its projection equation.
 
     Returns the records ``difftop chep`` prints: p(lift(x)) = bottom(x)
-    over cfg.count(500) points from ``CellComplex.sample_point``, then
-    whether the lift restricts exactly to f over the base; plus the
-    sampled rows (x, lift(x)).
+    over cfg.count(500) points from ``CellComplex.sample_point``, evaluated
+    through the lift's array form, one call per cell, then whether the
+    lift restricts exactly to f over the base; plus the sampled rows (x,
+    lift(x)) in draw order, lift(x) as a row of coordinates.
     """
+    data = inst.rows()
     lift = extend_lift(inst.oracle, inst.complex, inst.f, inst.bottom,
-                       precheck=[ComplexPoint.base(0.0)], tol=TOL_LIFT)
+                       precheck=[ComplexPoint.base(0.0)], tol=TOL_LIFT, rows=data)
     out = _Tallies()
     projects = out.open("lift_projects_to_bottom", cfg.count(500), TOL_LIFT)
-    rows = []
-    for _ in range(projects.samples):
-        x = inst.complex.sample_point(rng)
-        y = lift(x)
-        projects.add(abs(inst.oracle.project(y) - inst.bottom(x)))
-        rows.append((x, y))
+    xs = [inst.complex.sample_point(rng) for _ in range(projects.samples)]
+    ys = rows_at_points(lift.rows, xs)
+    projects.add_rows(np.abs(np.array([inst.oracle.project(y) for y in ys])
+                             - rows_at_points(data.bottom, xs)[:, 0]))
     ok = max_dev(lift(ComplexPoint.base(0.0)), inst.f(0.0)) == 0.0
     out.open("lift_restricts_to_f", 1, 0.0).add(float(not ok))
-    return out.records(), rows
+    return out.records(), list(zip(xs, ys))
 
 
 SUITES = {

@@ -5,11 +5,12 @@ entry by entry or row by row, at n = 0..3, within AGREE per coordinate.
 The draws include poles (a tail of exactly 0), both blend bands of xi_inv,
 and points in the wrinkle-collapse bands around s = 1/3 and 2/3.
 
-xi_inv and psi_inv bisect xi to a 1e-14 bracket, so the scalar result is
-itself only that close to a preimage, and where xi is flat (the collapse
-bands) a whole interval of s has one image.  There a batch result that is
-farther than AGREE from the scalar one must be a preimage of the same
-point: the forward images of the two must agree within AGREE.
+xi_inv and xi_inv_batch solve one Newton iteration to within a few ulps,
+but numpy's log may differ from math's in the last bit, and where xi is
+flat to double precision (the collapse bands around 1/3 and 2/3) a whole
+interval of s has one image.  There a batch result that is farther than
+AGREE from the scalar one must be a preimage of the same point: the
+forward images of the two must agree within AGREE.
 """
 
 import math

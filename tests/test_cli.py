@@ -12,13 +12,18 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from difftop import cli
 from difftop.cli import main
-from difftop.instances import InstanceError, bundled_chep_instance, bundled_extend_instance
+from difftop.diskmodel import max_dev
+from difftop.instances import (InstanceError, bundled_chep_instance, bundled_extend_instance,
+                               load_instance_file)
+from difftop.lifting import chep
 from difftop.subdivision import phi_branch
+from difftop.verify import TOL_LIFT
 
 
 def run_cli(args, capsys):
@@ -209,6 +214,30 @@ def test_chep_csv_output(tmp_path, capsys):
 
 INCOMPATIBLE = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "instances",
                             "chep_incompatible.json")
+INTERVAL = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "instances",
+                        "chep_interval.json")
+
+
+@pytest.mark.parametrize("instance", ["bundled", INTERVAL])
+def test_chep_csv_rows_come_in_draw_order(instance, tmp_path, capsys):
+    # the check evaluates H one cell at a time through its array form; the
+    # rows it prints are still the draws in turn, each at the scalar H
+    out_csv = tmp_path / "h.csv"
+    code, _, _ = run_cli(["chep", instance, "--samples", "0.1", "--seed", "7",
+                          "--csv", str(out_csv)], capsys)
+    assert code == 0
+    inst = bundled_chep_instance()[0] if instance == "bundled" else load_instance_file(instance)[1]
+    rng = np.random.default_rng(7)
+    for _ in range(50):  # the precheck pairs come first
+        inst.complex.sample_point(rng), rng.uniform()
+    H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k)
+    lines = out_csv.read_text().strip().splitlines()[1:]
+    assert len(lines) == 100
+    for line in lines:
+        x, t = inst.complex.sample_point(rng), float(rng.uniform())
+        position, time_, base, fiber = map(float, line.split(","))
+        assert (position, time_) == (inst.position(x), t)
+        assert max_dev((base, fiber), H(x, t)) <= TOL_LIFT
 
 
 def test_chep_failed_lift_keeps_an_existing_csv(tmp_path, capsys):

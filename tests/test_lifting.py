@@ -2,22 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st, target
 
+from difftop import lifting
 from difftop.cellcomplex import BOUNDARY_TOL, CellComplex, ComplexPoint
 from difftop.diskmodel import (
-    DomainError, Q, include_j, include_k, random_disk, random_sphere, section,
+    DomainError, Q, _coords, include_j, include_k, random_disk, random_disk_batch,
+    random_sphere, retract_batch, section,
 )
 from difftop.homotopy import path_components
 from difftop.instances import (
     InstanceError, bundled_chep_instance, bundled_extend_instance, chain_position,
-    chep_instance_from_json, compile_expr, complex_from_json,
+    chep_instance_from_json, compile_expr, complex_from_json, extend_instance_from_json,
 )
 from difftop.lifting import (
-    LiftError, TrivialProductFibration, chep, extend_lift, hep,
+    Fibration, LiftError, TrivialProductFibration, chep, extend_lift, hep,
     point_fibration, product_fibration,
 )
 from difftop.smoothfn import gamma, lambda_fn, xi
+from difftop.subdivision import L_TOL, CylPoint, psi_batch, psi_inv_batch
+from difftop.verify import TOL_LIFT
 
 RNG = np.random.default_rng(2024)
 
@@ -458,3 +462,174 @@ def test_sample_point_draws_base_and_every_cell():
                for x in drawn if x.kind == "cell")
     with pytest.raises(DomainError, match="no points"):
         CellComplex().sample_point(rng)
+
+
+# ---------------------------------------------------------------------------
+# Array forms: rows of one cell in one call
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_array_expression_matches_the_float_evaluator(data):
+    """Each row within 1e-9 relative of the float value (numpy's exp, sin
+    and cos may differ in the last bit); a row the float evaluator rejects
+    makes the array evaluator raise, naming the first such row."""
+    nvars = data.draw(st.integers(1, 3))
+    node = data.draw(_EXPRESSIONS[nvars])
+    count = data.draw(st.integers(1, 4))
+    u = [np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=count, max_size=count)))
+         for _ in range(nvars)]
+    evaluate = compile_expr(node, nvars, "probe")
+    want, bad = [], None
+    for i in range(count):
+        try:
+            want.append(evaluate([v[i] for v in u]))
+        except InstanceError:
+            bad = i if bad is None else bad
+    if bad is not None:
+        with pytest.raises(InstanceError, match=rf"^row {bad}: probe cannot be evaluated at \("):
+            evaluate.rows(u)
+        return
+    got = evaluate.rows(u)
+    assert got.shape == (count,)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+def test_array_expression_broadcasts_constants_and_floats():
+    k = compile_expr({"op": "add", "args": [{"op": "var", "index": 1},
+                                            {"op": "lambda", "args": [0.5]}]}, 2)
+    assert k.rows([np.zeros(3), 0.25]).tolist() == [0.75] * 3
+    assert compile_expr(2.0, 1).rows([np.zeros(2)]).tolist() == [2.0, 2.0]
+    big = compile_expr({"op": "exp", "args": [{"op": "var"}]}, 1, "big")
+    with pytest.raises(InstanceError, match=r"^row 1: big cannot be evaluated at \(800\)"):
+        big.rows([np.array([1.0, 800.0, 900.0])])
+    # an overflow the float evaluator survives: lambda(1e308 * 10) is 1
+    tame = compile_expr({"op": "lambda", "args": [{"op": "mul", "args": [
+        {"op": "var"}, 10.0]}]}, 1)
+    assert tame.rows([np.array([1e308, 0.05])]).tolist() == [1.0, lambda_fn(0.5)]
+
+
+def _chain_complex(segments):
+    """A base point, then segments of a 0-cell, an edge onto the last end and
+    a 2-cell wrapped on the edge."""
+    cells, prev = [], {"base": True}
+    for _ in range(segments):
+        cells.append({"dim": 0})
+        zero = {"cell": len(cells) - 1}
+        cells.append({"dim": 1, "attach": {"kind": "endpoints", "pos": prev, "neg": zero}})
+        cells.append({"dim": 2, "attach": {"kind": "wrap", "cell": len(cells) - 1}})
+        prev = zero
+    return {"base": "point", "cells": cells}
+
+
+def test_chain_position_rows_match_the_float_map():
+    cx = complex_from_json(_chain_complex(2))
+    position = chain_position(cx)
+    rng = np.random.default_rng(5)
+    for i, cell in enumerate(cx.cells):
+        w = random_disk_batch(cell.dim, 20, rng)
+        if cell.dim == 1:
+            w[:3] = [[1.0, 0.0], [-1.0, 0.0], [-1.0, 4e-10]]
+        elif cell.dim == 2:
+            w[:3] = [[0.0, 0.0, 1.0], [3e-13, -4e-13, 1.0], [0.6, -0.8, 0.0]]
+        got = position.rows(i, w)
+        want = [position(ComplexPoint.in_cell(i, x)) for x in w]
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert got[:3].tolist() == want[:3]  # boundary and pole rows take the float map
+    assert position.rows(-1, [0.0, 0.0]).tolist() == [0.0, 0.0]
+
+
+def _rows_of_cell(rng, dim, count):
+    """Uniform rows of the cell, rows near its boundary sphere (where the
+    lift descends through a wall) and rows on it (canonicalized)."""
+    w = random_disk_batch(dim, count, rng)
+    if dim > 0:
+        near = random_disk_batch(dim, count, rng)
+        near[:, -1] *= rng.choice([0.0, 1e-3, 0.05], size=count)
+        w = np.vstack([w, near / np.linalg.norm(near, axis=1, keepdims=True)])
+    return w
+
+
+def _wall_rows(n, w, t):
+    """Rows whose hemisphere slice lands on the wall of L^n, not its floor."""
+    lifted = psi_inv_batch(n, CylPoint(w, t))
+    slice_ = np.column_stack([retract_batch(n, lifted), np.zeros(len(w))])
+    return psi_batch(n, slice_).time > L_TOL
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_array_lift_matches_the_scalar_lift(segments, seed, native):
+    """H.rows and the extend lift's rows agree with the scalar maps within
+    TOL_LIFT on every cell and the base, on wall rows and at t = 0 and 1;
+    ``native`` False drops the oracles' and the data's array forms, so the
+    rows fall back to the scalar maps row by row."""
+    _, chep_desc = bundled_chep_instance()
+    _, ext_desc = bundled_extend_instance()
+    inst = chep_instance_from_json({**chep_desc, "complex": _chain_complex(segments)})
+    einst = extend_instance_from_json({**ext_desc, "complex": _chain_complex(segments)})
+    p, g = inst.fibration, einst.oracle
+    if native:
+        data, edata = inst.rows(), einst.rows()
+    else:
+        p, data, edata = Fibration(p.total, p.base, p.project, p.lift_k), None, None
+
+        class ScalarOracle:
+            project, lift_j = g.project, g.lift_j
+        g = ScalarOracle()
+    H = chep(p, inst.complex, inst.f, inst.h, inst.k, rows=data)
+    lift = extend_lift(g, einst.complex, einst.f, einst.bottom, rows=edata)
+    rng = np.random.default_rng(seed)
+    worst, walls = 0.0, 0
+    for cell in [-1] + list(range(len(inst.complex))):
+        dim = inst.complex.cells[cell].dim if cell >= 0 else 0
+        w = [0.0] * 4 if cell < 0 else _rows_of_cell(rng, dim, 4)
+        t = rng.uniform(0.3, 1.0, size=len(w))
+        t[:2] = [0.0, 1.0]
+        got = H.rows(cell, w, t)
+        points = [ComplexPoint.base(x) if cell < 0 else ComplexPoint.in_cell(cell, x) for x in w]
+        want = np.array([_coords(H(x, s)) for x, s in zip(points, t)])
+        worst = max(worst, float(np.max(np.abs(got - want))))
+        got = lift.rows(cell, w)
+        want = np.array([_coords(lift(x)) for x in points])
+        worst = max(worst, float(np.max(np.abs(got - want))))
+        if cell >= 0:
+            walls += int(np.sum(_wall_rows(dim, w, t)))
+    note(f"worst |rows - scalar| = {worst:.3g}, {walls} wall rows")
+    target(worst, label="worst |rows - scalar|")
+    assert worst <= TOL_LIFT
+    assert walls > 0
+
+
+def _slice_off_L(psi_batch_):
+    """A broken psi that sends hemisphere slice points (last coordinate 0)
+    with a positive first coordinate to the north pole at time 0.5, off L^n."""
+    def broken(n, w):
+        w = np.atleast_2d(np.asarray(w, dtype=float))
+        c = psi_batch_(n, w)
+        hit = (w[:, -1] == 0.0) & (w[:, 0] > 0.0)
+        disk, time = c.disk.copy(), np.array(c.time, dtype=float)
+        disk[hit] = np.eye(n + 1)[-1]
+        time[hit] = 0.5
+        return CylPoint(disk, time)
+    return broken
+
+
+def test_a_slice_off_L_raises_in_both_forms(monkeypatch):
+    """Negative control of the L_TOL guard: chep's lift must reject a psi
+    whose hemisphere slice leaves L^n, point by point and on rows."""
+    inst, _ = bundled_chep_instance()
+    broken = _slice_off_L(lifting.psi_batch)
+    monkeypatch.setattr(lifting, "psi_batch", broken)
+    monkeypatch.setattr(lifting, "psi", lambda n, w: CylPoint(*(a[0] for a in broken(n, w))))
+    H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k, rows=inst.rows())
+    w = np.array([[-0.6, 0.8], [-0.8, 0.6], [0.8, 0.6], [0.6, 0.8]])
+    t = np.full(4, 0.5)
+    with pytest.raises(LiftError, match=r"^hemisphere slice left L\^n at cell 1: "):
+        H(ComplexPoint.in_cell(1, w[2]), 0.5)
+    # the first row whose slice the broken psi moves
+    lifted = psi_inv_batch(1, CylPoint(w, t))
+    row = int(np.argmax(retract_batch(1, lifted)[:, 0] > 0.0))
+    with pytest.raises(LiftError, match=rf"^hemisphere slice left L\^n at cell 1, row {row}, "
+                                        r"time 0\.5: disk "):
+        H.rows(1, w, t)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from difftop import smoothfn
 from difftop.diskmodel import random_disk
 from difftop.smoothfn import (
-    fd_weights, gamma, lambda_fn, lambda_inv, smoothness_check, xi, xi_inv,
+    fd_weights, gamma, gamma_batch, lambda_fn, lambda_inv, smoothness_check, xi, xi_batch,
+    xi_inv, xi_inv_batch,
 )
 from difftop.subdivision import seam_curve
 
@@ -123,9 +124,41 @@ EXTREME_YS = [5e-324, 1e-300, 1.0 - 2.0 ** -53,
 INVERSE_GRID = np.concatenate([np.linspace(0.0, 1.0, 10001), EXTREME_YS])
 
 
+# xi_inv's Newton iteration stops within a few ulps of the root, so the
+# round trip is held to two ulps of 1/3 (4.4e-16)
+XI_RT = 4.5e-16
+# both blend bands densely, and 1 to 1e6 ulps to either side of each band
+# end; next to 1/3 and 2/3 xi is flat to double precision
+BLEND_GRID = np.concatenate(
+    [np.linspace(1.0 / 6.0, 1.0 / 3.0, 20001), np.linspace(2.0 / 3.0, 5.0 / 6.0, 20001)]
+    + [w + np.array([-1.0, 1.0]) * k * math.ulp(w)
+       for w in (1.0 / 6.0, 1.0 / 3.0, 2.0 / 3.0, 5.0 / 6.0)
+       for k in (1, 2, 3, 10, 100, 1e3, 1e4, 1e5, 1e6)])
+
+
 def test_xi_inv_roundtrip():
-    for y in INVERSE_GRID:
-        assert abs(xi(xi_inv(y)) - y) <= 1e-13
+    # pytest turns warnings into errors: no Newton step may warn
+    for y in np.concatenate([INVERSE_GRID, BLEND_GRID]).tolist():
+        assert abs(xi(xi_inv(y)) - y) <= XI_RT, y
+
+
+def test_xi_inv_batch_roundtrip():
+    s = xi_inv_batch(BLEND_GRID)
+    assert np.max(np.abs(xi_batch(s) - BLEND_GRID)) <= XI_RT
+    assert np.all(np.diff(s[:20001]) >= 0.0) and np.all(np.diff(s[20001:40002]) >= 0.0)
+
+
+def test_xi_inv_at_the_band_ends():
+    # the walls and the band ends come back exactly; one ulp inside a band,
+    # z = 2 - 6y (lower band) or 6y - 4 (upper band) may round to 1 or 0,
+    # which gives the band end
+    for y in (1.0 / 6.0, 1.0 / 3.0, 2.0 / 3.0, 5.0 / 6.0):
+        assert xi_inv(y) == y
+        assert xi_inv_batch(np.array([y]))[0] == y
+    for lo, hi in ((1.0 / 6.0, 1.0 / 3.0), (2.0 / 3.0, 5.0 / 6.0)):
+        for y in (math.nextafter(lo, 1.0), math.nextafter(hi, 0.0)):
+            assert lo <= xi_inv(y) <= hi
+            assert lo <= xi_inv_batch(np.array([y]))[0] <= hi
 
 
 def test_lambda_inv_roundtrip_and_errors():
@@ -205,6 +238,28 @@ def test_vector_check_inconclusive_on_a_non_finite_component():
     rep = smoothness_check(lambda t: np.array([t, math.inf if t > 0.01 else t]), 0.0, 2)
     assert rep.verdicts == {1: "inconclusive", 2: "inconclusive"}
     assert not rep.passed
+
+
+@pytest.mark.parametrize("x", [1e14, 1e17, -1e14])
+def test_no_verdict_where_the_nodes_round_together(x):
+    # every node x + m h rounds onto x or a neighbour: the ladder has no
+    # resolution, so a kink of slope jump 2 must not pass
+    rep = smoothness_check(lambda t: abs(t - x), x, 3)
+    assert rep.verdicts == {1: "inconclusive", 2: "inconclusive", 3: "inconclusive"}
+    assert not rep.passed and rep.fd_estimates == {}
+
+
+def test_a_kink_at_1e12_still_fails():
+    rep = smoothness_check(lambda t: abs(t - 1e12), 1e12, 1)
+    assert rep.verdicts == {1: "fail"}
+
+
+def test_gamma_batch_matches_gamma():
+    t = np.array([-1.0, 0.0, 1e-300, 1e-3, 0.002, 0.5, 3.0, math.inf, math.nan])
+    got = gamma_batch(t)
+    want = [gamma(v) for v in t.tolist()]
+    assert np.allclose(got[:-1], want[:-1], rtol=1e-15, atol=0.0)
+    assert math.isnan(got[-1]) and math.isnan(want[-1])
 
 
 def test_smoothness_check_order_cap():
