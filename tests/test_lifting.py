@@ -603,13 +603,14 @@ def test_array_lift_matches_the_scalar_lift(segments, seed, native):
 
 def _slice_off_L(psi_batch_):
     """A broken psi that sends hemisphere slice points (last coordinate 0)
-    with a positive first coordinate to the north pole at time 0.5, off L^n."""
+    with a positive first coordinate to (0.6, 0, ..., 0.8) at time 0.5: a
+    point of the open disk, off L^n, where the wall descent would go on."""
     def broken(n, w):
         w = np.atleast_2d(np.asarray(w, dtype=float))
         c = psi_batch_(n, w)
         hit = (w[:, -1] == 0.0) & (w[:, 0] > 0.0)
         disk, time = c.disk.copy(), np.array(c.time, dtype=float)
-        disk[hit] = np.eye(n + 1)[-1]
+        disk[hit] = [1.0] if n == 0 else [0.6] + [0.0] * (n - 1) + [0.8]
         time[hit] = 0.5
         return CylPoint(disk, time)
     return broken
