@@ -16,6 +16,7 @@ Oracles are interfaces on purpose: three ship built in (the product and
 point fibrations, TrivialProductFibration), everything else can be supplied.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,13 +84,13 @@ def _row_by_row(fn, *columns):
 
 def _gather(count, parts):
     """One (count, e) array from (row indices, values) pairs covering range(count)."""
-    out = np.empty((count, 0))
-    for i, (idx, values) in enumerate(parts):
-        values = _as_rows(values)
-        if i == 0:
-            out = np.empty((count, values.shape[1]))
-        out[idx] = values
-    return out
+    out = None
+    for idx, values in parts:
+        if len(idx):
+            values = _as_rows(values)
+            out = np.empty((count, values.shape[1])) if out is None else out
+            out[idx] = values
+    return np.empty((count, 0)) if out is None else out
 
 
 def _loci(points):
@@ -135,6 +136,12 @@ def rows_at_points(fn, points, *columns):
     """
     return _gather(len(points), [(idx, fn(c, pts, *(col[idx] for col in columns)))
                                  for c, idx, pts in _loci(points)])
+
+
+def _rows_of_cell(complex_, cell, w, fn, *columns):
+    """rows_at_points on the rows w of one cell: one call per canonical locus."""
+    return _gather(len(w), [(idx, fn(c, pts, *(col[idx] for col in columns)))
+                            for c, idx, pts in _by_locus(complex_, cell, w)])
 
 
 def _point(cell, p):
@@ -253,14 +260,13 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
         return lifts[cp.cell](psi_inv(complex_.cells[cp.cell].dim,
                                       CylPoint(cp.point, float(t))))
 
-    def H_rows(cell, w, t):
+    def H_locus(cell, w, t):  # w canonical: open-cell rows or base payloads
         if cell < 0:
             return rows.h(w, t)
-        t = np.asarray(t, dtype=float)
-        return _gather(len(w), [
-            (idx, lifts_rows[c](psi_inv_batch(complex_.cells[c].dim, CylPoint(pts, t[idx])))
-             if c == cell else H_rows(c, pts, t[idx]))
-            for c, idx, pts in _by_locus(complex_, cell, w)])
+        return lifts_rows[cell](psi_inv_batch(complex_.cells[cell].dim, CylPoint(w, t)))
+
+    def H_rows(cell, w, t):
+        return _rows_of_cell(complex_, cell, w, H_locus, np.asarray(t, dtype=float))
 
     for beta, cell in enumerate(complex_.cells):
         n = cell.dim
@@ -292,26 +298,22 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
                 raise LiftError(f"hemisphere slice left L^n at cell {beta}, row {i}, "
                                 f"time {float(tau[i])!r}: disk {d[i]!r}")
             floor = np.flatnonzero(tau <= L_TOL)
-            parts = [(floor[idx], rows.f(c, pts))
-                     for c, idx, pts in _by_locus(complex_, beta, d[floor])]
             # walls of the cylinder: descend through the attaching map
             wall = np.flatnonzero(tau > L_TOL)
-            if wall.size:
-                ends = [complex_.canonicalize(cell.attach(v / np.linalg.norm(v)))
-                        for v in d[wall, :-1]]
-                parts.append((wall, rows_at_points(H_rows, ends, tau[wall])))
-            return _gather(len(wd), parts)
+            ends = [complex_.canonicalize(cell.attach(v / np.linalg.norm(v)))
+                    for v in d[wall, :-1]]
+            return _gather(len(wd), [
+                (floor, _rows_of_cell(complex_, beta, d[floor], rows.f)),
+                (wall, rows_at_points(H_locus, ends, tau[wall]))])
 
         def bottom_rows(w, beta=beta, cell=cell):
             d, tau = psi_batch(cell.dim, w)
-            return _gather(len(w), [(idx, rows.k(c, pts, tau[idx]))
-                                    for c, idx, pts in _by_locus(complex_, beta, d)])
+            return _rows_of_cell(complex_, beta, d, rows.k, tau)
 
         lifts[beta] = p.lift_k(n, top, bottom)
-        if p.lift_k_rows is not None:
-            lifts_rows[beta] = p.lift_k_rows(n, top_rows, bottom_rows)
-        else:
-            lifts_rows[beta] = (lambda lift: lambda w: _row_by_row(lift, w))(lifts[beta])
+        lifts_rows[beta] = (functools.partial(_row_by_row, lifts[beta])
+                            if p.lift_k_rows is None
+                            else p.lift_k_rows(n, top_rows, bottom_rows))
 
     return Homotopy(H_eval, "I_tilde", rows=H_rows)
 
@@ -319,10 +321,9 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
 def hep(complex_, f, h, precheck=None, tol=1e-6, rows=None):
     """Homotopy extension: chep against the projection to the point.
 
-    ``rows``, if given, is a ChepRows whose k is not used.
+    ``rows``, if given, is a ChepRows whose k is never called: the point
+    fibration's lift does not read the base.
     """
-    if rows is not None:
-        rows = rows._replace(k=lambda c, w, t: np.zeros(len(t)))
     return chep(point_fibration(), complex_, f, h, k=lambda x, t: 0.0,
                 precheck=precheck, tol=tol, rows=rows)
 
@@ -361,11 +362,11 @@ def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6, rows=None):
             return f(cp.point)
         return cell_lifts[cp.cell](cp.point)
 
+    def lift_locus(cell, w):  # w canonical: open-cell rows or base payloads
+        return rows.f(w) if cell < 0 else cell_lifts_rows[cell](w)
+
     def lift_rows(cell, w):
-        if cell < 0:
-            return rows.f(w)
-        return _gather(len(w), [(idx, cell_lifts_rows[c](pts) if c == cell else lift_rows(c, pts))
-                                for c, idx, pts in _by_locus(complex_, cell, w)])
+        return _rows_of_cell(complex_, cell, w, lift_locus)
 
     for beta, cell in enumerate(complex_.cells):
         def top(v, cell=cell):
@@ -375,19 +376,16 @@ def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6, rows=None):
             return bottom(complex_.canonicalize(ComplexPoint.in_cell(beta, w)))
 
         def top_rows(v, cell=cell):
-            return rows_at_points(lift_rows, [complex_.canonicalize(cell.attach(u)) for u in v])
+            return rows_at_points(lift_locus, [complex_.canonicalize(cell.attach(u)) for u in v])
 
         def square_bottom_rows(w, beta=beta):
-            return _gather(len(w), [(idx, rows.bottom(c, pts))
-                                    for c, idx, pts in _by_locus(complex_, beta, w)])
+            return _rows_of_cell(complex_, beta, w, rows.bottom)
 
         cell_lifts[beta] = g.lift_j(cell.dim, top if cell.dim > 0 else None, square_bottom)
-        if hasattr(g, "lift_j_rows"):
-            cell_lifts_rows[beta] = g.lift_j_rows(cell.dim, top_rows if cell.dim > 0 else None,
-                                                  square_bottom_rows)
-        else:
-            cell_lifts_rows[beta] = (lambda lift: lambda w: _row_by_row(lift, w))(
-                cell_lifts[beta])
+        cell_lifts_rows[beta] = (g.lift_j_rows(cell.dim, top_rows if cell.dim > 0 else None,
+                                               square_bottom_rows)
+                                 if hasattr(g, "lift_j_rows")
+                                 else functools.partial(_row_by_row, cell_lifts[beta]))
 
     lift_eval.rows = lift_rows
     return lift_eval
