@@ -183,10 +183,10 @@ def _blend_inverse(y, ops):
 # Each ``*_batch`` function takes an array (of one or more dimensions) and
 # returns one of the same shape whose entries agree with the scalar function
 # within 1e-14: numpy's exp and log may differ from math's in the last bit.
-# xi_inv and xi_inv_batch share one Newton rule, so on the blend bands they
-# differ only by that bit, except where xi is flat to double precision (next
-# to 1/3 and 2/3): there a whole interval of s has one image, and the two
-# may settle on different points of it.  exp and log run only on the entries
+# xi_inv and xi_inv_batch share one Newton rule, which solves for v = 2 - 6s
+# (or 6s - 4) from ln z, so they differ only by what that bit moves: 2.2e-16
+# at most on a grid of both blend bands, also next to 1/3 and 2/3, where xi
+# itself is flat to double precision.  exp and log run only on the entries
 # that need them, so no entry raises a floating-point warning; a NaN entry
 # of lambda_fn_batch or xi_batch gives NaN, as the scalar functions do.
 
