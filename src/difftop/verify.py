@@ -611,26 +611,30 @@ def suite_lifting(cfg):
     m = cfg.count(300)
     restriction = out.open("product_lift_restriction", m, TOL_RT)
     projection = out.open("product_lift_projection", m, TOL_RT)
+    # square i has dimension i % 3 and its own coefficients; each is lifted
+    # at three pairs (wd, w), drawn in turn as a loop over squares would
+    draws = []
     for i in range(m):
-        n = i % 3
         coef = rng.uniform(-1.0, 1.0, size=4)
+        draws += [(i % 3, coef, dm.random_disk(i % 3, rng), dm.random_disk(i % 3 + 1, rng))
+                  for _ in range(3)]
+    for n in range(min(m, 3)):
+        coef, wd, w = (np.array(col) for col in zip(*(d[1:] for d in draws if d[0] == n)))
 
-        def bottom(w, coef=coef, n=n):
-            t = dm.section(n + 1, w)
-            return coef[0] + coef[1] * float(np.sum(t)) + coef[2] * float(np.prod(t))
+        # the product lift is pointwise: row j of what it hands top and
+        # bottom belongs to row j of its input, so row j's coefficients apply
+        def bottom(w, n=n, coef=coef):
+            t = dm.section_batch(n + 1, w)
+            return coef[:, 0] + coef[:, 1] * t.sum(axis=1) + coef[:, 2] * t.prod(axis=1)
 
-        def top(wd, coef=coef, n=n):
-            t = dm.section(n, wd)
-            return (bottom(dm.include_k(n, wd)),
-                    coef[3] + float(np.sum(np.asarray(t) ** 2)))
+        def top(wd, n=n, coef=coef, bottom=bottom):
+            return np.column_stack([bottom(np.column_stack([wd, np.zeros(len(wd))])),
+                                    coef[:, 3] + (dm.section_batch(n, wd) ** 2).sum(axis=1)])
 
-        H = p.lift_k(n, top, bottom)
-        for _ in range(3):
-            wd = dm.random_disk(n, rng)
-            got, want = H(dm.include_k(n, wd)), top(wd)
-            restriction.add(max_dev(got, want))
-            w = dm.random_disk(n + 1, rng)
-            projection.add(abs(p.project(H(w)) - bottom(w)))
+        H = p.lift_k_rows(n, top, bottom)
+        restriction.add_rows(dm.max_dev_batch(H(np.column_stack([wd, np.zeros(len(wd))])),
+                                              top(wd)))
+        projection.add_rows(np.abs(H(w)[:, 0] - bottom(w)))
 
     idempotent = out.open("canonicalize_idempotent", cfg.count(200), 0.0)
     bad = 0
