@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .smoothfn import lambda_fn, lambda_fn_batch
-from .diskmodel import (Q, Q_batch, _coords, include_k, max_dev, reflect, retract,
-                        retract_batch, section, section_batch)
+from .diskmodel import (Q, Q_batch, _coords, check_disk_batch, include_k, max_dev, reflect,
+                        retract, retract_batch, section, section_batch)
 from .subdivision import L_TOL, CylPoint, in_L, psi, psi_batch, psi_inv, psi_inv_batch
 from .cellcomplex import BOUNDARY_TOL, ComplexPoint
 from .homotopy import Homotopy
@@ -94,7 +94,7 @@ def _gather(count, parts):
 
 
 def _loci(points):
-    """Canonical points grouped by locus, in order of first appearance.
+    """Complex points grouped by the locus they name, in order of first appearance.
 
     Yields (cell, row indices, points): cell -1 is the base, whose points
     stay a list of payloads; a cell's points are stacked into rows.
@@ -111,8 +111,11 @@ def _by_locus(complex_, cell, w):
     """The rows w of ``cell`` grouped by canonical locus (see _loci).
 
     The rows of the open cell come first, as they are; a row on the
-    boundary is canonicalized through the attaching maps.
+    boundary is canonicalized through the attaching maps.  Rows off the
+    cell's disk raise DomainError naming the first.
     """
+    if cell >= 0:
+        w = check_disk_batch(w, complex_.cells[cell].dim)
     if cell < 0 or complex_.cells[cell].dim == 0:
         if len(w):
             yield cell, np.arange(len(w)), w

@@ -601,6 +601,15 @@ def test_array_lift_matches_the_scalar_lift(segments, seed, native):
     assert walls > 0
 
 
+def test_rows_off_the_cell_are_rejected_by_row():
+    inst, _ = bundled_chep_instance()
+    H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k, rows=inst.rows())
+    with pytest.raises(DomainError, match=r"^row 1: \|point\| = "):
+        H.rows(1, np.array([[0.6, 0.8], [0.5, 0.5]]), np.array([0.5, 0.5]))
+    with pytest.raises(DomainError, match=r"got an array of shape \(3,\)"):
+        H.rows(1, np.array([0.0, 0.6, 0.8]), np.array([0.5]))
+
+
 def _slice_off_L(psi_batch_):
     """A broken psi that sends hemisphere slice points (last coordinate 0)
     with a positive first coordinate to (0.6, 0, ..., 0.8) at time 0.5: a
