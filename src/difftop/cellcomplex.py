@@ -70,10 +70,14 @@ class CellComplex:
             raise DomainError(f"a {dim}-cell needs an attaching map")
         return CellComplex(self.base, self.cells + (Cell(dim, attaching),))
 
-    def cell_point(self, idx, w):
+    def cell(self, idx):
+        """The cell at index idx; DomainError when idx names no cell."""
         if not 0 <= idx < len(self.cells):
             raise DomainError(f"no cell {idx}")
-        w = check_disk(w, self.cells[idx].dim)
+        return self.cells[idx]
+
+    def cell_point(self, idx, w):
+        w = check_disk(w, self.cell(idx).dim)
         return ComplexPoint.in_cell(idx, w)
 
     def sample_point(self, rng):
@@ -86,10 +90,11 @@ class CellComplex:
         return ComplexPoint.in_cell(i, random_disk(self.cells[i].dim, rng))
 
     def canonicalize(self, pt):
-        """Push boundary points down through attaching maps; idempotent."""
+        """Push boundary points down through attaching maps; idempotent.
+        An index naming no cell, given or hit, raises DomainError."""
         steps = 0
         while pt.kind == "cell":
-            cell = self.cells[pt.cell]
+            cell = self.cell(pt.cell)
             w = pt.point
             if cell.dim == 0 or abs(w[-1]) > BOUNDARY_TOL:
                 return pt  # interior of an open cell

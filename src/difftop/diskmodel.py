@@ -90,10 +90,10 @@ def _norm(x):
     return math.sqrt(x.dot(x))
 
 
-def check_disk(w, n=None):
-    """Assert w lies on the upper hemisphere (of dimension n if given)."""
+def check_disk(w, n):
+    """Assert w lies on the upper hemisphere of dimension n."""
     w = np.asarray(w, dtype=float, order="C")
-    if n is not None and len(w) != n + 1:
+    if len(w) != n + 1:
         raise DomainError(f"expected dim {n} (length {n + 1}), got length {len(w)}")
     check_sphere(w)
     last = float(w[-1])

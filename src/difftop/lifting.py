@@ -14,16 +14,17 @@ over the whole complex.
 
 Oracles are interfaces on purpose: three ship built in (the product and
 point fibrations, TrivialProductFibration), everything else can be supplied.
+Given data in array form (``rows=``), a lift also gets an array form,
+which fills cells by the oracle's ``lift_k_rows``/``lift_j_rows``.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .smoothfn import lambda_fn, lambda_fn_batch
-from .diskmodel import (Q, Q_batch, _coords, check_disk_batch, include_k, max_dev, reflect,
+from .diskmodel import (Q, Q_batch, DomainError, check_disk_batch, include_k, max_dev, reflect,
                         retract, retract_batch, section, section_batch)
 from .subdivision import L_TOL, CylPoint, in_L, psi, psi_batch, psi_inv, psi_inv_batch
 from .cellcomplex import BOUNDARY_TOL, ComplexPoint
@@ -77,11 +78,6 @@ def _as_rows(values):
     return values[:, None] if values.ndim == 1 else values
 
 
-def _row_by_row(fn, *columns):
-    """fn applied to each row of the columns, flattened into an (N, e) array."""
-    return np.array([_coords(fn(*args)) for args in zip(*columns)])
-
-
 def _gather(count, parts):
     """One (count, e) array from (row indices, values) pairs covering range(count)."""
     out = None
@@ -108,18 +104,17 @@ def _loci(points):
 
 
 def _by_locus(complex_, cell, w):
-    """The rows w of ``cell`` grouped by canonical locus (see _loci).
+    """The rows w of ``cell`` (-1: base payloads) grouped by canonical locus.
 
     The rows of the open cell come first, as they are; a row on the
-    boundary is canonicalized through the attaching maps.  Rows off the
-    cell's disk raise DomainError naming the first.
+    boundary is canonicalized through the attaching maps (see _loci).  An
+    index naming no cell, or rows off its disk, raise DomainError.
     """
-    if cell >= 0:
-        w = check_disk_batch(w, complex_.cells[cell].dim)
-    if cell < 0 or complex_.cells[cell].dim == 0:
+    if cell == -1:
         if len(w):
             yield cell, np.arange(len(w)), w
         return
+    w = check_disk_batch(w, complex_.cell(cell).dim)
     edge = np.abs(w[:, -1]) <= BOUNDARY_TOL
     inner = np.flatnonzero(~edge)
     if inner.size:
@@ -130,6 +125,19 @@ def _by_locus(complex_, cell, w):
         yield locus, edge[idx], pts
 
 
+def _on_loci(fn, groups, *columns):
+    """fn(cell, points, *columns at the group's rows) per (cell, row indices,
+    points) group, in row order; each column needs one entry per row."""
+    groups = list(groups)
+    count = sum(len(idx) for _, idx, _ in groups)
+    for shape in map(np.shape, columns):
+        if shape != (count,):
+            raise DomainError(f"expected one entry per row ({count}), "
+                              f"got an array of shape {shape}")
+    return _gather(count, [(idx, fn(c, pts, *(col[idx] for col in columns)))
+                           for c, idx, pts in groups])
+
+
 def rows_at_points(fn, points, *columns):
     """An array form fn(cell, w, *columns) at a list of complex points.
 
@@ -137,18 +145,7 @@ def rows_at_points(fn, points, *columns):
     appearance, each with the rows of the arrays in ``columns`` that
     belong to its points; the (N, e) result is in the order of ``points``.
     """
-    return _gather(len(points), [(idx, fn(c, pts, *(col[idx] for col in columns)))
-                                 for c, idx, pts in _loci(points)])
-
-
-def _rows_of_cell(complex_, cell, w, fn, *columns):
-    """rows_at_points on the rows w of one cell: one call per canonical locus."""
-    return _gather(len(w), [(idx, fn(c, pts, *(col[idx] for col in columns)))
-                            for c, idx, pts in _by_locus(complex_, cell, w)])
-
-
-def _point(cell, p):
-    return ComplexPoint.base(p) if cell < 0 else ComplexPoint.in_cell(cell, p)
+    return _on_loci(fn, _loci(points), *columns)
 
 
 @dataclass(frozen=True)
@@ -159,11 +156,10 @@ class Fibration:
     total space, bottom on disk^(n+1) into the base, commuting over the
     inclusion; it must return a map on disk^(n+1) into the total space
     restricting to ``top`` and projecting to ``bottom`` (within the
-    verification tolerances of the caller).  The optional
-    ``lift_k_rows(n, top, bottom)`` solves the same square on rows: its
-    top and bottom, and the map it returns, take arrays of disk rows and
-    give (N, e) arrays of flattened points.  Without it, the array form of
-    chep evaluates lift_k's map row by row.
+    verification tolerances of the caller).  ``lift_k_rows(n, top,
+    bottom)`` solves the same square on rows: its top and bottom, and the
+    map it returns, take arrays of disk rows and give (N, e) arrays of
+    flattened points; only chep's array form (``rows=``) needs it.
     """
     total: object
     base: object
@@ -224,18 +220,21 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
     H = h over the base, and p(H(x, t)) = k(x, t), each up to the
     oracle's accuracy.  ``precheck`` is an iterable of (complex point,
     time) pairs on which the compatibility equations are verified first;
-    a violation raises LiftError with the witness.
+    a violation raises LiftError with the witness.  f, h and k feed only
+    the scalar H and the precheck.
 
-    ``H.rows(cell, w, t)`` is the array form: the (N, e) values of H at
-    the rows w of one cell (cell -1: a list of base payloads) and N times
-    t.  It inverts psi on all rows at once, fills the cell by the oracle's
-    ``lift_k_rows``, and descends in masks: slice rows with time at most
-    L_TOL go to f, wall rows to the cells their attaching map hits, base
-    rows to h.  ``rows`` gives the data in array form (a ChepRows);
-    without it, f, h and k are called row by row.  A hemisphere slice
-    off L^n raises LiftError naming the cell, and in the array form the
-    row of the slice and its time.
+    Given ``rows`` (the data in array form, a ChepRows), and only then,
+    ``H.rows(cell, w, t)`` is H at the rows w of one cell (cell -1: a list
+    of base payloads) and N times t, as an (N, e) array.  It inverts psi
+    on all rows at once, fills the cell by the oracle's ``lift_k_rows``
+    (TypeError if it has none), and descends in masks: slice rows with
+    time at most L_TOL go to rows.f, wall rows to the cells their
+    attaching map hits, base rows to rows.h.  A hemisphere slice off L^n
+    raises LiftError naming the cell, and in the array form the row of
+    the slice and its time.
     """
+    if rows is not None and p.lift_k_rows is None:
+        raise TypeError("chep(rows=...) needs the fibration's lift_k_rows")
     if precheck:
         for x, t in precheck:
             if not max_dev(k(x, 0.0), p.project(f(x))) <= tol:
@@ -248,11 +247,6 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
                 if not max_dev(p.project(h(a, t)), k(x, t)) <= tol:
                     raise LiftError(f"chep precondition p(h(a,t)) = k(a,t) fails "
                                     f"at {a!r}, t={t!r}")
-    if rows is None:
-        rows = ChepRows(f=lambda c, w: _row_by_row(lambda x: f(_point(c, x)), w),
-                        h=lambda a, t: _row_by_row(lambda x, s: h(x, float(s)), a, t),
-                        k=lambda c, w, t: _row_by_row(
-                            lambda x, s: k(_point(c, x), float(s)), w, t))
 
     lifts, lifts_rows = {}, {}
 
@@ -269,7 +263,7 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
         return lifts_rows[cell](psi_inv_batch(complex_.cells[cell].dim, CylPoint(w, t)))
 
     def H_rows(cell, w, t):
-        return _rows_of_cell(complex_, cell, w, H_locus, np.asarray(t, dtype=float))
+        return _on_loci(H_locus, _by_locus(complex_, cell, w), np.asarray(t, dtype=float))
 
     for beta, cell in enumerate(complex_.cells):
         n = cell.dim
@@ -306,19 +300,18 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
             ends = [complex_.canonicalize(cell.attach(v / np.linalg.norm(v)))
                     for v in d[wall, :-1]]
             return _gather(len(wd), [
-                (floor, _rows_of_cell(complex_, beta, d[floor], rows.f)),
+                (floor, _on_loci(rows.f, _by_locus(complex_, beta, d[floor]))),
                 (wall, rows_at_points(H_locus, ends, tau[wall]))])
 
         def bottom_rows(w, beta=beta, cell=cell):
             d, tau = psi_batch(cell.dim, w)
-            return _rows_of_cell(complex_, beta, d, rows.k, tau)
+            return _on_loci(rows.k, _by_locus(complex_, beta, d), tau)
 
         lifts[beta] = p.lift_k(n, top, bottom)
-        lifts_rows[beta] = (functools.partial(_row_by_row, lifts[beta])
-                            if p.lift_k_rows is None
-                            else p.lift_k_rows(n, top_rows, bottom_rows))
+        if rows is not None:
+            lifts_rows[beta] = p.lift_k_rows(n, top_rows, bottom_rows)
 
-    return Homotopy(H_eval, "I_tilde", rows=H_rows)
+    return Homotopy(H_eval, "I_tilde", rows=None if rows is None else H_rows)
 
 
 def hep(complex_, f, h, precheck=None, tol=1e-6, rows=None):
@@ -341,21 +334,19 @@ def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6, rows=None):
     complex points restricting to ``f`` over the base and projecting to
     ``bottom``, up to the oracle's accuracy.
 
-    The map's ``rows(cell, w)`` attribute is its array form on the rows of
-    one cell (cell -1: a list of base payloads), giving an (N, e) array.
-    It fills each cell by the oracle's ``lift_j_rows`` if it has one, else
-    by lift_j's map row by row.  ``rows`` gives the data in array form (an
-    ExtendRows); without it, f and bottom are called row by row.
+    Given ``rows`` (the data in array form, an ExtendRows), and only
+    then, the map's ``rows(cell, w)`` is the map at the rows w of one cell
+    (cell -1: a list of base payloads), as an (N, e) array; it fills each
+    cell by the oracle's ``lift_j_rows`` (TypeError if it has none).
     """
+    if rows is not None and not hasattr(g, "lift_j_rows"):
+        raise TypeError("extend_lift(rows=...) needs the oracle's lift_j_rows")
     if precheck:
         for x in precheck:
             if x.kind == "base":
                 if not max_dev(g.project(f(x.point)), bottom(x)) <= tol:
                     raise LiftError(
                         f"extend_lift precondition p(f(a)) = bottom(a) fails at {x!r}")
-    if rows is None:
-        rows = ExtendRows(f=lambda a: _row_by_row(f, a),
-                          bottom=lambda c, w: _row_by_row(lambda x: bottom(_point(c, x)), w))
 
     cell_lifts, cell_lifts_rows = {}, {}
 
@@ -369,7 +360,7 @@ def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6, rows=None):
         return rows.f(w) if cell < 0 else cell_lifts_rows[cell](w)
 
     def lift_rows(cell, w):
-        return _rows_of_cell(complex_, cell, w, lift_locus)
+        return _on_loci(lift_locus, _by_locus(complex_, cell, w))
 
     for beta, cell in enumerate(complex_.cells):
         def top(v, cell=cell):
@@ -382,15 +373,14 @@ def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6, rows=None):
             return rows_at_points(lift_locus, [complex_.canonicalize(cell.attach(u)) for u in v])
 
         def square_bottom_rows(w, beta=beta):
-            return _rows_of_cell(complex_, beta, w, rows.bottom)
+            return _on_loci(rows.bottom, _by_locus(complex_, beta, w))
 
         cell_lifts[beta] = g.lift_j(cell.dim, top if cell.dim > 0 else None, square_bottom)
-        cell_lifts_rows[beta] = (g.lift_j_rows(cell.dim, top_rows if cell.dim > 0 else None,
-                                               square_bottom_rows)
-                                 if hasattr(g, "lift_j_rows")
-                                 else functools.partial(_row_by_row, cell_lifts[beta]))
+        if rows is not None:
+            cell_lifts_rows[beta] = g.lift_j_rows(
+                cell.dim, top_rows if cell.dim > 0 else None, square_bottom_rows)
 
-    lift_eval.rows = lift_rows
+    lift_eval.rows = None if rows is None else lift_rows
     return lift_eval
 
 

@@ -714,32 +714,24 @@ def _chep_order_independence(cfg, tally):
     for swapped in (False, True):
         cx = _pair_complex(swapped)
         # chain_position is the same on both edge orders
-        position = chain_position(cx)
+        position = chain_position(cx).rows
 
-        def k(x, t, position=position):
-            return 0.3 * math.sin(2.0 * position(x)) + 0.2 * sf.lambda_fn(t)
-
-        def f(x, position=position, k=k):
-            return (k(x, 0.0), math.cos(1.3 * position(x)))
-
-        def k_rows(cell, w, t, position=position.rows):
+        def k_rows(cell, w, t, position=position):
             return 0.3 * np.sin(2.0 * position(cell, w)) + 0.2 * sf.lambda_fn_batch(t)
 
-        def f_rows(cell, w, position=position.rows, k_rows=k_rows):
+        def f_rows(cell, w, position=position, k_rows=k_rows):
             return np.column_stack([k_rows(cell, w, np.zeros(len(w))),
                                     np.cos(1.3 * position(cell, w))])
 
-        lifts.append(chep(product_fibration("R", "R"), cx, f, None, k, tol=TOL_LIFT,
+        lifts.append(chep(product_fibration("R", "R"), cx, None, None, None, tol=TOL_LIFT,
                           rows=ChepRows(f=f_rows, h=None, k=k_rows)))
 
-    pts, ts = [], []
-    for _ in range(tally.samples):
-        ch = int(rng.integers(2))
-        s = float(rng.uniform())
-        ts.append(float(rng.uniform()))
-        pts.append((ch, np.array([math.cos(math.pi * s), math.sin(math.pi * s)])))
+    def edge_point(rng):
+        ch, s = int(rng.integers(2)), float(rng.uniform())
+        return ch, np.array([math.cos(math.pi * s), math.sin(math.pi * s)])
+
+    pts, ts = _draw(rng, tally.samples, edge_point)
     # the edge of chain ch is cell 4 + ch, and cell 5 - ch when swapped
-    ts = np.array(ts)
     tally.add_rows(dm.max_dev_batch(
         rows_at_points(lifts[0].rows, [ComplexPoint.in_cell(4 + ch, w) for ch, w in pts], ts),
         rows_at_points(lifts[1].rows, [ComplexPoint.in_cell(5 - ch, w) for ch, w in pts], ts)))
@@ -750,22 +742,13 @@ def _chep_stationary(cfg, inst, tally):
     fiber_c = 0.75
     data = inst.rows()
 
-    def k(x, t):
-        return inst.k(x, 0.0)
-
-    def f(x):
-        return (k(x, 0.0), fiber_c)
-
-    def h(a, t):
-        return (k(ComplexPoint.base(a), 0.0), fiber_c)
-
     def k_rows(cell, w, t):
         return data.k(cell, w, np.zeros(len(w)))
 
     def f_rows(cell, w):
         return np.column_stack([k_rows(cell, w, None), np.full(len(w), fiber_c)])
 
-    H = chep(inst.fibration, inst.complex, f, h, k, tol=TOL_LIFT,
+    H = chep(inst.fibration, inst.complex, None, None, None, tol=TOL_LIFT,
              rows=ChepRows(f=f_rows, h=lambda a, t: f_rows(-1, a), k=k_rows))
     xs, ts = _draw(rng, tally.samples, inst.complex.sample_point)
     tally.add_rows(dm.max_dev_batch(rows_at_points(H.rows, xs, ts),

@@ -185,9 +185,9 @@ def ref_check_sphere(v):
     return v
 
 
-def ref_check_disk(w, n=None):
+def ref_check_disk(w, n):
     w = np.asarray(w, dtype=float)
-    if n is not None and len(w) != n + 1:
+    if len(w) != n + 1:
         raise DomainError("length")
     ref_check_sphere(w)
     if w[-1] < -POINT_TOL:

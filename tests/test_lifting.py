@@ -559,26 +559,19 @@ def _wall_rows(n, w, t):
 
 @settings(max_examples=20, deadline=None, database=None)
 @given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
-def test_array_lift_matches_the_scalar_lift(segments, seed, native):
+def test_array_lift_matches_the_scalar_lift(segments, seed, via_hep):
     """H.rows and the extend lift's rows agree with the scalar maps within
     TOL_LIFT on every cell and the base, on wall rows and at t = 0 and 1;
-    ``native`` False drops the oracles' and the data's array forms, so the
-    rows fall back to the scalar maps row by row."""
+    ``via_hep`` lifts the chep data against the point fibration by hep."""
     _, chep_desc = bundled_chep_instance()
     _, ext_desc = bundled_extend_instance()
     inst = chep_instance_from_json({**chep_desc, "complex": _chain_complex(segments)})
     einst = extend_instance_from_json({**ext_desc, "complex": _chain_complex(segments)})
-    p, g = inst.fibration, einst.oracle
-    if native:
-        data, edata = inst.rows(), einst.rows()
+    if via_hep:
+        H = hep(inst.complex, inst.f, inst.h, rows=inst.rows())
     else:
-        p, data, edata = Fibration(p.total, p.base, p.project, p.lift_k), None, None
-
-        class ScalarOracle:
-            project, lift_j = g.project, g.lift_j
-        g = ScalarOracle()
-    H = chep(p, inst.complex, inst.f, inst.h, inst.k, rows=data)
-    lift = extend_lift(g, einst.complex, einst.f, einst.bottom, rows=edata)
+        H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k, rows=inst.rows())
+    lift = extend_lift(einst.oracle, einst.complex, einst.f, einst.bottom, rows=einst.rows())
     rng = np.random.default_rng(seed)
     worst, walls = 0.0, 0
     for cell in [-1] + list(range(len(inst.complex))):
@@ -608,6 +601,73 @@ def test_rows_off_the_cell_are_rejected_by_row():
         H.rows(1, np.array([[0.6, 0.8], [0.5, 0.5]]), np.array([0.5, 0.5]))
     with pytest.raises(DomainError, match=r"got an array of shape \(3,\)"):
         H.rows(1, np.array([0.0, 0.6, 0.8]), np.array([0.5]))
+
+
+def test_times_without_one_per_row_are_rejected():
+    inst, _ = bundled_chep_instance()
+    H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k, rows=inst.rows())
+    w = np.array([[0.6, 0.8], [-0.6, 0.8]])
+    for t, shape in (([0.1, 0.2, 0.3], r"\(3,\)"), ([0.5], r"\(1,\)"), (0.5, r"\(\)")):
+        with pytest.raises(DomainError, match=rf"^expected one entry per row \(2\), "
+                                              rf"got an array of shape {shape}$"):
+            H.rows(1, w, t)
+        with pytest.raises(DomainError, match=rf"shape {shape}$"):
+            H.rows(-1, [0.0, 0.0], t)
+
+
+def test_indices_naming_no_cell_are_rejected():
+    """A cell index outside the complex, given or hit by an attaching map,
+    raises DomainError naming it: in canonicalize, the scalar lift and the
+    rows (where only -1, the base, is negative)."""
+    inst, _ = bundled_chep_instance()
+    einst, _ = bundled_extend_instance()
+    H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k, rows=inst.rows())
+    lift = extend_lift(einst.oracle, einst.complex, einst.f, einst.bottom, rows=einst.rows())
+    cases = ((inst.complex, lambda x: H(x, 0.5), lambda c: H.rows(c, [[0.6, 0.8]], [0.5])),
+             (einst.complex, lift, lambda c: lift.rows(c, [[0.6, 0.8]])))
+    for cx, evaluate, rows in cases:
+        for cell in (-1, len(cx)):
+            for fn in (cx.canonicalize, evaluate):
+                with pytest.raises(DomainError, match=rf"^no cell {cell}$"):
+                    fn(ComplexPoint.in_cell(cell, [1.0, 0.0]))
+        for cell in (-3, -2, len(cx)):
+            with pytest.raises(DomainError, match=rf"^no cell {cell}$"):
+                rows(cell)
+    below = CellComplex().attach(0).attach(
+        1, lambda v: ComplexPoint.in_cell(-2 if v[0] > 0 else 0, np.array([1.0])))
+    assert below.canonicalize(ComplexPoint.in_cell(1, [-1.0, 0.0])).cell == 0
+    with pytest.raises(DomainError, match=r"^no cell -2$"):
+        below.canonicalize(ComplexPoint.in_cell(1, [1.0, 0.0]))
+
+
+def test_the_array_form_needs_rows_and_the_oracles_array_method():
+    """Without rows= no array form is built; with rows=, an oracle without
+    its array method raises TypeError before any lift is built."""
+    inst, _ = bundled_chep_instance()
+    einst, _ = bundled_extend_instance()
+    p, g = inst.fibration, einst.oracle
+    assert chep(p, inst.complex, inst.f, inst.h, inst.k).rows is None
+    assert hep(inst.complex, inst.f, inst.h).rows is None
+    assert extend_lift(g, einst.complex, einst.f, einst.bottom).rows is None
+    built = []
+
+    def lift_k(n, top, bottom):
+        built.append(n)
+        return p.lift_k(n, top, bottom)
+
+    class ScalarOracle:
+        project = g.project
+
+        def lift_j(self, n, top, square_bottom):
+            built.append(n)
+            return g.lift_j(n, top, square_bottom)
+
+    with pytest.raises(TypeError, match=r"needs the fibration's lift_k_rows"):
+        chep(Fibration(p.total, p.base, p.project, lift_k), inst.complex,
+             inst.f, inst.h, inst.k, rows=inst.rows())
+    with pytest.raises(TypeError, match=r"needs the oracle's lift_j_rows"):
+        extend_lift(ScalarOracle(), einst.complex, einst.f, einst.bottom, rows=einst.rows())
+    assert built == []
 
 
 def _slice_off_L(psi_batch_):

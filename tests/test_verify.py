@@ -112,11 +112,16 @@ def test_nan_lift_fails_chep_check():
     inst, _ = bundled_chep_instance()
     p = inst.fibration
 
-    def lift_k(n, top, bottom):
-        lifted = p.lift_k(n, top, bottom)
-        return lambda w: (lifted(w)[0], math.nan)
+    def lift_k_rows(n, top, bottom):
+        lifted = p.lift_k_rows(n, top, bottom)
 
-    inst.fibration = Fibration(p.total, p.base, p.project, lift_k)
+        def nan_fiber(w):
+            out = lifted(w)
+            out[:, 1:] = math.nan
+            return out
+        return nan_fiber
+
+    inst.fibration = Fibration(p.total, p.base, p.project, p.lift_k, lift_k_rows)
     cfg = RunConfig(samples=0.05)
     records, _ = check_chep_instance(inst, cfg, cfg.rng("nan-oracle"))
     rec = _props(records)
