@@ -90,8 +90,8 @@ class CellComplex:
         return ComplexPoint.in_cell(i, random_disk(self.cells[i].dim, rng))
 
     def canonicalize(self, pt):
-        """Push boundary points down through attaching maps; idempotent.
-        An index naming no cell, given or hit, raises DomainError."""
+        """Push boundary points down through attaching maps; idempotent.  An index
+        naming no cell (given or hit) or a base point with no base raises DomainError."""
         steps = 0
         while pt.kind == "cell":
             cell = self.cell(pt.cell)
@@ -106,6 +106,8 @@ class CellComplex:
             steps += 1
             if steps > len(self.cells):
                 raise DomainError("canonicalization failed to terminate")
+        if self.base is None:
+            raise DomainError("a base point, but the complex has no base")
         return pt
 
     def eq(self, p1, p2):

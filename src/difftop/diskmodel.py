@@ -21,14 +21,17 @@ uses it, with EQ_TOL as the slack of point equality.
 The ``*_batch`` functions are the array entry points: they take an
 (N, n+1) array whose rows are points (an (N, n) array of cube
 coordinates for Q) and return arrays of rows that agree with the scalar
-function applied row by row within 1e-14 per coordinate.
+function applied row by row within 1e-14 per coordinate (numpy's trig
+may round differently from math's).  q, Q, section and retract are each
+written once over coordinate columns (``_suspend``, ``_Q``, ``_section``,
+``_retract``), floats or (N,) arrays as smoothfn's FLOAT_OPS or ARRAY_OPS.
 """
 
 import math
 
 import numpy as np
 
-from .smoothfn import lambda_fn
+from .smoothfn import ARRAY_OPS, FLOAT_OPS, lambda_fn
 
 __all__ = [
     "DomainError", "POINT_TOL", "EQ_TOL", "max_dev",
@@ -78,21 +81,9 @@ def max_dev(a, b):
     return math.nan if any(map(math.isnan, devs)) else max(devs, default=0.0)
 
 
-def _norm(x):
-    """Euclidean norm of a C-contiguous 1-D float array.
-
-    Bit for bit what np.linalg.norm returns: sqrt of the BLAS dot.  The
-    dot fuses multiply-adds, so a Python sum of squares or math.hypot
-    differs in the last bit on 8-18% of vectors of length 2 to 5; on a
-    strided array of length >= 4 BLAS sums in another order, which is why
-    check_disk returns a C-contiguous array for section's tail norms.
-    """
-    return math.sqrt(x.dot(x))
-
-
 def check_disk(w, n):
     """Assert w lies on the upper hemisphere of dimension n."""
-    w = np.asarray(w, dtype=float, order="C")
+    w = np.asarray(w, dtype=float)
     if len(w) != n + 1:
         raise DomainError(f"expected dim {n} (length {n + 1}), got length {len(w)}")
     check_sphere(w)
@@ -110,7 +101,7 @@ def point_to_json(w):
 
 def check_sphere(v):
     """Assert v is a unit vector (a point of the full boundary sphere)."""
-    v = np.asarray(v, dtype=float, order="C")
+    v = np.asarray(v, dtype=float)
     # hypot squares nothing, so a huge finite point gets its norm (inf only
     # past the float range) and no overflow RuntimeWarning, and the norm
     # test below rejects it; a non-finite coordinate makes r NaN or inf
@@ -128,10 +119,44 @@ def _floats(a):
     return a if isinstance(a, list) else [a]
 
 
-def _suspend(x, t):
+def _suspend(x, t, ops):
     """The suspension step x -> (x cos(pi t), x sin(pi t)) of q and Q."""
     a = math.pi * t
-    return [x * math.cos(a), x * math.sin(a)]
+    return [x * ops.cos(a), x * ops.sin(a)]
+
+
+def _Q(t, ops):
+    """The columns of Q at the cube-coordinate columns t."""
+    w = [1.0]
+    for ti in t:
+        w[-1:] = _suspend(w[-1], ti, ops)
+    return w
+
+
+def _section(n, x, ops):
+    """The cube-coordinate columns of section at the n+1 columns x."""
+    rest, sq = [0.0] * n, 0.0  # rest[i] = |x[i+1:]|, exactly |x[n]| for i = n - 1
+    for i in range(n, 0, -1):
+        sq = sq + x[i] * x[i]
+        rest[i - 1] = ops.sqrt(sq) if i < n else abs(x[n])
+    t, live = [], True
+    for r, c in zip(rest, x):
+        t.append(ops.where(live, ops.atan2(r, c) / math.pi, 0.0))
+        live = live & (r != 0.0)
+    return t
+
+
+def _retract(x, ops):
+    """The columns of retract at the columns x: fold the last two into one."""
+    return x[:-2] + [ops.hypot(x[-2], x[-1])]
+
+
+def _rows(cols, count):
+    """The columns (arrays of count entries, or floats) as a (count, k) array."""
+    out = np.empty((count, len(cols)))
+    for i, c in enumerate(cols):
+        out[:, i] = c
+    return out
 
 
 def q(n, v, t):
@@ -142,8 +167,7 @@ def q(n, v, t):
     copy, t = 1 lands in the reflected (lower) hemisphere.
     """
     w = check_disk(v, n).tolist()
-    w[-1:] = _suspend(w[-1], t)
-    return np.array(w)
+    return np.array(w[:-1] + _suspend(w[-1], t, FLOAT_OPS))
 
 
 def Q(n, t):
@@ -155,10 +179,7 @@ def Q(n, t):
     t = _floats(t)
     if len(t) != n:
         raise DomainError(f"expected {n} cube coordinates, got {len(t)}")
-    w = [1.0]
-    for ti in t:
-        w[-1:] = _suspend(w[-1], ti)
-    return np.array(w)
+    return np.array(_Q(t, FLOAT_OPS))
 
 
 def gen_plot(n, x):
@@ -171,25 +192,15 @@ def section(n, w):
 
     Peels spherical coordinates level by level.  Each slot is recovered
     as t_i = atan2(|tail|, w_i) / pi where |tail| is the norm of the
-    still-unpeeled coordinates; this is well-conditioned in every regime
-    (arccos of a near-1 ratio would lose half the significant digits
-    whenever a slot sits near 0 or 1).  The final slot uses
-    atan2(|w_{n+1}|, w_n), landing in [0,1] because the last coordinate
-    is nonnegative up to membership slack.  When a tail vanishes exactly
-    the remaining slots are 0 -- a deterministic fiber representative at
-    the poles.  Q(n, section(n, w)) == w within 1e-10 for n <= 3.
+    still-unpeeled coordinates (squares summed from the right); this is
+    well-conditioned in every regime (arccos of a near-1 ratio would lose
+    half the significant digits whenever a slot sits near 0 or 1).  The
+    final slot uses atan2(|w_{n+1}|, w_n), landing in [0,1] because the
+    last coordinate is nonnegative up to membership slack.  When a tail
+    vanishes exactly the remaining slots are 0, a fixed fiber representative
+    at the poles.  Q(n, section(n, w)) == w within 1e-10 for n <= 3.
     """
-    w = check_disk(w, n)
-    x = w.tolist()
-    t = [0.0] * n
-    for i in range(n - 1):
-        rest = _norm(w[i + 1:])
-        t[i] = math.atan2(rest, x[i]) / math.pi
-        if rest == 0.0:
-            return np.array(t)  # pole: remaining slots stay 0
-    if n >= 1:
-        t[n - 1] = math.atan2(abs(x[n]), x[n - 1]) / math.pi
-    return np.array(t)
+    return np.array(_section(n, check_disk(w, n).tolist(), FLOAT_OPS))
 
 
 def include_j(n, v):
@@ -221,8 +232,7 @@ def retract(n, w):
     Q(n+1, t) splits the last coordinate x >= 0 of Q(n, t[:n]) into
     (x cos(pi t_n), x sin(pi t_n)); the retraction folds that pair back.
     """
-    w = check_disk(w, n + 1).tolist()
-    return np.array(w[:-2] + [math.hypot(w[-2], w[-1])])
+    return np.array(_retract(check_disk(w, n + 1).tolist(), FLOAT_OPS))
 
 
 def random_disk(n, rng):
@@ -259,7 +269,8 @@ def retract_homotopy(n, w, s):
     """
     w = check_disk(w, n + 1).tolist()
     t_n = math.atan2(abs(w[-1]), w[-2]) / math.pi  # section's last slot
-    return np.array(w[:-2] + _suspend(math.hypot(w[-2], w[-1]), t_n * (1.0 - lambda_fn(s))))
+    *v, x = _retract(w, FLOAT_OPS)
+    return np.array(v + _suspend(x, t_n * (1.0 - lambda_fn(s)), FLOAT_OPS))
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +323,10 @@ def check_disk_batch(w, n):
     return w
 
 
-def _suspend_rows(w, t):
-    """The suspension step of q on every row: its last coordinate x becomes
-    (x cos(pi t), x sin(pi t))."""
-    out = np.empty((w.shape[0], w.shape[1] + 1))
-    out[:, :-2] = w[:, :-1]
-    a = math.pi * np.asarray(t, dtype=float)
-    out[:, -2] = w[:, -1] * np.cos(a)
-    out[:, -1] = w[:, -1] * np.sin(a)
-    return out
-
-
 def q_batch(n, v, t):
     """q row by row: rows v of the n-disk, one time t per row."""
-    return _suspend_rows(check_disk_batch(v, n), t)
+    *w, x = check_disk_batch(v, n).T
+    return _rows(w + _suspend(x, np.asarray(t, dtype=float), ARRAY_OPS), len(x))
 
 
 def Q_batch(n, t):
@@ -334,37 +335,19 @@ def Q_batch(n, t):
     if t.ndim != 2 or t.shape[1] != n:
         raise DomainError(f"expected rows of {n} cube coordinates, "
                           f"got an array of shape {t.shape}")
-    w = np.ones((t.shape[0], 1))
-    for i in range(n):
-        w = _suspend_rows(w, t[:, i])
-    return w
+    return _rows(_Q(list(t.T), ARRAY_OPS), len(t))
 
 
 def section_batch(n, w):
-    """section row by row, with its pole convention.
-
-    A row whose tail vanishes exactly keeps 0 in every later slot; the
-    tail norms are taken from the right, so they may differ from
-    section's in the last bit.
-    """
+    """section row by row, with its pole convention."""
     w = check_disk_batch(w, n)
-    t = np.zeros((w.shape[0], n))
-    if n == 0:
-        return t
-    # rest[:, i] = |w[:, i+1:]|
-    rest = np.sqrt(np.cumsum((w * w)[:, :0:-1], axis=1)[:, ::-1])
-    live = np.ones(w.shape[0], dtype=bool)
-    for i in range(n - 1):
-        t[live, i] = np.arctan2(rest[live, i], w[live, i]) / math.pi
-        live &= rest[:, i] != 0.0
-    t[live, n - 1] = np.arctan2(np.abs(w[live, n]), w[live, n - 1]) / math.pi
-    return t
+    return _rows(_section(n, list(w.T), ARRAY_OPS), len(w))
 
 
 def retract_batch(n, w):
     """retract row by row: rows of disk^(n+1) to rows of disk^n."""
     w = check_disk_batch(w, n + 1)
-    return np.column_stack([w[:, :-2], np.hypot(w[:, -2], w[:, -1])])
+    return _rows(_retract(list(w.T), ARRAY_OPS), len(w))
 
 
 def random_disk_batch(n, count, rng):

@@ -107,10 +107,11 @@ def _by_locus(complex_, cell, w):
     """The rows w of ``cell`` (-1: base payloads) grouped by canonical locus.
 
     The rows of the open cell come first, as they are; a row on the
-    boundary is canonicalized through the attaching maps (see _loci).  An
-    index naming no cell, or rows off its disk, raise DomainError.
+    boundary is canonicalized through the attaching maps (see _loci).  A bad
+    index, rows off its disk or base rows with no base raise DomainError.
     """
     if cell == -1:
+        complex_.canonicalize(ComplexPoint.base(None))  # DomainError if there is no base
         if len(w):
             yield cell, np.arange(len(w)), w
         return

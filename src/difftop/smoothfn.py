@@ -128,12 +128,9 @@ def xi_inv(y):
         return y  # identity region, exact
     if 1.0 / 3.0 <= y <= 2.0 / 3.0:
         return (lambda_inv(3.0 * y - 1.0) + 1.0) / 3.0
-    return _blend_inverse(y, _FLOAT_OPS)
+    return _blend_inverse(y, FLOAT_OPS)
 
 
-# the numpy functions the blend-band Newton step calls, for a Python float
-_FLOAT_OPS = SimpleNamespace(log=math.log, log1p=math.log1p, exp=math.exp,
-                             where=lambda c, a, b: a if c else b, all=bool)
 # a Newton step of at most this many ulps of v ends the iteration: by the
 # sixth step on 400,000 values of both blend bands, 1 to 1e12 ulps from
 # their ends included; the cap only bounds a pathological input
@@ -142,7 +139,7 @@ _NEWTON_ROUNDS = 100
 
 
 def _blend_inverse(y, ops):
-    """xi_inv on the blend bands, for floats (ops = _FLOAT_OPS) and arrays (np).
+    """xi_inv on the blend bands, for floats (FLOAT_OPS) and arrays (ARRAY_OPS).
 
     On the lower band, with v = 2 - 6s and z = 2 - 6y, xi(s) = y reads
     v lambda(v) = z, since 1/3 - s = v/6 and 1 - lambda(1-v) = lambda(v).
@@ -269,8 +266,33 @@ def xi_inv_batch(y):
     out[mid] = (lambda_inv_batch(3.0 * y[mid] - 1.0) + 1.0) / 3.0
     blend = ((y > 1.0 / 6.0) & (y < 1.0 / 3.0)) | ((y > 2.0 / 3.0) & (y < 5.0 / 6.0))
     if blend.any():
-        out[blend] = _blend_inverse(y[blend], np)
+        out[blend] = _blend_inverse(y[blend], ARRAY_OPS)
     return out
+
+
+# The two backends of a formula written once over coordinate columns (floats,
+# or (N,) arrays): where(c, a, b) is a if c else b, both evaluated on every row
+# of an array; pick(table, k, x, y) is table[k](x, y).  Shared code never asks.
+
+def _pick_rows(table, k, x, y):
+    """table[k[i]](x[i], y[i]) for every entry i of the arrays, as two arrays."""
+    u, v = np.empty_like(x), np.empty_like(x)
+    for j, formula in enumerate(table):
+        m = k == j
+        u[m], v[m] = formula(x[m], y[m])
+    return u, v
+
+
+FLOAT_OPS = SimpleNamespace(
+    cos=math.cos, sin=math.sin, atan2=math.atan2, sqrt=math.sqrt, hypot=math.hypot, all=bool,
+    log=math.log, log1p=math.log1p, exp=math.exp, where=lambda c, a, b: a if c else b,
+    clip01=lambda x: min(1.0, max(0.0, x)), pick=lambda table, k, x, y: table[k](x, y),
+    lambda_fn=lambda_fn, lambda_inv=lambda_inv)
+ARRAY_OPS = SimpleNamespace(
+    cos=np.cos, sin=np.sin, atan2=np.arctan2, sqrt=np.sqrt, hypot=np.hypot,
+    log=np.log, log1p=np.log1p, exp=np.exp, all=np.all, where=np.where,
+    clip01=lambda x: np.clip(x, 0.0, 1.0), pick=_pick_rows,
+    lambda_fn=lambda_fn_batch, lambda_inv=lambda_inv_batch)
 
 
 # ---------------------------------------------------------------------------

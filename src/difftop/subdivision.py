@@ -29,18 +29,19 @@ the cylinder slot.  ``source_point`` builds such a point; psi and
 psi_inv recover the parameters through the canonical section.
 
 psi picks its branch by PHI_BRANCHES[phi_branch(s)], psi_inv by
-PHI_INVERSES[target_region(a, b)].  The array entry points psi_batch and
-psi_inv_batch run the same tables with one mask per branch on N points
-at once, as rows, and agree with psi and psi_inv row by row.
+PHI_INVERSES[target_region(a, b)], each written once over coordinate
+columns (``_psi``, ``_psi_inv``).  The array entry points psi_batch and
+psi_inv_batch run them on N points at once, as rows, with one mask per
+branch, and agree with psi and psi_inv row by row.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .smoothfn import (lambda_fn, lambda_fn_batch, lambda_inv, lambda_inv_batch, xi,
-                       xi_batch, xi_inv, xi_inv_batch)
-from .diskmodel import DomainError, Q, Q_batch, check_disk, q, section, section_batch
+from .smoothfn import (ARRAY_OPS, FLOAT_OPS, lambda_fn, lambda_inv, xi, xi_batch, xi_inv,
+                       xi_inv_batch)
+from .diskmodel import DomainError, Q, _Q, _rows, check_disk, q, section, section_batch
 
 __all__ = [
     "CylPoint", "source_point", "PHI_BRANCHES", "phi_branch", "target_walls",
@@ -122,15 +123,6 @@ PHI_INVERSES = (
 )
 
 
-def _by_index(table, k, x, y):
-    """table[k[i]](x[i], y[i]) for every entry i of the arrays, as two arrays."""
-    u, v = np.empty_like(x), np.empty_like(x)
-    for j, formula in enumerate(table):
-        m = k == j
-        u[m], v[m] = formula(x[m], y[m])
-    return u, v
-
-
 def phi_map(n, s, t, v):
     """Piecewise cylinder chart, branch by the slab containing s.
 
@@ -159,6 +151,29 @@ def rho(n, w):
     return Q(n + 1, c)
 
 
+def _psi(n, c, ops, wrinkle):
+    """psi on the section columns c of disk^(n+1): (disk columns, time).
+    ``wrinkle`` is the profile applied to the slot s, None for phi_map."""
+    if n == 0:
+        return [1.0], c[0]
+    s, t = ops.lambda_inv(c[n - 1]), ops.lambda_inv(c[n])
+    s = wrinkle(s) if wrinkle else s
+    a, b = ops.pick(PHI_BRANCHES, phi_branch(s), s, t)
+    return _Q(c[:n - 1] + [ops.lambda_fn(a)], ops), ops.lambda_fn(b)
+
+
+def _psi_inv(n, e, y, ops, wrinkle):
+    """psi_inv on the section columns e of disk^n and the times y, as
+    columns; ``wrinkle`` is the inverse profile applied to s, or None."""
+    if n == 0:
+        return _Q([y], ops)
+    a, b = ops.lambda_inv(e[n - 1]), ops.lambda_inv(y)
+    s, t = ops.pick(PHI_INVERSES, target_region(a, b), a, b)
+    s, t = ops.clip01(s), ops.clip01(t)
+    s = wrinkle(s) if wrinkle else s
+    return _Q(e[:n - 1] + [ops.lambda_fn(s), ops.lambda_fn(t)], ops)
+
+
 def psi(n, w, wrinkle=True):
     """Smooth bijection disk^(n+1) -> disk^n x [0,1].
 
@@ -167,15 +182,8 @@ def psi(n, w, wrinkle=True):
     skips the reparameterization and exposes the raw piecewise chart at
     point level -- the negative control for the seam smoothness checks.
     """
-    c = section(n + 1, w)
-    if n == 0:
-        return CylPoint(np.array([1.0]), float(c[0]))
-    s = lambda_inv(c[n - 1])
-    t = lambda_inv(c[n])
-    if wrinkle:
-        s = xi(s)
-    a, b = PHI_BRANCHES[phi_branch(s)](s, t)
-    return CylPoint(Q(n, c[:n - 1].tolist() + [lambda_fn(a)]), lambda_fn(b))
+    disk, time = _psi(n, section(n + 1, w).tolist(), FLOAT_OPS, xi if wrinkle else None)
+    return CylPoint(np.array(disk), time)
 
 
 def psi_inv(n, cyl, wrinkle=True):
@@ -189,15 +197,7 @@ def psi_inv(n, cyl, wrinkle=True):
     y = float(cyl[1])
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"time {y!r} outside [0,1]")
-    if n == 0:
-        return Q(1, [y])
-    a = lambda_inv(e[n - 1])
-    b = lambda_inv(y)
-    s, t = PHI_INVERSES[target_region(a, b)](a, b)
-    s = min(1.0, max(0.0, s))
-    t = min(1.0, max(0.0, t))
-    s = xi_inv(s) if wrinkle else s
-    return Q(n + 1, e[:n - 1].tolist() + [lambda_fn(s), lambda_fn(t)])
+    return np.array(_psi_inv(n, e.tolist(), y, FLOAT_OPS, xi_inv if wrinkle else None))
 
 
 def psi_batch(n, w):
@@ -206,14 +206,8 @@ def psi_batch(n, w):
     DomainError names the first row off the disk.
     """
     c = section_batch(n + 1, w)
-    if n == 0:
-        return CylPoint(np.ones((len(c), 1)), c[:, 0])
-    s = lambda_inv_batch(c[:, n - 1])
-    t = lambda_inv_batch(c[:, n])
-    s = xi_batch(s)
-    a, b = _by_index(PHI_BRANCHES, phi_branch(s), s, t)
-    disk = Q_batch(n, np.column_stack([c[:, :n - 1], lambda_fn_batch(a)]))
-    return CylPoint(disk, lambda_fn_batch(b))
+    disk, time = _psi(n, list(c.T), ARRAY_OPS, xi_batch)
+    return CylPoint(_rows(disk, len(c)), time)
 
 
 def psi_inv_batch(n, cyl):
@@ -230,15 +224,7 @@ def psi_inv_batch(n, cyl):
     if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(f"row {i}: time {float(y[i])!r} outside [0,1]")
-    if n == 0:
-        return Q_batch(1, y[:, None])
-    a = lambda_inv_batch(e[:, n - 1])
-    b = lambda_inv_batch(y)
-    s, t = _by_index(PHI_INVERSES, target_region(a, b), a, b)
-    s = xi_inv_batch(np.clip(s, 0.0, 1.0))
-    t = np.clip(t, 0.0, 1.0)
-    return Q_batch(n + 1, np.column_stack([e[:, :n - 1], lambda_fn_batch(s),
-                                           lambda_fn_batch(t)]))
+    return _rows(_psi_inv(n, list(e.T), y, ARRAY_OPS, xi_inv_batch), len(y))
 
 
 def seam_curve(n, v, t, wrinkle=True):

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from difftop.diskmodel import (
     DomainError, Q, Q_batch, check_disk, check_disk_batch, max_dev, max_dev_batch, q,
-    q_batch, random_disk, random_disk_batch, section, section_batch,
+    q_batch, random_disk, random_disk_batch, retract, retract_batch, section, section_batch,
 )
 from difftop.smoothfn import (
     lambda_fn, lambda_fn_batch, lambda_inv, lambda_inv_batch, xi, xi_batch, xi_inv,
@@ -160,6 +160,19 @@ def test_disk_charts_match(n, seed, rows):
                           [max_dev(a, b) for a, b in zip(w, want[:, :-1])])
 
 
+@given(dims, seeds, row_counts)
+@settings(max_examples=200, deadline=None)
+def test_retract_matches(n, seed, rows):
+    rng = np.random.default_rng(seed)
+    # equator rows: the last coordinate 0, the others rescaled to norm 1
+    equator = random_disk_batch(n + 1, rows, rng)
+    equator[:, -1] = 0.0
+    equator /= np.linalg.norm(equator, axis=1)[:, None]
+    w = np.concatenate([_disk_rows(rng, n + 1, rows), equator])
+    want = np.array([retract(n, row) for row in w]).reshape(len(w), n + 1)
+    assert np.max(np.abs(retract_batch(n, w) - want), initial=0.0) <= AGREE
+
+
 def _bad_points(dim):
     """Points that break disk^dim membership, one per kind of fault."""
     w = np.full(dim + 1, 1.0 / math.sqrt(dim + 1))
@@ -189,8 +202,9 @@ def test_membership_verdicts_match(n, kind):
             psi_inv_batch(n, CylPoint(w, np.full(4, 0.5)))
         w1 = random_disk_batch(n + 1, 4, rng)
         w1[i] = _bad_points(n + 1)[kind]
-        with pytest.raises(DomainError, match=f"^row {i}: "):
-            psi_batch(n, w1)
+        for call in (lambda: psi_batch(n, w1), lambda: retract_batch(n, w1)):
+            with pytest.raises(DomainError, match=f"^row {i}: "):
+                call()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

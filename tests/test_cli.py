@@ -388,6 +388,21 @@ def test_chep_no_base_is_vacuous_over_base(tmp_path, capsys):
     assert rec["note"] == "vacuous: the complex has no base"
 
 
+def test_extend_no_base_is_vacuous_over_base(tmp_path, capsys):
+    _, desc = bundled_extend_instance()
+    desc["complex"] = {"base": None, "cells": [
+        {"dim": 0}, {"dim": 0},
+        {"dim": 1, "attach": {"kind": "endpoints", "pos": {"cell": 0}, "neg": {"cell": 1}}},
+    ]}
+    path = tmp_path / "absolute.json"
+    path.write_text(json.dumps(desc))
+    code, out, _ = run_cli(["chep", str(path), "--samples", "0.2"], capsys)
+    assert code == 0
+    rec = {p["property"]: p for p in json.loads(out)["properties"]}["lift_restricts_to_f"]
+    assert rec["pass"] and rec["worst_dev"] == 0.0
+    assert rec["note"] == "vacuous: the complex has no base"
+
+
 def test_chep_instance_missing_fields_exits_2(tmp_path, capsys):
     path = tmp_path / "k_only.json"
     path.write_text(json.dumps({"k": 1}))

@@ -640,6 +640,28 @@ def test_indices_naming_no_cell_are_rejected():
         below.canonicalize(ComplexPoint.in_cell(1, [1.0, 0.0]))
 
 
+def test_a_base_point_of_a_complex_without_base_is_rejected():
+    """A base point names nothing on a complex with no base: canonicalize,
+    both H forms and both forms of the extend_lift map raise DomainError."""
+    no_base = {"base": None, "cells": [
+        {"dim": 0}, {"dim": 0},
+        {"dim": 1, "attach": {"kind": "endpoints", "pos": {"cell": 0}, "neg": {"cell": 1}}}]}
+    inst = chep_instance_from_json(dict(bundled_chep_instance()[1], complex=no_base))
+    einst = extend_instance_from_json(dict(bundled_extend_instance()[1], complex=no_base))
+    H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k, rows=inst.rows())
+    lift = extend_lift(einst.oracle, einst.complex, einst.f, einst.bottom, rows=einst.rows())
+    base = ComplexPoint.base(0.0)
+    for evaluate in (CellComplex(None).attach(0).canonicalize, inst.complex.canonicalize,
+                     lambda x: H(x, 0.5), lambda x: H.rows(-1, [x.point], [0.5]),
+                     lift, lambda x: lift.rows(-1, [x.point])):
+        with pytest.raises(DomainError, match="^a base point, but the complex has no base$"):
+            evaluate(base)
+    # an empty list of base rows still names the missing base
+    with pytest.raises(DomainError, match="no base"):
+        H.rows(-1, [], [])
+    assert CellComplex("pt").canonicalize(base) == base
+
+
 def test_the_array_form_needs_rows_and_the_oracles_array_method():
     """Without rows= no array form is built; with rows=, an oracle without
     its array method raises TypeError before any lift is built."""
