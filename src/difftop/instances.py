@@ -12,16 +12,17 @@ Complexes built from files are "chain-shaped": a point base, 0-cells,
 1-cells joining earlier targets, and optional 2-cells wrapping a 1-cell.
 ``chain_position(cx)`` is the map giving every point of such a complex a
 scalar position coordinate, which is what the bundled homotopy data is
-expressed in.  Every node is type-checked when the file is loaded, so a
-malformed file raises InstanceError there and never a TypeError deep in
-the lifting.
+expressed in, written once over coordinate columns as diskmodel's charts
+are.  Every node is type-checked when the file is loaded, so a malformed
+file raises InstanceError there and never a TypeError deep in the lifting.
 
 What the file fixes is worked out once, at load: each expression becomes
 a tree of closures whose arithmetic nodes call the ``operator`` functions
 (a fold of n arguments nests left into two-argument calls), and each
-complex gets one position table, the positions of its 0-cells, of its
-1-cells' ends and of its 2-cells' poles.  Evaluation computes only what depends on the point, in
-the order the definitions state, so every value keeps its bits.
+complex gets one position table, the positions of its 0-cells and of the
+ends of its 1-cells and of the edges its 2-cells wrap.  Evaluation
+computes only what depends on the point, in the order the definitions
+state, so every value keeps its bits.
 """
 
 import json
@@ -31,8 +32,9 @@ import sys
 
 import numpy as np
 
-from .smoothfn import gamma, gamma_batch, lambda_fn, lambda_fn_batch, xi, xi_batch
-from .diskmodel import Q, section, section_batch
+from .smoothfn import (ARRAY_OPS, FLOAT_OPS, gamma, gamma_batch, lambda_fn, lambda_fn_batch, xi,
+                       xi_batch)
+from .diskmodel import DomainError, Q, _Q, _section, check_disk, check_disk_batch, section
 from .cellcomplex import BOUNDARY_TOL, CellComplex, ComplexPoint
 from .lifting import (ChepRows, ExtendRows, TrivialProductFibration, point_fibration,
                       product_fibration)
@@ -201,6 +203,11 @@ def _attach_target(t, cx):
     return ComplexPoint.base(0.0)
 
 
+def _wrap_slot(u0, u1, ops):
+    """The slot |atan2(u1, u0)|/pi of the edge point the wrap sends (u0, u1) to."""
+    return abs(ops.atan2(u1, u0)) / math.pi
+
+
 def complex_from_json(desc):
     """Build a chain-shaped complex from {"base": ..., "cells": [...]}."""
     base = _keys(desc, ("base", "cells"), "complex").get("base")
@@ -224,9 +231,9 @@ def complex_from_json(desc):
             edge = _target_cell(_keys(at, ("kind", "cell"), "wrap attach"), cx, 1)
 
             def wrap(u, edge=edge):
-                s = abs(math.atan2(u[1], u[0])) / math.pi
-                return ComplexPoint.in_cell(edge, Q(1, [s]))
+                return ComplexPoint.in_cell(edge, Q(1, [_wrap_slot(u[0], u[1], FLOAT_OPS)]))
 
+            wrap.edge = edge
             cx = cx.attach(2, wrap)
         else:
             raise InstanceError(f"unsupported attach spec {at!r:.80} for a {dim}-cell")
@@ -265,78 +272,64 @@ def _fibration(desc, kinds, what):
 def chain_position(cx):
     """The scalar position map x -> float of a chain-shaped complex.
 
-    The base sits at 0; the j-th 0-cell at j+1; a 1-cell interpolates
-    linearly (in its canonical slot) between the positions of its two
-    boundary targets; a 2-cell inherits the position of the edge point
-    it wraps onto.  This is the coordinate the bundled homotopy data is
-    written in.  The complex is immutable, so the positions of its
-    0-cells, of each 1-cell's two ends and of each 2-cell's pole are
-    worked out once here; the map only applies a 2-cell's wrap and
-    interpolates along a 1-cell.
+    The base sits at 0; the j-th 0-cell at j+1; a 1-cell point interpolates
+    linearly in its slot (section's) between the positions of the cell's
+    two ends, and one on its wall, |w1| <= BOUNDARY_TOL, takes the end its
+    sign names, as canonicalize does; a 2-cell point takes the position of
+    the edge point its wrap sends it to, and its pole, |u| < 1e-12, the
+    edge's +1 end.  The positions of the 0-cells and of the ends of each
+    1-cell and of each wrapped edge are worked out once here; a cell that
+    is not a 0-cell, a 1-cell or a 2-cell attached by ``complex_from_json``'s
+    wrap raises InstanceError.  A point off its cell's disk, an index naming
+    no cell or a base point with no base raises DomainError.
 
-    Its ``rows`` attribute answers rows of one cell: ``rows(cell, w)`` is
-    the position of every row of the (N, dim+1) array w of cell points, and
-    ``rows(-1, payloads)`` that of N base points.  A 1-cell interpolates
-    all its interior rows at once; boundary rows and 2-cell rows take the
-    float map one by one.
+    ``rows(cell, w)`` is the position of every row of the (N, dim+1) array
+    w of points of one cell, and ``rows(-1, payloads)`` that of N base
+    points; its DomainError names the first bad row.  The point map and
+    ``rows`` run one body, on a point's floats (FLOAT_OPS) or on columns of
+    rows (ARRAY_OPS), so a 2-cell row may differ in the last bit.
     """
-    table = []    # per cell: its position, its ends' positions, or its pole's
+    table = []    # per cell: its position, or the positions of its edge's ends
+
+    def body(cell, w, ops, slot):
+        """The position at the checked columns w of a point of cell (-1: base)."""
+        if cell == -1:
+            if cx.base is None:
+                raise DomainError("a base point, but the complex has no base")
+            return 0.0
+        dim, ends = cx.cells[cell].dim, table[cell]
+        if dim == 0:
+            return ends
+        if dim == 2:
+            pole = ops.hypot(w[0], w[1]) < 1e-12
+            w = _Q([_wrap_slot(w[0], w[1], ops)], ops)
+        s, (pos_at, neg_at) = slot(w), ends
+        at = ops.where(abs(w[1]) <= BOUNDARY_TOL, ops.where(w[0] > 0, pos_at, neg_at),
+                       (1.0 - s) * pos_at + s * neg_at)
+        return at if dim == 1 else ops.where(pole, pos_at, at)
 
     def position(x):
-        x = cx.canonicalize(x)
         if x.kind == "base":
-            return 0.0
-        cell, fixed = cx.cells[x.cell], table[x.cell]
-        dim = cell.dim
-        if dim == 0:
-            return fixed
-        if dim == 1:
-            s = float(section(1, x.point)[0])
-            pos_at, neg_at = fixed
-            return (1.0 - s) * pos_at + s * neg_at
-        if dim == 2:
-            w = x.point
-            nrm = float(np.linalg.norm(w[:2]))
-            if nrm < 1e-12:
-                # the wrap coordinate collapses at the pole of the 2-cell;
-                # the 0-end of the wrapped edge represents it
-                return fixed
-            return position(cell.attach(np.asarray(w[:2]) / nrm))
-        raise InstanceError(f"chain_position undefined for a {dim}-cell")
+            return body(-1, None, FLOAT_OPS, None)
+        dim = cx.cell(x.cell).dim
+        w = x.point if dim == 1 else check_disk(x.point, dim)  # section checks a 1-cell point
+        return body(x.cell, w.tolist(), FLOAT_OPS, lambda e: float(section(1, e)[0]))
 
     def position_rows(cell, w):
-        if cell < 0:
-            return np.zeros(len(w))
-        dim, fixed = cx.cells[cell].dim, table[cell]
-        w = np.asarray(w, dtype=float)
-        if dim == 0:
-            return np.full(len(w), fixed)
-        # boundary rows canonicalize one by one; a 2-cell's wrap is a float map
-        one_by_one = np.abs(w[:, -1]) <= BOUNDARY_TOL
-        out = np.empty(len(w))
-        if dim == 1:
-            s = section_batch(1, w)[:, 0]
-            pos_at, neg_at = fixed
-            out = (1.0 - s) * pos_at + s * neg_at
-        else:
-            one_by_one[:] = True
-        for i in np.flatnonzero(one_by_one).tolist():
-            out[i] = position(ComplexPoint.in_cell(cell, w[i]))
-        return out
+        cols = None if cell == -1 else list(check_disk_batch(w, cx.cell(cell).dim).T)
+        return np.full(len(w), body(cell, cols, ARRAY_OPS, lambda e: _section(1, e, ARRAY_OPS)[0]))
 
     position.rows = position_rows
-    zero_cells = 0
-    for cell in cx.cells:
+    for i, cell in enumerate(cx.cells):
         if cell.dim == 0:
-            zero_cells += 1
-            table.append(float(zero_cells))
+            table.append(float(cx.zero_cells().index(i) + 1))
         elif cell.dim == 1:
-            table.append((position(cell.attach(np.array([1.0]))),
-                          position(cell.attach(np.array([-1.0])))))
-        elif cell.dim == 2:
-            table.append(position(cell.attach(np.array([1.0, 0.0]))))
+            table.append(tuple(position(cell.attach(np.array([e]))) for e in (1.0, -1.0)))
+        elif cell.dim == 2 and hasattr(cell.attach, "edge"):
+            table.append(table[cell.attach.edge])
         else:
-            table.append(None)
+            raise InstanceError(f"chain_position is undefined on cell {i}, a {cell.dim}-cell "
+                                "not attached by a wrap")
     return position
 
 

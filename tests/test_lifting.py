@@ -381,10 +381,11 @@ def _position_by_recursion(cx, x):
         s = float(section(1, x.point)[0])
         return ((1.0 - s) * _position_by_recursion(cx, cell.attach(np.array([1.0])))
                 + s * _position_by_recursion(cx, cell.attach(np.array([-1.0]))))
-    nrm = float(np.linalg.norm(x.point[:2]))
-    if nrm < 1e-12:
+    if float(np.linalg.norm(x.point[:2])) < 1e-12:
         return _position_by_recursion(cx, cell.attach(np.array([1.0, 0.0])))
-    return _position_by_recursion(cx, cell.attach(np.asarray(x.point[:2]) / nrm))
+    # the wrap's slot formula is scale-free, so the disk point's first two
+    # coordinates go to it as they are
+    return _position_by_recursion(cx, cell.attach(x.point[:2]))
 
 
 @pytest.mark.parametrize("segments", [2, 3, 4])
@@ -535,8 +536,49 @@ def test_chain_position_rows_match_the_float_map():
         got = position.rows(i, w)
         want = [position(ComplexPoint.in_cell(i, x)) for x in w]
         assert np.max(np.abs(got - want)) <= 1e-15
-        assert got[:3].tolist() == want[:3]  # boundary and pole rows take the float map
+        assert got[:3].tolist() == want[:3]  # wall and pole rows keep their bits
     assert position.rows(-1, [0.0, 0.0]).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("cell, w, why", [
+    (0, [7.0], r"\|point\| = 7.0 is not 1"),
+    (1, [3.0, 4.0], r"\|point\| = 5.0 is not 1"),
+    (1, [3.0, 0.0], r"\|point\| = 3.0 is not 1"),  # off the disk, on its wall
+    (2, [math.nan, 0.0, 1.0], "non-finite coordinates"),
+    (2, [0.6, 0.0, -0.8], "not in the upper hemisphere"),
+    (2, [5.0, 5.0, 5.0], r"\|point\| = 8.66"),
+    (5, [1.0], "no cell 5"),
+])
+def test_chain_position_rejects_points_off_their_cell(cell, w, why):
+    """Both forms check the point of every cell; rows name the first bad row."""
+    inst, _ = bundled_extend_instance()
+    position = chain_position(inst.complex)
+    with pytest.raises(DomainError, match=why):
+        inst.bottom(ComplexPoint.in_cell(cell, w))
+    if cell < len(inst.complex):
+        good = [1.0] + [0.0] * (len(w) - 1)
+        with pytest.raises(DomainError, match="^row 1: .*" + why):
+            position.rows(cell, [good, w])
+    else:
+        with pytest.raises(DomainError, match=why):
+            position.rows(cell, [w])
+
+
+def test_chain_position_rejects_base_points_with_no_base():
+    position = chain_position(complex_from_json({"base": None, "cells": [{"dim": 0}]}))
+    for evaluate in (lambda: position(ComplexPoint.base(0.0)),
+                     lambda: position.rows(-1, [0.0, 0.0])):
+        with pytest.raises(DomainError, match="no base"):
+            evaluate()
+    assert position.rows(0, [[1.0], [1.0]]).tolist() == [1.0, 1.0]
+
+
+def test_chain_position_rejects_two_cells_not_attached_by_a_wrap():
+    cx = complex_from_json(_chain_complex(1))
+    with pytest.raises(InstanceError, match="cell 3, a 2-cell not attached by a wrap"):
+        chain_position(cx.attach(2, lambda u: ComplexPoint.in_cell(1, np.array([1.0, 0.0]))))
+    with pytest.raises(InstanceError, match="cell 3, a 3-cell"):
+        chain_position(cx.attach(3, lambda u: ComplexPoint.in_cell(2, np.array([1.0, 0.0, 0.0]))))
 
 
 def _rows_of_cell(rng, dim, count):

@@ -6,10 +6,11 @@ import pytest
 import difftop.diskmodel
 import difftop.smoothfn
 import difftop.subdivision
-from difftop.instances import bundled_chep_instance, chep_instance_from_json
+from difftop.homotopy import path_components
+from difftop.instances import bundled_chep_instance, chep_instance_from_json, complex_from_json
 from difftop.lifting import Fibration
-from difftop.verify import (RunConfig, Tally, check_chep_instance, run_suite, suite_diskmodel,
-                            suite_smoothfn, suite_subdivision)
+from difftop.verify import (RunConfig, Tally, _components_oracle, check_chep_instance, run_suite,
+                            suite_diskmodel, suite_smoothfn, suite_subdivision)
 
 
 def _props(records):
@@ -209,3 +210,29 @@ def test_run_suite_all_reports_each_property_once():
     assert len(names) == len(set(names)) == 54
     assert names == sorted(f"{suite}.{prop}" for suite, props in SUITE_PROPERTIES.items()
                            for prop in props)
+
+
+def _wrap(cell):
+    return {"dim": 2, "attach": {"kind": "wrap", "cell": cell}}
+
+
+def _joining(pos, neg):
+    return {"dim": 1, "attach": {"kind": "endpoints", "pos": pos, "neg": neg}}
+
+
+@pytest.mark.parametrize("base, cells, want", [
+    # an edge 0-1 wrapped, a lone 0-cell, and a wrapped loop on it
+    (None, [{"dim": 0}, {"dim": 0}, _joining({"cell": 0}, {"cell": 1}), _wrap(2), {"dim": 0},
+            _joining({"cell": 4}, {"cell": 4}), _wrap(5)], [[0, 1], [4]]),
+    # two wrapped edges on one 0-cell pair and a third 0-cell left alone
+    (None, [{"dim": 0}, {"dim": 0}, {"dim": 0}, _joining({"cell": 1}, {"cell": 0}), _wrap(3),
+            _wrap(3), _joining({"cell": 0}, {"cell": 1}), _wrap(6)], [[0, 1], [2]]),
+    # a chain off a base point, each edge wrapped
+    ("point", [{"dim": 0}, _joining({"base": True}, {"cell": 0}), _wrap(1), {"dim": 0},
+               _joining({"cell": 0}, {"cell": 3}), _wrap(4)], [[0, 3]]),
+])
+def test_components_oracle_agrees_on_wrap_two_cells(base, cells, want):
+    """The oracle's sphere-sampling branch, on 2-cells wrapped on an edge."""
+    cx = complex_from_json({"base": base, "cells": cells})
+    assert any(cell.dim == 2 for cell in cx.cells)
+    assert path_components(cx) == _components_oracle(cx) == want
