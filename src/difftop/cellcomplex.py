@@ -92,7 +92,6 @@ class CellComplex:
     def canonicalize(self, pt):
         """Push boundary points down through attaching maps; idempotent.  An index
         naming no cell (given or hit) or a base point with no base raises DomainError."""
-        steps = 0
         while pt.kind == "cell":
             cell = self.cell(pt.cell)
             w = pt.point
@@ -103,9 +102,6 @@ class CellComplex:
                 raise DomainError(
                     f"attaching map of cell {pt.cell} does not descend (hit cell {nxt.cell})")
             pt = nxt
-            steps += 1
-            if steps > len(self.cells):
-                raise DomainError("canonicalization failed to terminate")
         if self.base is None:
             raise DomainError("a base point, but the complex has no base")
         return pt

@@ -473,38 +473,38 @@ COEFF_BOUND = 50
 def irrational_torus(theta):
     """The line modulo the subgroup generated by 1 and theta.
 
-    Point equality identifies x and y when x - y = m + n*theta, up to
-    EQ_TOL, for some integers with |m|, |n| <= COEFF_BOUND.  The subgroup
-    is dense, so the bound is what keeps equality from degenerating to
-    "always true".  A non-finite theta, and a theta within 1e-12 of a
-    fraction p/q with q <= COEFF_BOUND, are rejected.  The chart's
-    inverse moves a point into the window by such a shift m + n*theta.
+    ``eq`` identifies x and y when x - y = m + n*theta, up to EQ_TOL, for
+    integers |m|, |n| <= COEFF_BOUND (the subgroup is dense; the bound keeps
+    points apart), on two floats or two arrays of one shape; a non-finite
+    point compares unequal.  A theta that is not finite or within 1e-12 of
+    some p/q, q <= COEFF_BOUND, is rejected.  The chart's inverse shifts a
+    point into the window, smallest |n| first (ValueError if non-finite).
     """
     if not math.isfinite(theta):
         raise DomainError(f"theta={theta!r} is not a finite slope")
-    for qd in range(1, COEFF_BOUND + 1):
-        if abs(theta * qd - round(theta * qd)) / qd < 1e-12:
-            raise DomainError(
-                f"theta={theta!r} looks rational (denominator {qd}); "
-                "the quotient would collapse")
-
-    shifts = sorted(range(-COEFF_BOUND, COEFF_BOUND + 1), key=abs)
+    q = np.arange(1.0, COEFF_BOUND + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge theta is rational at q = 1
+        rational = np.flatnonzero(np.abs(theta * q - np.round(theta * q)) / q < 1e-12)
+    if rational.size:
+        raise DomainError(f"theta={theta!r} looks rational (denominator {rational[0] + 1}); "
+                          "the quotient would collapse")
+    n = np.arange(-COEFF_BOUND, COEFF_BOUND + 1)
+    shifts = n[np.argsort(np.abs(n), kind="stable")] * theta  # n*theta, smallest |n| first
 
     def eq(x, y):
-        d = float(x) - float(y)
-        for nn in shifts:
-            m = round(d - nn * theta)
-            if abs(m) <= COEFF_BOUND and abs(d - nn * theta - m) < EQ_TOL:
-                return True
-        return False
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite d matches no shift
+            r = np.subtract(x, y, dtype=float)[..., None] - shifts
+            m = np.round(r)
+            hit = ((np.abs(m) <= COEFF_BOUND) & (np.abs(r - m) < EQ_TOL)).any(axis=-1)
+        return hit if hit.ndim else bool(hit)
 
     def inverse(p):
-        x = float(p)
-        for nn in shifts:
-            u = x - nn * theta - max(-COEFF_BOUND, min(COEFF_BOUND, round(x - nn * theta)))
-            if -WINDOW < u < WINDOW:
-                return np.array([u])
-        raise ValueError(f"no shift m + n*theta moves {x!r} into the window")
+        r = float(p) - shifts
+        u = r - np.clip(np.round(r), -COEFF_BOUND, COEFF_BOUND)
+        inside = (-WINDOW < u) & (u < WINDOW)
+        if not inside.any():
+            raise ValueError(f"no shift m + n*theta moves {float(p)!r} into the window")
+        return u[[np.argmax(inside)]]
 
     gen = Parameterization((-WINDOW,), (WINDOW,), lambda u: float(u[0]), inverse)
     return DiffSpace(

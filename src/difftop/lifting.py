@@ -296,13 +296,13 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
                 raise LiftError(f"hemisphere slice left L^n at cell {beta}, row {i}, "
                                 f"time {float(tau[i])!r}: disk {d[i]!r}")
             floor = np.flatnonzero(tau <= L_TOL)
-            # walls of the cylinder: descend through the attaching map
+            # walls of the cylinder: descend from the cell's boundary sphere
             wall = np.flatnonzero(tau > L_TOL)
-            ends = [complex_.canonicalize(cell.attach(v / np.linalg.norm(v)))
-                    for v in d[wall, :-1]]
+            v = d[wall, :-1]
+            ends = np.column_stack([v / np.linalg.norm(v, axis=1)[:, None], np.zeros(len(v))])
             return _gather(len(wd), [
                 (floor, _on_loci(rows.f, _by_locus(complex_, beta, d[floor]))),
-                (wall, rows_at_points(H_locus, ends, tau[wall]))])
+                (wall, _on_loci(H_locus, _by_locus(complex_, beta, ends), tau[wall]))])
 
         def bottom_rows(w, beta=beta, cell=cell):
             d, tau = psi_batch(cell.dim, w)
@@ -370,8 +370,9 @@ def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6, rows=None):
         def square_bottom(w, beta=beta):
             return bottom(complex_.canonicalize(ComplexPoint.in_cell(beta, w)))
 
-        def top_rows(v, cell=cell):
-            return rows_at_points(lift_locus, [complex_.canonicalize(cell.attach(u)) for u in v])
+        def top_rows(v, beta=beta):
+            return _on_loci(lift_locus, _by_locus(complex_, beta,
+                                                  np.column_stack([v, np.zeros(len(v))])))
 
         def square_bottom_rows(w, beta=beta):
             return _on_loci(rows.bottom, _by_locus(complex_, beta, w))

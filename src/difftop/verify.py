@@ -349,9 +349,9 @@ def _random_complex(rng, max_cells=20):
 
 
 def _components_oracle(cx):
-    """Dense sampling of attaching images plus graph reachability."""
-    nodes = list(range(len(cx.cells)))
-    adj = {i: set() for i in nodes}
+    """Dense sampling of attaching images plus graph reachability; every
+    base point is the one node -1, as path_components pools the base."""
+    adj = {i: set() for i in range(-1, len(cx.cells))}
     for i, cell in enumerate(cx.cells):
         if cell.dim == 0 or cell.attach is None:
             continue
@@ -361,12 +361,11 @@ def _components_oracle(cx):
             samples = [dm.random_sphere(cell.dim, np.random.default_rng(j))
                        for j in range(8)]
         for v in samples:
-            pt = cx.canonicalize(cell.attach(v))
-            if pt.kind == "cell":
-                adj[i].add(pt.cell)
-                adj[pt.cell].add(i)
-    seen, comps = set(), []
-    for i in nodes:
+            j = cx.canonicalize(cell.attach(v)).cell
+            adj[i].add(j)
+            adj[j].add(i)
+    seen, comps, zero = set(), [], set(cx.zero_cells())
+    for i in adj:
         if i in seen:
             continue
         stack, comp = [i], set()
@@ -377,7 +376,7 @@ def _components_oracle(cx):
             comp.add(j)
             stack.extend(adj[j] - comp)
         seen |= comp
-        comps.append(sorted(c for c in comp if cx.cells[c].dim == 0))
+        comps.append(sorted(comp & zero))
     return sorted(c for c in comps if c)
 
 
@@ -522,6 +521,9 @@ def suite_subdivision(cfg):
 # diffeology
 # ---------------------------------------------------------------------------
 
+_TORUS_BLOCK = 250  # torus pairs per array call of eq: bounds its (pairs, shifts) arrays
+
+
 def suite_diffeology(cfg):
     out = _Tallies()
     rng = cfg.rng("diffeology")
@@ -580,12 +582,10 @@ def suite_diffeology(cfg):
     T = dg.irrational_torus(theta)
     m = cfg.count(1000)
     bad = 0
-    for _ in range(m):
-        x = float(rng.uniform(-2.0, 2.0))
-        y = float(rng.uniform(-2.0, 2.0))
-        if not (T.eq(x, x) and T.eq(x, x + 1.0) and T.eq(x, x + theta)
-                and T.eq(x, y) == T.eq(y, x)):
-            bad += 1
+    for start in range(0, m, _TORUS_BLOCK):  # the pairs' draws in order, x then y
+        x, y = rng.uniform(-2.0, 2.0, size=(min(_TORUS_BLOCK, m - start), 2)).T
+        ok = T.eq(x, x) & T.eq(x, x + 1.0) & T.eq(x, x + theta) & (T.eq(x, y) == T.eq(y, x))
+        bad += int(np.count_nonzero(~ok))
     distinct = T.eq(0.0, 0.5)
     torus = out.open("torus_eq_shift_invariance", m, 0.0,
                      "reflexive, symmetric, shift-invariant; 0 != 1/2")

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from difftop.diffeology import (
-    COEFF_BOUND, MapEvaluator, SmoothCheckConfig, coproduct, d_topology_open_sample,
+    COEFF_BOUND, WINDOW, MapEvaluator, SmoothCheckConfig, coproduct, d_topology_open_sample,
     euclidean, exponential_alpha, exponential_alpha_inv, functional,
     irrational_torus, product, quotient, smooth_check, subspace,
 )
@@ -273,6 +274,69 @@ def test_torus_eq_agrees_with_a_scan_of_every_shift(theta):
     verdicts = [T.eq(x, y) for x, y in pairs]
     assert verdicts == [_torus_eq_by_scan(theta, x, y) for x, y in pairs]
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("theta", [math.sqrt(2.0), -math.pi])
+def test_torus_eq_on_arrays_is_eq_pair_by_pair(theta):
+    T = irrational_torus(theta)
+    rng = np.random.default_rng(29)
+    y = rng.uniform(-5.0, 5.0, size=(3, 20))
+    m, nn = rng.integers(-COEFF_BOUND - 2, COEFF_BOUND + 3, size=(2, 3, 20))
+    off = rng.choice([0.0, 0.5 * EQ_TOL, -EQ_TOL, 2 * EQ_TOL, 0.25], size=y.shape)
+    x = y + m + nn * theta + off
+    got = T.eq(x, y)
+    assert got.shape == y.shape
+    assert got.tolist() == [[T.eq(a, b) for a, b in zip(*row)] for row in zip(x, y)]
+    assert got.tolist() == [[_torus_eq_by_scan(theta, a, b) for a, b in zip(*row)]
+                            for row in zip(x, y)]
+    assert got.any() and not got.all()
+
+
+@pytest.mark.parametrize("x, y", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0),
+                                  (math.inf, math.inf), (math.nan, math.nan), (1e308, -1e308)])
+def test_torus_eq_calls_a_non_finite_point_unequal(x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert TORUS.eq(x, y) is False
+        assert TORUS.eq(np.array([x, 1.0]), np.array([y, 1.0])).tolist() == [False, True]
+
+
+def _torus_inverse_by_scan(theta, x):
+    """The first shift m + n*theta, smallest |n| first, that moves x into the window."""
+    for nn in sorted(range(-COEFF_BOUND, COEFF_BOUND + 1), key=abs):
+        u = x - nn * theta - max(-COEFF_BOUND, min(COEFF_BOUND, round(x - nn * theta)))
+        if -WINDOW < u < WINDOW:
+            return u
+    return None
+
+
+@pytest.mark.parametrize("theta", [math.sqrt(2.0), (math.sqrt(5.0) - 1.0) / 2.0, -math.pi])
+def test_torus_chart_inverse_agrees_with_a_scan_of_the_shifts(theta):
+    inverse = irrational_torus(theta).generators[0].inverse
+    xs = np.random.default_rng(41).uniform(-250.0, 250.0, size=300).tolist()
+    for x in xs + [-WINDOW, WINDOW, 0.0, theta]:
+        want = _torus_inverse_by_scan(theta, x)
+        if want is None:
+            with pytest.raises(ValueError, match="no shift"):
+                inverse(x)
+        else:
+            assert inverse(x).tolist() == [want]
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_torus_chart_inverse_rejects_a_non_finite_point(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no shift"):
+            TORUS.generators[0].inverse(x)
+
+
+@pytest.mark.parametrize("theta, q", [(0.5, 2), (2.0 / 3.0, 3), (0.1, 10), (-7.0, 1), (1e308, 1)])
+def test_torus_names_the_smallest_denominator(theta, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"\(denominator {q}\)"):
+            irrational_torus(theta)
 
 
 def test_torus_rejects_rational_and_near_rational():

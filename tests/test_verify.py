@@ -236,3 +236,11 @@ def test_components_oracle_agrees_on_wrap_two_cells(base, cells, want):
     cx = complex_from_json({"base": base, "cells": cells})
     assert any(cell.dim == 2 for cell in cx.cells)
     assert path_components(cx) == _components_oracle(cx) == want
+
+
+def test_components_oracle_pools_the_base():
+    """Two 0-cells joined only through a point base lie in one component."""
+    cx = complex_from_json({"base": "point", "cells": [
+        {"dim": 0}, {"dim": 0}, _joining({"base": True}, {"cell": 0}),
+        _joining({"base": True}, {"cell": 1})]})
+    assert path_components(cx) == _components_oracle(cx) == [[0, 1]]
