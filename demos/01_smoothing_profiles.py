@@ -23,7 +23,7 @@ worst = max(abs(lambda_fn(t) + lambda_fn(1 - t) - 1.0)
 print(f"  symmetry lambda(t)+lambda(1-t)=1, worst deviation: {worst:.2e}")
 
 print("\n=== the checker: derivative estimates by one-sided differences ===")
-rep = smoothness_check(lambda_fn, 0.0, 3, expected={1: 0.0, 2: 0.0, 3: 0.0})
+rep = smoothness_check(lambda_fn, 0.0, 3)
 print("  lambda at 0 (flatness claim):", rep.verdicts,
       "estimates", {k: f"{v:.1e}" for k, v in rep.fd_estimates.items()})
 
@@ -35,8 +35,9 @@ print(f"  |t| at 0: left slope {left:+.3f}, right slope {right:+.3f}"
 print("\n=== xi: identity near the ends, every derivative flat at 1/3, 2/3 ===")
 for s in (0.1, 1 / 3, 0.5, 2 / 3, 0.9):
     print(f"  xi({s:.4f}) = {xi(s):.10g}")
-rep = smoothness_check(xi, 1 / 3, 3, expected={1: 0.0, 2: 0.0, 3: 0.0})
-print("  flatness at 1/3:", rep.verdicts)
+rep = smoothness_check(xi, 1 / 3, 3)
+print("  flatness at 1/3:", rep.verdicts,
+      "estimates", {k: f"{v:.1e}" for k, v in rep.fd_estimates.items()})
 
 grid = np.linspace(0, 1, 2001)
 print("  reflection worst:", max(abs(xi(s) + xi(1 - s) - 1) for s in grid))

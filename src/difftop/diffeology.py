@@ -265,8 +265,9 @@ def functional(X, Y):
 # Smooth-map checking
 # ---------------------------------------------------------------------------
 
-# smooth_check tests first derivatives along the axes and this many random
-# directions per sample
+# smooth_check tests first derivatives along the axes and, on charts of
+# dimension >= 2, this many random unit directions per sample (in R^1 a unit
+# direction is +-1, and a probe along -e mirrors the one along e)
 _LINE_ORDER = 1
 _DIRECTIONS = 2
 
@@ -280,7 +281,6 @@ class SmoothCheckConfig:
 
 @dataclass
 class SmoothCheckReport:
-    map_name: str
     passed: bool = True
     inconclusive: bool = False
     records: list = field(default_factory=list)
@@ -332,16 +332,16 @@ def smooth_check(f, config=None):
 
     For every generator of the source: composites are probed on a grid
     plus random parameters; at each sample the composite must (a) have
-    directionally agreeing one-sided derivative estimates along the axes
-    and random directions, and (b) land on some target generator, whose
-    inverse gives a parameter in its box with that image up to the
-    target's ``eq``.  Failures carry witnesses; evaluation breakdowns, and
-    a source generator with no sample or no generator at all, mark the
-    report inconclusive rather than passing.
+    agreeing one-sided derivative estimates along the axes (and random
+    directions when the chart has dimension >= 2), and (b) land on some
+    target generator, whose inverse gives a parameter in its box with that
+    image up to the target's ``eq``.  Failures carry witnesses; evaluation
+    breakdowns, and a source generator with no sample or no generator at
+    all, mark the report inconclusive rather than passing.
     """
     cfg = config or SmoothCheckConfig()
     rng = np.random.default_rng(cfg.seed)
-    report = SmoothCheckReport(map_name=f.name or "<map>")
+    report = SmoothCheckReport()
     margin = FD_STEP * (_LINE_ORDER + 2)
 
     if not f.source.generators:
@@ -351,9 +351,10 @@ def smooth_check(f, config=None):
         samples += gen.sample(rng, cfg.samples_per_generator, margin=margin)
         if not samples:
             report.add_failure("no_samples", {"generator": gi}, inconclusive=True)
+        axes = list(np.eye(gen.dim))
         for u in samples:
-            dirs = [np.eye(gen.dim)[a] for a in range(gen.dim)]
-            for _ in range(_DIRECTIONS if gen.dim > 0 else 0):
+            dirs = axes.copy()
+            for _ in range(_DIRECTIONS if gen.dim > 1 else 0):
                 d = rng.standard_normal(gen.dim)
                 dirs.append(d / np.linalg.norm(d))
 

@@ -14,8 +14,8 @@ The three profiles built here drive everything else in the package:
 ``smoothness_check`` is the numerical surrogate for smoothness claims:
 it estimates derivatives by central and one-sided finite differences on a
 shrinking step ladder with Richardson extrapolation, and reports whether
-the one-sided estimates agree (the derivative exists) or match a supplied
-expected value (typically 0 for flatness claims).
+the one-sided estimates agree (the derivative exists).  A flatness claim
+reads the central estimates it reports (``fd_estimates``).
 """
 
 import functools
@@ -412,23 +412,21 @@ class SmoothnessReport:
         return any(v == "inconclusive" for v in self.verdicts.values())
 
 
-def smoothness_check(f, point, max_order, expected=None):
-    """Check existence (or expected values) of derivatives of f at a point.
+def smoothness_check(f, point, max_order):
+    """Check that the derivatives of f at a point exist, up to max_order.
 
     For each order 1..max_order the left- and right-sided estimates must
     agree within ``FD_TOL * max(1, |left|, |right|)`` plus twice the sum of
     their own uncertainty estimates; the allowance keeps smooth functions
     with violent higher derivatives (every profile here is built from
     exp(-1/t)) from flunking on truncation error, while a genuine kink
-    leaves both estimators confident and far apart.  When ``expected``
-    supplies a target for an order (e.g. 0 for a flatness claim), the
-    central estimate must instead match it within ``FD_TOL * max(1,
-    |target|)`` plus the same kind of allowance.  An order is inconclusive
-    when one of its nodes raises or gives a non-finite value, or when an
-    entry or error term of its tables overflows, or when two of its node
-    arguments x + m h round to one float (at |x| above about 1e13 the
-    ladder has no resolution left); an inconclusive report never counts
-    as passing.
+    leaves both estimators confident and far apart.  The report also keeps
+    each order's central estimate, which a flatness claim compares with 0
+    itself.  An order is inconclusive when one of its nodes raises or gives
+    a non-finite value, or when an entry or error term of its tables
+    overflows, or when two of its node arguments x + m h round to one float
+    (at |x| above about 1e13 the ladder has no resolution left); an
+    inconclusive report never counts as passing.
 
     Per order, the Richardson tables of all three sides are one linear map
     of the node values (``_plan``), and each side keeps its first entry of
@@ -494,14 +492,9 @@ def smoothness_check(f, point, max_order, expected=None):
         rows = []  # (failed, dev, component, central, left, right)
         for j in range(len(nodes)):
             central, left, right = est[3 * j:3 * j + 3]
-            err_c, err_l, err_r = err[3 * j:3 * j + 3]
-            if expected is not None and k in expected:
-                target = expected[k]
-                dev = abs(central - target)
-                ok = dev <= FD_TOL * max(1.0, abs(target)) + 2.0 * err_c
-            else:
-                dev = abs(left - right)
-                ok = dev <= FD_TOL * max(1.0, abs(left), abs(right)) + 2.0 * (err_l + err_r)
+            err_l, err_r = err[3 * j + 1:3 * j + 3]
+            dev = abs(left - right)
+            ok = dev <= FD_TOL * max(1.0, abs(left), abs(right)) + 2.0 * (err_l + err_r)
             rows.append((not ok, dev, j, central, left, right))
         failed, dev, j, central, left, right = max(rows, key=lambda r: r[:2])
         report.fd_estimates[k] = central

@@ -274,10 +274,11 @@ def suite_homotopy(cfg):
 
     # formula-level well-definedness over pole fibers: evaluate the star
     # composite through two distinct cube preimages of the same point
+    stars = {n: star(n, _triple_rep(n), _triple_rep(n)) for n in (1, 2, 3)}
     fibers = out.open("star_quotient_fibers", cfg.count(300), dm.EQ_TOL)
     for i in range(fibers.samples):
         n = 2 + (i % 2)
-        sa = star(n, _triple_rep(n), _triple_rep(n))
+        sa = stars[n]
         t_rest = rng.uniform(0.0, 1.0, size=n - 1)
         for t1 in (0.0, 1.0):  # pole slots: the remaining slots are fiber
             t_alt = rng.uniform(0.0, 1.0, size=n - 1)
@@ -288,7 +289,7 @@ def suite_homotopy(cfg):
     boundary = out.open("star_boundary_conditions", cfg.count(1000), dm.EQ_TOL)
     for i in range(boundary.samples):
         n = 1 + (i % 3)
-        st = star(n, _triple_rep(n), _triple_rep(n))
+        st = stars[n]
         v = dm.random_sphere(n, rng)
         val = st.fn(dm.include_j(n, v))
         boundary.add(abs(val[1]))                        # boundary -> x-axis
@@ -323,29 +324,27 @@ def suite_homotopy(cfg):
             mismatches += 1
     oracle.add(mismatches)
 
-    # permuting independent chains must not change the partition shape
+    # attaching the same edges in another order must not change the partition
     order = out.open("path_components_order_independent", cfg.count(50), 0.0)
     diffs = 0
     for _ in range(order.samples):
-        sizes1 = sorted(len(g) for g in path_components(_pair_complex(False)))
-        sizes2 = sorted(len(g) for g in path_components(_pair_complex(True)))
-        if sizes1 != sizes2:
-            diffs += 1
+        n0 = int(rng.integers(1, 8))
+        edges = [(int(rng.integers(n0)), int(rng.integers(n0)))
+                 for _ in range(int(rng.integers(13)))]
+        permuted = [edges[j] for j in rng.permutation(len(edges))]
+        diffs += int(path_components(_edge_complex(n0, edges))
+                     != path_components(_edge_complex(n0, permuted)))
     order.add(diffs)
 
     return out.records()
 
 
 def _random_complex(rng, max_cells=20):
-    cx = CellComplex()
+    """1 to 7 0-cells, then edges up to a drawn total of cells; each edge draws a, then b."""
     n0 = int(rng.integers(1, 8))
-    for _ in range(n0):
-        cx = cx.attach(0)
     total = int(rng.integers(n0, max_cells + 1))
-    while len(cx) < total:
-        a, b = int(rng.integers(n0)), int(rng.integers(n0))
-        cx = cx.attach(1, _edge(a, b))
-    return cx
+    return _edge_complex(n0, [(int(rng.integers(n0)), int(rng.integers(n0)))
+                              for _ in range(total - n0)])
 
 
 def _components_oracle(cx):
@@ -385,12 +384,12 @@ def _edge(a, b):
     return lambda v: ComplexPoint.in_cell(a if v[0] > 0 else b, np.array([1.0]))
 
 
-def _pair_complex(swapped):
-    """Four 0-cells and the edges 0-1 and 2-3; swapped attaches 2-3 first."""
+def _edge_complex(n0, edges):
+    """n0 0-cells, then one 1-cell from a to b per pair (a, b) of edges, in order."""
     cx = CellComplex()
-    for _ in range(4):
+    for _ in range(n0):
         cx = cx.attach(0)
-    for a, b in [(2, 3), (0, 1)] if swapped else [(0, 1), (2, 3)]:
+    for a, b in edges:
         cx = cx.attach(1, _edge(a, b))
     return cx
 
@@ -712,7 +711,8 @@ def _chep_order_independence(cfg, tally):
     rng = cfg.rng("lifting-order")
     lifts = []
     for swapped in (False, True):
-        cx = _pair_complex(swapped)
+        # four 0-cells and the edges 0-1 and 2-3; swapped attaches 2-3 first
+        cx = _edge_complex(4, [(2, 3), (0, 1)] if swapped else [(0, 1), (2, 3)])
         # chain_position is the same on both edge orders
         position = chain_position(cx).rows
 

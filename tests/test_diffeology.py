@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from difftop import diffeology
 from difftop.diffeology import (
     COEFF_BOUND, WINDOW, MapEvaluator, SmoothCheckConfig, coproduct, d_topology_open_sample,
     euclidean, exponential_alpha, exponential_alpha_inv, functional,
     irrational_torus, product, quotient, smooth_check, subspace,
 )
 from difftop.diskmodel import EQ_TOL, DomainError
-from difftop.smoothfn import lambda_fn, lambda_inv
+from difftop.smoothfn import lambda_fn, lambda_inv, smoothness_check
 
 
 def _scalar(x):
@@ -153,6 +154,27 @@ def test_smooth_check_witness_names_the_kinked_coordinate():
     kinks = [r["witness"] for r in rep.records if r["kind"] == "smoothness"]
     assert not rep.passed and kinks
     assert all(w["coord"] == 1 for w in kinks) and [0.0] in [w["u"] for w in kinks]
+
+
+def test_smooth_check_probes_axes_and_random_directions_only_above_one_dimension(
+        monkeypatch):
+    # 5 grid + 6 sampled parameters on R, 25 + 6 on R^2; R^1's only unit
+    # directions are +-1, so a 1-D chart is probed once per sample
+    probes = []
+
+    def counting(f, point, max_order):
+        probes.append(point)
+        return smoothness_check(f, point, max_order)
+
+    monkeypatch.setattr(diffeology, "smoothness_check", counting)
+    assert smooth_check(MapEvaluator(R, R, lambda x: x, "id"), CFG).passed
+    assert len(probes) == 11
+    probes.clear()
+    R2 = product(R, R)
+    f = MapEvaluator(R2, R, lambda xy: math.sin(_scalar(xy[0])) * math.cos(_scalar(xy[1])),
+                     "sin_cos")
+    assert smooth_check(f, CFG).passed
+    assert len(probes) == 31 * (2 + 2)
 
 
 def test_smooth_check_inconclusive_never_passes():

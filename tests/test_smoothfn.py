@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from difftop import smoothfn
 from difftop.diskmodel import random_disk
 from difftop.smoothfn import (
-    fd_weights, gamma, gamma_batch, lambda_fn, lambda_inv, smoothness_check, xi, xi_batch,
-    xi_inv, xi_inv_batch,
+    FD_TOL, fd_weights, gamma, gamma_batch, lambda_fn, lambda_inv, smoothness_check, xi,
+    xi_batch, xi_inv, xi_inv_batch,
 )
 from difftop.subdivision import seam_curve
 
@@ -186,9 +186,9 @@ def test_fd_weights_standard_stencils():
 
 
 def test_smoothness_check_flatness_of_lambda():
-    rep = smoothness_check(lambda_fn, 0.0, 3, expected={1: 0.0, 2: 0.0, 3: 0.0})
+    rep = smoothness_check(lambda_fn, 0.0, 3)
     assert rep.passed
-    assert all(abs(v) < 1e-4 for v in rep.fd_estimates.values())
+    assert all(abs(v) < FD_TOL for v in rep.fd_estimates.values())
 
 
 def test_smoothness_check_detects_kink():
@@ -201,9 +201,9 @@ def test_smoothness_check_detects_kink():
 
 
 def test_smoothness_check_xi_flat_at_wall():
-    rep = smoothness_check(xi, 1.0 / 3.0, 2, expected={1: 0.0, 2: 0.0})
+    rep = smoothness_check(xi, 1.0 / 3.0, 2)
     assert rep.passed
-    assert all(abs(v) < 1e-4 for v in rep.fd_estimates.values())
+    assert all(abs(v) < FD_TOL for v in rep.fd_estimates.values())
 
 
 def test_smoothness_check_inconclusive_on_failure():
@@ -423,7 +423,7 @@ def _estimates(f, values, x, order, side):
     return [_richardson(ladder, p, series) for ladder in zip(*raw)]
 
 
-def _reference_check(f, point, max_order, expected=None):
+def _reference_check(f, point, max_order):
     """smoothness_check computed with the reference ladder.
 
     Returns the report and, per order, the error terms of the reported
@@ -440,13 +440,9 @@ def _reference_check(f, point, max_order, expected=None):
             report.verdicts[k] = "inconclusive"
             continue
         rows = []
-        for j, ((central, err_c), (left, err_l), (right, err_r)) in enumerate(zip(*sides)):
-            if expected is not None and k in expected:
-                dev = abs(central - expected[k])
-                ok = dev <= tol * max(1.0, abs(expected[k])) + 2.0 * err_c
-            else:
-                dev = abs(left - right)
-                ok = dev <= tol * max(1.0, abs(left), abs(right)) + 2.0 * (err_l + err_r)
+        for j, ((central, _), (left, err_l), (right, err_r)) in enumerate(zip(*sides)):
+            dev = abs(left - right)
+            ok = dev <= tol * max(1.0, abs(left), abs(right)) + 2.0 * (err_l + err_r)
             rows.append((not ok, dev, j, central, left, right))
         failed, dev, j, central, left, right = max(rows, key=lambda r: r[:2])
         report.fd_estimates[k] = central
@@ -458,7 +454,7 @@ def _reference_check(f, point, max_order, expected=None):
     return report, side_errors
 
 
-def _assert_matches_reference(f, point, max_order, expected=None, components=0):
+def _assert_matches_reference(f, point, max_order, components=0):
     """Equal verdicts, and estimates within 1e-5 * max(1, |reference|).
 
     A one-sided estimate may also lie anywhere within the reference's own
@@ -468,12 +464,12 @@ def _assert_matches_reference(f, point, max_order, expected=None, components=0):
     coordinate, since the component a passing order reports is the one of
     largest round-off.
     """
-    got = smoothness_check(f, point, max_order, expected=expected)
-    assert got.verdicts == _reference_check(f, point, max_order, expected)[0].verdicts, point
+    got = smoothness_check(f, point, max_order)
+    assert got.verdicts == _reference_check(f, point, max_order)[0].verdicts, point
     assert not components or len(f(point)) == components
     for g in [lambda t, j=j: f(t)[j] for j in range(components)] or [f]:
-        a = smoothness_check(g, point, max_order, expected=expected)
-        b, side_errors = _reference_check(g, point, max_order, expected=expected)
+        a = smoothness_check(g, point, max_order)
+        b, side_errors = _reference_check(g, point, max_order)
         assert a.verdicts == b.verdicts, (point, a, b)
         for k in b.fd_estimates:
             ref = b.fd_estimates[k]
@@ -494,9 +490,10 @@ def test_compiled_ladder_matches_the_reference_on_the_profiles(f):
 
 
 def test_compiled_ladder_matches_the_reference_on_flatness_claims():
-    flat = {1: 0.0, 2: 0.0, 3: 0.0}
     for f, p in ((lambda_fn, 0.0), (lambda_fn, 1.0), (xi, 1.0 / 3.0), (xi, 2.0 / 3.0)):
-        assert _assert_matches_reference(f, p, 3, flat).passed
+        rep = _assert_matches_reference(f, p, 3)
+        assert rep.passed
+        assert all(abs(v) < FD_TOL for v in rep.fd_estimates.values())
     assert _assert_matches_reference(abs, 0.0, 1).verdicts == {1: "fail"}
 
 

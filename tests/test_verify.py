@@ -6,11 +6,13 @@ import pytest
 import difftop.diskmodel
 import difftop.smoothfn
 import difftop.subdivision
+import difftop.verify
+from difftop.cellcomplex import CellComplex
 from difftop.homotopy import path_components
 from difftop.instances import bundled_chep_instance, chep_instance_from_json, complex_from_json
 from difftop.lifting import Fibration
 from difftop.verify import (RunConfig, Tally, _components_oracle, check_chep_instance, run_suite,
-                            suite_diskmodel, suite_smoothfn, suite_subdivision)
+                            suite_diskmodel, suite_homotopy, suite_smoothfn, suite_subdivision)
 
 
 def _props(records):
@@ -93,6 +95,23 @@ def test_swapped_branches_fail_region_preservation(monkeypatch, order):
     branches = difftop.subdivision.PHI_BRANCHES
     monkeypatch.setattr(difftop.subdivision, "PHI_BRANCHES", tuple(branches[i] for i in order))
     rec = _props(suite_subdivision(cfg))["region_preservation"]
+    assert not rec["pass"]
+    assert rec["worst_dev"] > 0
+
+
+def test_path_components_mutant_that_ignores_the_last_edge_fails_order_independence(
+        monkeypatch):
+    # negative control: the two attaching orders of one edge set usually end
+    # on different edges, so dropping the last-attached one splits differently
+    cfg = RunConfig()
+    assert _props(suite_homotopy(cfg))["path_components_order_independent"]["pass"]
+
+    def ignores_last_edge(cx):
+        cells = cx.cells[:-1] if cx.cells and cx.cells[-1].dim == 1 else cx.cells
+        return path_components(CellComplex(cx.base, cells))
+
+    monkeypatch.setattr(difftop.verify, "path_components", ignores_last_edge)
+    rec = _props(suite_homotopy(cfg))["path_components_order_independent"]
     assert not rec["pass"]
     assert rec["worst_dev"] > 0
 
