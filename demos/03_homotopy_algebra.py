@@ -9,7 +9,8 @@ import numpy as np
 
 from difftop import (CellComplex, ComplexPoint, Homotopy, PairMapRep, Q,
                      concat, delta_restrict, lambda_fn, path_components,
-                     section, star, to_tilde_homotopy)
+                     star, to_tilde_homotopy)
+from difftop.diskmodel import section_batch
 
 print("=== reclocking a straight-line homotopy ===")
 F = Homotopy(lambda x, t: (1 - t) * x + t * (x + 2.0), kind="R")
@@ -26,17 +27,18 @@ for t in (0.0, 0.3, 1 / 3, 0.5, 2 / 3, 0.75, 1.0):
     print(f"  H(t={t:.3f}) = {float(H(None, t)[0]):.6f}")
 
 print("\n=== the class product splits the first chart slot ===")
-phi = PairMapRep(1, lambda w: np.array([section(1, w)[0]]))
-psi = PairMapRep(1, lambda w: np.array([2.0 + section(1, w)[0]]))
+# representatives map blocks of disk points, one per row
+phi = PairMapRep(1, lambda w: section_batch(1, w))
+psi = PairMapRep(1, lambda w: 2.0 + section_batch(1, w))
 st = star(1, phi, psi)
 for t1 in (0.1, 0.25, 0.5, 0.75, 0.9):
-    print(f"  t1={t1:.2f} -> {float(st(Q(1, [t1]))[0]):.6f}")
+    print(f"  t1={t1:.2f} -> {float(st(Q(1, [t1])[None])[0, 0]):.6f}")
 
 print("\n=== boundary restriction ===")
 rep = PairMapRep(2, lambda w: w.copy())
 d = delta_restrict(2, rep)
 print("  restriction of the identity sends v to (v, 0):",
-      d(np.array([0.6, 0.8])))
+      d(np.array([[0.6, 0.8]]))[0])
 
 print("\n=== path components of small complexes ===")
 def edge(a, b):

@@ -3,15 +3,18 @@
 Homotopies are maps (point, time in [0,1]) -> point.  Every construction
 here reparameterizes time through ``lambda_fn`` so that the results are
 stationary near the endpoints; gluing two such homotopies end to end
-therefore never manufactures a kink.  The same trick, applied in the
-first cube slot of the disk chart, gives the representative-level
-product on relative homotopy classes (``star``), the boundary
-restriction (``delta_restrict``), and the two-sided doubling map used to
-compare lifts (``glue_double``).
+therefore never manufactures a kink.  The same trick, applied in a
+cube slot of the disk chart, gives the maps of representatives
+(``PairMapRep``) of relative homotopy classes: the product ``star``, the
+boundary restriction ``delta_restrict`` and the two-sided doubling
+``glue_double`` used to compare lifts.  Each takes and returns
+representatives whose maps evaluate blocks of disk points, one per row,
+in one pass through the array charts.
 
-The gluing checks of ``concat``, ``star`` and ``glue_double`` accept two
-points when max_dev(a, b) <= EQ_TOL: the largest coordinate difference
-is at most 10^-9, an absolute slack with no relative part.
+Two points agree when max_dev(a, b) <= EQ_TOL, an absolute slack of
+10^-9 with no relative part.  ``concat`` compares its seam at each
+sample point, ``star`` and ``glue_double`` compare basepoints, and
+``glue_double`` holds both maps constant on its block of sample rows.
 
 ``path_components`` computes the path partition of a finite cell
 complex combinatorially: only 1-cells can join components (the boundary
@@ -23,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smoothfn import lambda_fn, lambda_inv
-from .diskmodel import EQ_TOL, DomainError, Q, include_k, max_dev, section
+from .smoothfn import lambda_fn, lambda_fn_batch, lambda_inv_batch
+from .diskmodel import (EQ_TOL, DomainError, Q_batch, check_disk_batch, max_dev,
+                        max_dev_batch, section_batch)
 
 __all__ = [
     "Homotopy", "PairMapRep", "to_tilde_homotopy", "concat",
@@ -92,7 +96,8 @@ class PairMapRep:
 
     ``fn`` maps the n-disk into a target space, sending the boundary
     sphere into a chosen subspace and the lower half of the boundary to
-    the basepoint.
+    the basepoint.  It maps an (N, n+1) array of disk points, one per row,
+    to the (N, e) array of their images; a single point is a one-row array.
     """
     dim: int
     fn: object
@@ -102,8 +107,33 @@ class PairMapRep:
         return self.fn(w)
 
 
-def _same_basepoint(a, b):
-    return a is None or b is None or max_dev(a, b) <= EQ_TOL
+def _check_reps(name, n, *reps):
+    """n >= 1, every rep on the n-disk, and one basepoint among those named."""
+    if n < 1:
+        raise DomainError(f"{name} needs dimension >= 1")
+    if any(rep.dim != n for rep in reps):
+        raise DomainError(f"{name}: dimension mismatch: {[rep.dim for rep in reps]} at n={n}")
+    points = [rep.basepoint for rep in reps if rep.basepoint is not None]
+    if not all(max_dev(p, points[0]) <= EQ_TOL for p in points[1:]):
+        raise DomainError(f"{name}: basepoints differ")
+
+
+def _two_sided(n, phi, psi, slot, clock):
+    """The rep sending each row w to phi or psi by the slot s of section(w).
+
+    With (u, left, right) = clock(s): psi at lambda(right) if u > 1/2, else phi at lambda(left).
+    """
+    def fn(w):
+        t = section_batch(n, w)
+        u, left, right = clock(t[:, slot])
+        r = u > 0.5
+        t[:, slot] = lambda_fn_batch(np.where(r, right, left))
+        a, b = phi.fn(Q_batch(n, t[~r])), psi.fn(Q_batch(n, t[r]))
+        out = np.empty((len(w), a.shape[1]))
+        out[~r], out[r] = a, b
+        return out
+
+    return PairMapRep(n, fn, phi.basepoint)
 
 
 def star(n, phi, psi_rep):
@@ -113,22 +143,10 @@ def star(n, phi, psi_rep):
     chart: phi sees lambda(3 t1), psi_rep sees lambda(3 t1 - 2).  At the
     wall t1 = 1/2 both sides evaluate their argument at a boundary slot
     (lambda(3/2) = 1, lambda(-1/2) = 0), where the triple-map boundary
-    conditions force agreement.
+    conditions force agreement.  Each row takes the side its t1 picks.
     """
-    if n < 1:
-        raise DomainError("star needs dimension >= 1")
-    if phi.dim != n or psi_rep.dim != n:
-        raise DomainError(f"dimension mismatch: {phi.dim} * {psi_rep.dim} at n={n}")
-    if not _same_basepoint(phi.basepoint, psi_rep.basepoint):
-        raise DomainError("star: basepoints differ")
-
-    def fn(w):
-        t = section(n, w)
-        if t[0] <= 0.5:
-            return phi.fn(Q(n, np.concatenate([[lambda_fn(3.0 * t[0])], t[1:]])))
-        return psi_rep.fn(Q(n, np.concatenate([[lambda_fn(3.0 * t[0] - 2.0)], t[1:]])))
-
-    return PairMapRep(n, fn, phi.basepoint)
+    _check_reps("star", n, phi, psi_rep)
+    return _two_sided(n, phi, psi_rep, 0, lambda t1: (t1, 3.0 * t1, 3.0 * t1 - 2.0))
 
 
 def delta_restrict(n, phi):
@@ -137,11 +155,10 @@ def delta_restrict(n, phi):
     Sends v in disk^(n-1) (a vector in R^n) to phi((v, 0)).  For n = 1
     this is evaluation at the single equator point (1, 0).
     """
-    if n < 1:
-        raise DomainError("delta_restrict needs dimension >= 1")
+    _check_reps("delta_restrict", n, phi)
 
     def fn(v):
-        return phi.fn(include_k(n - 1, v))
+        return phi.fn(np.column_stack([check_disk_batch(v, n - 1), np.zeros(len(v))]))
 
     return PairMapRep(n - 1, fn, phi.basepoint)
 
@@ -151,30 +168,22 @@ def glue_double(n, phi0, phi1, sample_points=()):
 
     At the point with cube coordinates (t, lambda(u)) the result is
     phi0 at (t, lambda(2u)) for u <= 1/2 and phi1 at (t, lambda(2-2u))
-    for u >= 1/2.  Both maps must be constant on the lower boundary
-    half-disk with a common value, which is what the seam evaluates to
-    from either side; the constancy is checked on ``sample_points``
-    (points of that half-disk) with a failing witness reported.
+    for u >= 1/2, each row on the side its u picks.  Both maps must be
+    constant with a common value on the lower boundary half-disk, which
+    the seam evaluates to from either side; the rows ``sample_points`` of
+    that half-disk check it, and a failure names its witness row.
     """
-    base_val = None
-    for w in sample_points:
-        for rep in (phi0, phi1):
-            val = rep.fn(w)
-            if base_val is None:
-                base_val = val
-            elif not max_dev(val, base_val) <= EQ_TOL:
-                raise DomainError(
-                    f"glue_double: representative not constant on the lower "
-                    f"half-disk, witness {w!r}: {val!r} vs {base_val!r}")
+    _check_reps("glue_double", n, phi0, phi1)
+    w = np.asarray(sample_points, dtype=float).reshape(-1, n + 1)
+    vals = np.concatenate([phi0.fn(w), phi1.fn(w)])  # phi0's rows, then phi1's
+    bad = np.flatnonzero(~(max_dev_batch(vals, np.broadcast_to(vals[:1], vals.shape)) <= EQ_TOL))
+    if bad.size:
+        i = bad[0] % len(w)
+        raise DomainError(f"glue_double: representative not constant on the lower half-disk, "
+                          f"witness row {i} {w[i]!r}: {vals[bad[0]]!r} vs {vals[0]!r}")
 
-    def fn(w):
-        t = section(n, w)
-        u = lambda_inv(t[n - 1])
-        if u <= 0.5:
-            return phi0.fn(Q(n, np.concatenate([t[:n - 1], [lambda_fn(2.0 * u)]])))
-        return phi1.fn(Q(n, np.concatenate([t[:n - 1], [lambda_fn(2.0 - 2.0 * u)]])))
-
-    return fn
+    return _two_sided(n, phi0, phi1, n - 1,
+                      lambda s: (u := lambda_inv_batch(s), 2.0 * u, 2.0 - 2.0 * u))
 
 
 class UnionFind:

@@ -246,11 +246,8 @@ def _triple_rep(n):
     The last coordinate is 0 on the whole boundary sphere; both
     coordinates vanish on the lower boundary half-disk.
     """
-    def fn(w):
-        a = sf.lambda_fn(3.0 * w[-2]) * (w[-2] + 1.0)
-        return np.array([a, w[-1]])
-
-    return PairMapRep(n, fn, basepoint=np.zeros(2))
+    return PairMapRep(n, lambda w: np.column_stack(
+        [sf.lambda_fn_batch(3.0 * w[:, -2]) * (w[:, -2] + 1.0), w[:, -1]]), np.zeros(2))
 
 
 def suite_homotopy(cfg):
@@ -258,60 +255,53 @@ def suite_homotopy(cfg):
     rng = cfg.rng("homotopy")
     m = cfg.count(1000)
 
-    F = Homotopy(lambda x, t: np.array([x[0] * (1.0 - t), math.sin(t)]))
-    G = Homotopy(lambda x, t: np.array([x[0] * 0.0, math.sin(1.0) + t * t]))
-    H = concat(F, G, sample_points=[np.array([v]) for v in np.linspace(-2, 2, 9)])
-    xs = [np.array([v]) for v in rng.uniform(-2.0, 2.0, size=m)]
-    out.open("concat_seam", m, TOL_ALG).add(
-        *(max_dev(F.fn(x, sf.lambda_fn(1.5)), G.fn(x, sf.lambda_fn(-0.5))) for x in xs))
+    # the product homotopies on R^m: row i of x is the i-th sample point
+    F = Homotopy(lambda x, t: np.column_stack([x * (1.0 - t), np.full(len(x), math.sin(t))]))
+    G = Homotopy(lambda x, t: np.column_stack([x * 0.0, np.full(len(x), math.sin(1.0) + t * t)]))
+    H = concat(F, G, sample_points=[np.linspace(-2, 2, 9)[:, None]])
+    x = rng.uniform(-2.0, 2.0, size=(m, 1))
+    out.open("concat_seam", m, TOL_ALG).add_rows(
+        dm.max_dev_batch(F.fn(x, sf.lambda_fn(1.5)), G.fn(x, sf.lambda_fn(-0.5))))
 
-    out.open("concat_endpoints_exact", m, 0.0).add(
-        *(max_dev((H.fn(x, 0.0), H.fn(x, 1.0)), (F.fn(x, 0.0), G.fn(x, 1.0))) for x in xs))
+    out.open("concat_endpoints_exact", m, 0.0).add_rows(dm.max_dev_batch(
+        np.hstack([H.fn(x, 0.0), H.fn(x, 1.0)]), np.hstack([F.fn(x, 0.0), G.fn(x, 1.0)])))
 
-    out.open("concat_plateau", m, TOL_ALG).add(
-        *(max_dev((H.fn(x, 1.0 / 3.0), H.fn(x, 0.6)), (F.fn(x, 1.0), G.fn(x, 0.0)))
-          for x in xs))
+    out.open("concat_plateau", m, TOL_ALG).add_rows(dm.max_dev_batch(
+        np.hstack([H.fn(x, 1.0 / 3.0), H.fn(x, 0.6)]), np.hstack([F.fn(x, 1.0), G.fn(x, 0.0)])))
 
     # formula-level well-definedness over pole fibers: evaluate the star
     # composite through two distinct cube preimages of the same point
     stars = {n: star(n, _triple_rep(n), _triple_rep(n)) for n in (1, 2, 3)}
     fibers = out.open("star_quotient_fibers", cfg.count(300), dm.EQ_TOL)
-    for i in range(fibers.samples):
-        n = 2 + (i % 2)
-        sa = stars[n]
-        t_rest = rng.uniform(0.0, 1.0, size=n - 1)
-        for t1 in (0.0, 1.0):  # pole slots: the remaining slots are fiber
-            t_alt = rng.uniform(0.0, 1.0, size=n - 1)
-            wa = dm.Q(n, np.concatenate([[t1], t_rest]))
-            wb = dm.Q(n, np.concatenate([[t1], t_alt]))
-            fibers.add(max_dev(sa.fn(wa), sa.fn(wb)))
+    # per sample: t_rest, then one fiber point per pole slot t1 = 0, 1
+    draws = [rng.uniform(0.0, 1.0, size=(3, 1 + i % 2)) for i in range(fibers.samples)]
+    for j, n in enumerate((2, 3)):
+        d = np.array(draws[j::2]).reshape(-1, 3, n - 1)
+        for t1 in (0.0, 1.0):
+            wa, wb = (dm.Q_batch(n, np.column_stack([np.full(len(d), t1), d[:, s]]))
+                      for s in (0, 1 + int(t1)))
+            fibers.add_rows(dm.max_dev_batch(stars[n](wa), stars[n](wb)))
 
     boundary = out.open("star_boundary_conditions", cfg.count(1000), dm.EQ_TOL)
-    for i in range(boundary.samples):
-        n = 1 + (i % 3)
-        st = stars[n]
-        v = dm.random_sphere(n, rng)
-        val = st.fn(dm.include_j(n, v))
-        boundary.add(abs(val[1]))                        # boundary -> x-axis
-        v[-1] = -abs(v[-1])
-        val = st.fn(dm.include_j(n, v))
-        boundary.add(max_dev(val, st.basepoint))         # lower half -> origin
+    spheres = [dm.random_sphere(1 + i % 3, rng) for i in range(boundary.samples)]
+    for j, n in enumerate((1, 2, 3)):
+        v = np.array(spheres[j::3]).reshape(-1, n)
+        w = np.hstack([v, np.zeros((len(v), 1))])
+        boundary.add_rows(np.abs(stars[n](w)[:, 1]))  # boundary -> x-axis
+        w[:, -2] = -np.abs(w[:, -2])                  # lower half -> origin
+        boundary.add_rows(dm.max_dev_batch(stars[n](w), np.zeros((len(w), 2))))
 
     e = np.array([0.7])
-    lower_pts = []
-    for _ in range(20):
-        d = dm.random_disk(1, rng)
-        lower_pts.append(np.array([d[0], -d[1], 0.0]))
-    g = glue_double(2, PairMapRep(2, lambda w: e + 0.1 * sf.lambda_fn(3 * w[-1])),
-                    PairMapRep(2, lambda w: e + 0.2 * sf.lambda_fn(3 * w[-1])),
+    lower_pts = [[d[0], -d[1], 0.0] for d in (dm.random_disk(1, rng) for _ in range(20))]
+    g = glue_double(2, PairMapRep(2, lambda w: e + 0.1 * sf.lambda_fn_batch(3 * w[:, -1:])),
+                    PairMapRep(2, lambda w: e + 0.2 * sf.lambda_fn_batch(3 * w[:, -1:])),
                     sample_points=lower_pts)
     seam = out.open("glue_double_seam", cfg.count(200), TOL_ALG)
-    for _ in range(seam.samples):
-        t_rest = rng.uniform(0.0, 1.0, size=1)
-        w_half = dm.Q(2, np.concatenate([t_rest, [sf.lambda_fn(0.5)]]))
-        seam.add(max_dev(g(w_half), e))
-        w0 = dm.Q(2, np.concatenate([t_rest, [0.0]]))
-        seam.add(max_dev(g(w0), e + 0.1 * sf.lambda_fn(3 * w0[-1])))
+    t_rest = rng.uniform(0.0, 1.0, size=seam.samples)
+    w_half, w0 = (dm.Q_batch(2, np.column_stack([t_rest, np.full(seam.samples, u)]))
+                  for u in (sf.lambda_fn(0.5), 0.0))
+    seam.add_rows(dm.max_dev_batch(g(w_half), np.broadcast_to(e, (seam.samples, 1))))
+    seam.add_rows(dm.max_dev_batch(g(w0), e + 0.1 * sf.lambda_fn_batch(3 * w0[:, -1:])))
 
     oracle = out.open("path_components_vs_oracle", cfg.count(100), 0.0,
                       "exact agreement with dense-sampling oracle")
