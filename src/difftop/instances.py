@@ -17,12 +17,14 @@ are.  Every node is type-checked when the file is loaded, so a malformed
 file raises InstanceError there and never a TypeError deep in the lifting.
 
 What the file fixes is worked out once, at load: each expression becomes
-a tree of closures whose arithmetic nodes call the ``operator`` functions
-(a fold of n arguments nests left into two-argument calls), and each
-complex gets one position table, the positions of its 0-cells and of the
-ends of its 1-cells and of the edges its 2-cells wrap.  Evaluation
-computes only what depends on the point, in the order the definitions
-state, so every value keeps its bits.
+one straight-line function, an assignment per node in the order the
+definition evaluates them (a fold of n arguments is n - 1 infix steps),
+compiled once and run over a float table and an array table that bind
+its unary functions and constants by name, and each complex gets one
+position table, the positions of its 0-cells and of the ends of its
+1-cells and of the edges its 2-cells wrap.  Evaluation computes only
+what depends on the point, in the order the definitions state, so every
+value keeps its bits.
 """
 
 import json
@@ -77,54 +79,102 @@ def _number(node, what):
     return float(node)
 
 
-# op -> (float function, array function); the arithmetic operators serve
-# numpy arrays as they are
+# op -> (float function, array function), bound by name in the emitted code
 _UNARY = {
     "sin": (math.sin, np.sin), "cos": (math.cos, np.cos), "exp": (math.exp, np.exp),
     "neg": (operator.neg,) * 2, "abs": (abs,) * 2, "lambda": (lambda_fn, lambda_fn_batch),
     "xi": (xi, xi_batch), "gamma": (gamma, gamma_batch),
 }
 
-_BINARY_FOLD = {
-    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
-    "div": operator.truediv, "pow": operator.pow,
-}
+# op -> the infix operator its arguments fold left with; it serves numpy
+# arrays as it serves floats
+_FOLD = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "**"}
+
+# the names the emitted code calls: ``load`` reads a variable (float() on a
+# list of floats, the array itself on a list of arrays), ``<op>_`` is a unary op
+_TABLES = tuple({"__builtins__": {}, "load": load,
+                 **{f"{op}_": fns[rows] for op, fns in _UNARY.items()}}
+                for rows, load in enumerate((float, lambda v: v)))
 
 
-def _compile(node, nvars, rows):
-    """The closure tree of node, on a list of floats, or with ``rows`` on a
-    list of 1-D arrays (a constant is then an array of one entry)."""
+def _emit(node, nvars, lines, consts, loaded):
+    """Check node and append the statements computing it to lines.
+
+    Returns the name holding its value: ``c<i>`` for the i-th entry of
+    consts, ``v<i>`` for variable i (loaded once, where it is first read),
+    ``t<j>`` for the node's one assignment.  Statements come in the order
+    the definition evaluates: an op's arguments left to right, each fold
+    step as soon as its right argument is known.
+    """
     if not isinstance(node, dict):
-        value = _number(node, "an expression that is not an object")
-        value = np.full(1, value) if rows else value
-        return lambda u: value
+        consts.append(_number(node, "an expression that is not an object"))
+        return f"c{len(consts) - 1}"
     op = node.get("op")
     if op == "const":
-        value = _number(_keys(node, ("op", "value"), "const").get("value"), "const value")
-        value = np.full(1, value) if rows else value
-        return lambda u: value
+        consts.append(_number(_keys(node, ("op", "value"), "const").get("value"), "const value"))
+        return f"c{len(consts) - 1}"
     if op == "var":
         index = _typed(_keys(node, ("op", "index"), "var").get("index", 0), int, "var index")
         if not 0 <= index < nvars:
             raise InstanceError(f"var index {index} is not one of the {nvars} "
                                 "variables of this expression")
-        return (lambda u: u[index]) if rows else (lambda u: float(u[index]))
-    if not isinstance(op, str) or (op not in _UNARY and op not in _BINARY_FOLD):
+        if index not in loaded:
+            loaded[index] = f"v{index}"
+            lines.append(f"v{index} = load(u[{index}])")
+        return loaded[index]
+    if not isinstance(op, str) or (op not in _UNARY and op not in _FOLD):
         raise InstanceError(f"unknown expression op {op!r:.80}")
     args = _keys(node, ("op", "args"), op).get("args", [])
-    parts = [_compile(a, nvars, rows) for a in _typed(args, list, f"args of {op}")]
+    out = None
+    for arg in _typed(args, list, f"args of {op}"):
+        name = _emit(arg, nvars, lines, consts, loaded)
+        if op in _FOLD and out is not None:
+            lines.append(f"t{len(lines)} = {out} {_FOLD[op]} {name}")
+            name = f"t{len(lines) - 1}"
+        out = name
     if op in _UNARY:
-        if len(parts) != 1:
+        if len(args) != 1:
             raise InstanceError(f"{op} takes one argument")
-        fn, (arg,) = _UNARY[op][rows], parts
-        return lambda u: fn(arg(u))
-    if len(parts) < 2:
+        lines.append(f"t{len(lines)} = {op}_({out})")
+        return f"t{len(lines) - 1}"
+    if len(args) < 2:
         raise InstanceError(f"{op} takes at least two arguments")
-    # fold left at compile time into nested two-argument calls
-    fold, out = _BINARY_FOLD[op], parts[0]
-    for part in parts[1:]:
-        out = (lambda a, b: lambda u: fold(a(u), b(u)))(out, part)
     return out
+
+
+def _compile(node, nvars, field):
+    """The straight-line functions of node: on a list of floats, and on a
+    list of 1-D arrays (a constant is then an array of one entry).  One
+    code object serves both; only the names it calls and reads differ.
+    Its file name is ``<field>``, so a profile tells the fields apart."""
+    lines, consts = [], []
+    out = _emit(node, nvars, lines, consts, {})
+    body = "".join(f"    {line}\n" for line in lines + [f"return {out}"])
+    code = compile(f"def expression(u):\n{body}", f"<{field}>", "exec")
+    forms = []
+    for rows, table in enumerate(_TABLES):
+        namespace = dict(table, **{f"c{i}": np.full(1, c) if rows else c
+                                   for i, c in enumerate(consts)})
+        exec(code, namespace)
+        # popped, so that the function's globals do not hold it in a cycle
+        forms.append(namespace.pop("expression"))
+    return forms
+
+
+def _float_evaluator(fn, field):
+    """fn on a list of floats as a float; InstanceError names field."""
+    def evaluate(u):
+        try:
+            value = float(fn(u))
+            if math.isfinite(value):
+                return value
+            why = f"the value {value}"
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            why = exc
+        at = ", ".join("%.6g" % v for v in u)
+        raise InstanceError(f"{field} cannot be evaluated at ({at}): {why}")
+
+    return evaluate
 
 
 def compile_expr(node, nvars, field="expression"):
@@ -144,18 +194,12 @@ def compile_expr(node, nvars, field="expression"):
     again by the float evaluator, so each gets that evaluator's value or
     error; the InstanceError then names the field and the first bad row.
     """
-    fn, fn_rows = _compile(node, nvars, False), _compile(node, nvars, True)
-
-    def evaluate(u):
-        try:
-            value = float(fn(u))
-            if math.isfinite(value):
-                return value
-            why = f"the value {value}"
-        except (ArithmeticError, ValueError, TypeError) as exc:
-            why = exc
-        at = ", ".join("%.6g" % v for v in u)
-        raise InstanceError(f"{field} cannot be evaluated at ({at}): {why}")
+    fn, fn_rows = _compile(node, nvars, field)
+    # a constant or a variable returns an array the code holds or was given
+    fresh = isinstance(node, dict) and node.get("op") not in ("const", "var")
+    # the rows form falls back on a copy of the float evaluator, so evaluate
+    # and evaluate.rows hold no reference cycle
+    evaluate, fallback = _float_evaluator(fn, field), _float_evaluator(fn, field)
 
     def evaluate_rows(u):
         u = [np.atleast_1d(np.asarray(v, dtype=float)) for v in u]
@@ -164,13 +208,15 @@ def compile_expr(node, nvars, field="expression"):
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 value = fn_rows(u)
             if np.isfinite(value).all():
-                return value if value.shape == shape else np.broadcast_to(value, shape).copy()
+                if fresh and value.shape == shape:
+                    return value
+                return np.broadcast_to(value, shape).copy()
         except FloatingPointError:
             pass
         out = np.empty(shape)
         for i, args in enumerate(zip(*(np.broadcast_to(v, shape).tolist() for v in u))):
             try:
-                out[i] = evaluate(args)
+                out[i] = fallback(args)
             except InstanceError as exc:
                 raise InstanceError(f"row {i}: {exc}") from None
         return out

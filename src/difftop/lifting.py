@@ -23,9 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .smoothfn import lambda_fn, lambda_fn_batch
-from .diskmodel import (Q, Q_batch, DomainError, check_disk_batch, include_k, max_dev, reflect,
-                        retract, retract_batch, section, section_batch)
+from .smoothfn import ARRAY_OPS, FLOAT_OPS, lambda_fn, lambda_fn_batch
+from .diskmodel import (Q, Q_batch, DomainError, _rows, check_disk_batch, include_k, max_dev,
+                        reflect, retract, retract_batch, section, section_batch)
 from .subdivision import L_TOL, CylPoint, in_L, psi, psi_batch, psi_inv, psi_inv_batch
 from .cellcomplex import BOUNDARY_TOL, ComplexPoint
 from .homotopy import Homotopy
@@ -249,8 +249,37 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
                     raise LiftError(f"chep precondition p(h(a,t)) = k(a,t) fails "
                                     f"at {a!r}, t={t!r}")
 
-    lifts, lifts_rows = {}, {}
+    lifts, lifts_rows = [], []
+    for beta in range(len(complex_.cells)):
+        # a cell's descent reaches only the cells before it, so it closes over
+        # the lifts made so far and no lift refers back to a later one
+        below = _chep_descent(complex_, h, rows, tuple(lifts), tuple(lifts_rows))
+        lift, lift_rows = _chep_cell(p, complex_, beta, f, k, rows, below)
+        lifts.append(lift)
+        lifts_rows.append(lift_rows)
 
+    H_eval, H_locus = _chep_descent(complex_, h, rows, lifts, lifts_rows)
+
+    def H_rows(cell, w, t):
+        return _on_loci(H_locus, _by_locus(complex_, cell, w), np.asarray(t, dtype=float))
+
+    return Homotopy(H_eval, "I_tilde", rows=None if rows is None else H_rows)
+
+
+def _wall_point(v, ops):
+    """The columns of v/|v|, the point of the boundary sphere a cylinder wall
+    descends from; |v| is the root of the squares summed left to right, on a
+    point's floats (FLOAT_OPS) and on rows (ARRAY_OPS) alike."""
+    sq = 0.0
+    for c in v:
+        sq = sq + c * c
+    r = ops.sqrt(sq)
+    return [c / r for c in v]
+
+
+def _chep_descent(complex_, h, rows, lifts, lifts_rows):
+    """H at a complex point, and at canonical rows of one locus (open-cell
+    rows or base payloads), through the cells' ``lifts`` and h over the base."""
     def H_eval(pt, t):
         cp = complex_.canonicalize(pt)
         if cp.kind == "base":
@@ -258,61 +287,59 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
         return lifts[cp.cell](psi_inv(complex_.cells[cp.cell].dim,
                                       CylPoint(cp.point, float(t))))
 
-    def H_locus(cell, w, t):  # w canonical: open-cell rows or base payloads
+    def H_locus(cell, w, t):
         if cell < 0:
             return rows.h(w, t)
         return lifts_rows[cell](psi_inv_batch(complex_.cells[cell].dim, CylPoint(w, t)))
 
-    def H_rows(cell, w, t):
-        return _on_loci(H_locus, _by_locus(complex_, cell, w), np.asarray(t, dtype=float))
+    return H_eval, H_locus
 
-    for beta, cell in enumerate(complex_.cells):
-        n = cell.dim
 
-        def charact(d, beta=beta):
-            return complex_.canonicalize(ComplexPoint.in_cell(beta, d))
+def _chep_cell(p, complex_, beta, f, k, rows, below):
+    """The lift of cell beta, and its array form given ``rows`` (else None);
+    ``below`` is the _chep_descent through the cells before beta."""
+    cell = complex_.cells[beta]
+    H_below, H_locus_below = below
 
-        def top(wd, beta=beta, cell=cell, charact=charact):
-            cyl = psi(cell.dim, include_k(cell.dim, wd))
-            d, tau = cyl
-            # a slice outside L^n marks a defect in psi, not in the instance data
-            if not in_L(cell.dim, cyl):
-                raise LiftError(
-                    f"hemisphere slice left L^n at cell {beta}: {cyl!r}")
-            if tau <= L_TOL:
-                return f(charact(d))
-            # wall of the cylinder: descend through the attaching map
-            return H_eval(cell.attach(d[:-1] / np.linalg.norm(d[:-1])), tau)
+    def charact(d):
+        return complex_.canonicalize(ComplexPoint.in_cell(beta, d))
 
-        def bottom(w, cell=cell, charact=charact):
-            d, tau = psi(cell.dim, w)
-            return k(charact(d), tau)
+    def top(wd):
+        cyl = psi(cell.dim, include_k(cell.dim, wd))
+        d, tau = cyl
+        # a slice outside L^n marks a defect in psi, not in the instance data
+        if not in_L(cell.dim, cyl):
+            raise LiftError(f"hemisphere slice left L^n at cell {beta}: {cyl!r}")
+        if tau <= L_TOL:
+            return f(charact(d))
+        # wall of the cylinder: descend through the attaching map
+        return H_below(cell.attach(np.array(_wall_point(d[:-1].tolist(), FLOAT_OPS))), tau)
 
-        def top_rows(wd, beta=beta, cell=cell):
-            d, tau = psi_batch(cell.dim, np.column_stack([wd, np.zeros(len(wd))]))
-            off = np.flatnonzero(~in_L(cell.dim, (d, tau)))
-            if off.size:
-                i = int(off[0])
-                raise LiftError(f"hemisphere slice left L^n at cell {beta}, row {i}, "
-                                f"time {float(tau[i])!r}: disk {d[i]!r}")
-            floor = np.flatnonzero(tau <= L_TOL)
-            # walls of the cylinder: descend from the cell's boundary sphere
-            wall = np.flatnonzero(tau > L_TOL)
-            v = d[wall, :-1]
-            ends = np.column_stack([v / np.linalg.norm(v, axis=1)[:, None], np.zeros(len(v))])
-            return _gather(len(wd), [
-                (floor, _on_loci(rows.f, _by_locus(complex_, beta, d[floor]))),
-                (wall, _on_loci(H_locus, _by_locus(complex_, beta, ends), tau[wall]))])
+    def bottom(w):
+        d, tau = psi(cell.dim, w)
+        return k(charact(d), tau)
 
-        def bottom_rows(w, beta=beta, cell=cell):
-            d, tau = psi_batch(cell.dim, w)
-            return _on_loci(rows.k, _by_locus(complex_, beta, d), tau)
+    def top_rows(wd):
+        d, tau = psi_batch(cell.dim, np.column_stack([wd, np.zeros(len(wd))]))
+        off = np.flatnonzero(~in_L(cell.dim, (d, tau)))
+        if off.size:
+            i = int(off[0])
+            raise LiftError(f"hemisphere slice left L^n at cell {beta}, row {i}, "
+                            f"time {float(tau[i])!r}: disk {d[i]!r}")
+        floor = np.flatnonzero(tau <= L_TOL)
+        # walls of the cylinder: descend from the cell's boundary sphere
+        wall = np.flatnonzero(tau > L_TOL)
+        ends = _rows(_wall_point(list(d[wall, :-1].T), ARRAY_OPS) + [0.0], len(wall))
+        return _gather(len(wd), [
+            (floor, _on_loci(rows.f, _by_locus(complex_, beta, d[floor]))),
+            (wall, _on_loci(H_locus_below, _by_locus(complex_, beta, ends), tau[wall]))])
 
-        lifts[beta] = p.lift_k(n, top, bottom)
-        if rows is not None:
-            lifts_rows[beta] = p.lift_k_rows(n, top_rows, bottom_rows)
+    def bottom_rows(w):
+        d, tau = psi_batch(cell.dim, w)
+        return _on_loci(rows.k, _by_locus(complex_, beta, d), tau)
 
-    return Homotopy(H_eval, "I_tilde", rows=None if rows is None else H_rows)
+    return (p.lift_k(cell.dim, top, bottom),
+            None if rows is None else p.lift_k_rows(cell.dim, top_rows, bottom_rows))
 
 
 def hep(complex_, f, h, precheck=None, tol=1e-6, rows=None):
@@ -349,41 +376,61 @@ def extend_lift(g, complex_, f, bottom, precheck=None, tol=1e-6, rows=None):
                     raise LiftError(
                         f"extend_lift precondition p(f(a)) = bottom(a) fails at {x!r}")
 
-    cell_lifts, cell_lifts_rows = {}, {}
+    cell_lifts, cell_lifts_rows = [], []
+    for beta in range(len(complex_.cells)):
+        # as in chep: each cell closes over the lifts of the cells before it
+        below = _extend_descent(complex_, f, rows, tuple(cell_lifts), tuple(cell_lifts_rows))
+        lift, lift_rows = _extend_cell(g, complex_, beta, bottom, rows, below)
+        cell_lifts.append(lift)
+        cell_lifts_rows.append(lift_rows)
 
+    lift_eval, lift_locus = _extend_descent(complex_, f, rows, cell_lifts, cell_lifts_rows)
+
+    def lift_rows(cell, w):
+        return _on_loci(lift_locus, _by_locus(complex_, cell, w))
+
+    lift_eval.rows = None if rows is None else lift_rows
+    return lift_eval
+
+
+def _extend_descent(complex_, f, rows, cell_lifts, cell_lifts_rows):
+    """The lift at a complex point, and at canonical rows of one locus
+    (open-cell rows or base payloads), through ``cell_lifts`` and f over the base."""
     def lift_eval(pt):
         cp = complex_.canonicalize(pt)
         if cp.kind == "base":
             return f(cp.point)
         return cell_lifts[cp.cell](cp.point)
 
-    def lift_locus(cell, w):  # w canonical: open-cell rows or base payloads
+    def lift_locus(cell, w):
         return rows.f(w) if cell < 0 else cell_lifts_rows[cell](w)
 
-    def lift_rows(cell, w):
-        return _on_loci(lift_locus, _by_locus(complex_, cell, w))
+    return lift_eval, lift_locus
 
-    for beta, cell in enumerate(complex_.cells):
-        def top(v, cell=cell):
-            return lift_eval(cell.attach(np.asarray(v, dtype=float)))
 
-        def square_bottom(w, beta=beta):
-            return bottom(complex_.canonicalize(ComplexPoint.in_cell(beta, w)))
+def _extend_cell(g, complex_, beta, bottom, rows, below):
+    """The lift of cell beta, and its array form given ``rows`` (else None);
+    ``below`` is the _extend_descent through the cells before beta."""
+    cell = complex_.cells[beta]
+    lift_below, lift_locus_below = below
 
-        def top_rows(v, beta=beta):
-            return _on_loci(lift_locus, _by_locus(complex_, beta,
-                                                  np.column_stack([v, np.zeros(len(v))])))
+    def top(v):
+        return lift_below(cell.attach(np.asarray(v, dtype=float)))
 
-        def square_bottom_rows(w, beta=beta):
-            return _on_loci(rows.bottom, _by_locus(complex_, beta, w))
+    def square_bottom(w):
+        return bottom(complex_.canonicalize(ComplexPoint.in_cell(beta, w)))
 
-        cell_lifts[beta] = g.lift_j(cell.dim, top if cell.dim > 0 else None, square_bottom)
-        if rows is not None:
-            cell_lifts_rows[beta] = g.lift_j_rows(
-                cell.dim, top_rows if cell.dim > 0 else None, square_bottom_rows)
+    def top_rows(v):
+        return _on_loci(lift_locus_below, _by_locus(complex_, beta,
+                                                    np.column_stack([v, np.zeros(len(v))])))
 
-    lift_eval.rows = None if rows is None else lift_rows
-    return lift_eval
+    def square_bottom_rows(w):
+        return _on_loci(rows.bottom, _by_locus(complex_, beta, w))
+
+    has_top = cell.dim > 0
+    return (g.lift_j(cell.dim, top if has_top else None, square_bottom),
+            None if rows is None else g.lift_j_rows(cell.dim, top_rows if has_top else None,
+                                                    square_bottom_rows))
 
 
 # ---------------------------------------------------------------------------

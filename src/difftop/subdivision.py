@@ -41,7 +41,8 @@ import numpy as np
 
 from .smoothfn import (ARRAY_OPS, FLOAT_OPS, lambda_fn, lambda_inv, xi, xi_batch, xi_inv,
                        xi_inv_batch)
-from .diskmodel import DomainError, Q, _Q, _rows, check_disk, q, section, section_batch
+from .diskmodel import (DomainError, Q, _Q, _rows, _section, check_disk, q, section,
+                        section_batch)
 
 __all__ = [
     "CylPoint", "source_point", "PHI_BRANCHES", "phi_branch", "target_walls",
@@ -182,7 +183,8 @@ def psi(n, w, wrinkle=True):
     skips the reparameterization and exposes the raw piecewise chart at
     point level -- the negative control for the seam smoothness checks.
     """
-    disk, time = _psi(n, section(n + 1, w).tolist(), FLOAT_OPS, xi if wrinkle else None)
+    c = _section(n + 1, check_disk(w, n + 1).tolist(), FLOAT_OPS)
+    disk, time = _psi(n, c, FLOAT_OPS, xi if wrinkle else None)
     return CylPoint(np.array(disk), time)
 
 
@@ -193,11 +195,11 @@ def psi_inv(n, cyl, wrinkle=True):
     the matching phi branch by PHI_INVERSES, undoes the wrinkle by
     xi_inv, and reassembles through the canonical chart.
     """
-    e = section(n, cyl[0])
+    e = _section(n, check_disk(cyl[0], n).tolist(), FLOAT_OPS)
     y = float(cyl[1])
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"time {y!r} outside [0,1]")
-    return np.array(_psi_inv(n, e.tolist(), y, FLOAT_OPS, xi_inv if wrinkle else None))
+    return np.array(_psi_inv(n, e, y, FLOAT_OPS, xi_inv if wrinkle else None))
 
 
 def psi_batch(n, w):

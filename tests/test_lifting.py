@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, note, settings, strategies as st, target
 from difftop import lifting
 from difftop.cellcomplex import BOUNDARY_TOL, CellComplex, ComplexPoint
 from difftop.diskmodel import (
-    DomainError, Q, _coords, include_j, include_k, random_disk, random_disk_batch,
+    DomainError, Q, _coords, _rows, include_j, include_k, random_disk, random_disk_batch,
     random_sphere, retract_batch, section,
 )
 from difftop.homotopy import path_components
@@ -16,10 +18,10 @@ from difftop.instances import (
     chep_instance_from_json, compile_expr, complex_from_json, extend_instance_from_json,
 )
 from difftop.lifting import (
-    Fibration, LiftError, TrivialProductFibration, chep, extend_lift, hep,
-    point_fibration, product_fibration,
+    Fibration, LiftError, TrivialProductFibration, _wall_point, chep, extend_lift, hep,
+    point_fibration, product_fibration, rows_at_points,
 )
-from difftop.smoothfn import gamma, lambda_fn, xi
+from difftop.smoothfn import ARRAY_OPS, FLOAT_OPS, gamma, lambda_fn, xi
 from difftop.subdivision import L_TOL, CylPoint, psi_batch, psi_inv_batch
 from difftop.verify import TOL_LIFT
 
@@ -510,6 +512,49 @@ def test_array_expression_broadcasts_constants_and_floats():
     assert tame.rows([np.array([1e308, 0.05])]).tolist() == [1.0, lambda_fn(0.5)]
 
 
+def test_long_folds_and_deep_chains_keep_the_reference_bits():
+    """A 500-argument fold and a 400-level nested chain: the float form has
+    the recursive value's bits, the array form is within the bound above."""
+    rng = np.random.default_rng(27)
+    fold = {"op": "add", "args": [
+        {"op": ["mul", "div", "sub"][i % 3], "args": [float(c), {"op": "var", "index": i % 2}]}
+        for i, c in enumerate(rng.uniform(0.5, 2.0, 500))]}
+    chain = {"op": "var"}
+    for i in range(400):
+        chain = ({"op": ["sin", "cos", "lambda"][i % 3], "args": [chain]} if i % 2 else
+                 {"op": ["add", "mul"][i % 4 // 2], "args": [chain, {"op": "var", "index": 1}]})
+    for node in (fold, chain):
+        evaluate = compile_expr(node, 2)
+        u = [rng.uniform(0.5, 2.0, 6) for _ in range(2)]
+        want = [_evaluate_by_recursion(node, args) for args in zip(*u)]
+        assert [evaluate(args).hex() for args in zip(*u)] == [w.hex() for w in want]
+        got = evaluate.rows(u)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("value", [-0.0, 5e-324, 1e300])
+def test_constants_keep_their_bits(value):
+    for node in (value, {"op": "const", "value": value}):
+        evaluate = compile_expr(node, 1)
+        assert evaluate([0.5]).hex() == value.hex()
+        assert [v.hex() for v in evaluate.rows([np.zeros(3)]).tolist()] == [value.hex()] * 3
+        assert [v.hex() for v in evaluate.rows([np.zeros(1)]).tolist()] == [value.hex()]
+
+
+def test_evaluators_share_no_mutable_state():
+    """A caller writing into a returned array changes no later value: not
+    of the same evaluator, its float form, another evaluator of the same
+    expression, nor the variables it was given."""
+    first, second = compile_expr(2.0, 1), compile_expr(2.0, 1)
+    for evaluate in (first, second):
+        evaluate.rows([np.zeros(1)])[0] = 99.0
+    assert first.rows([np.zeros(1)]).tolist() == second.rows([np.zeros(1)]).tolist() == [2.0]
+    assert first([0.0]) == second([0.0]) == 2.0
+    u = np.array([1.0, 2.0])
+    compile_expr({"op": "var"}, 1).rows([u])[0] = 99.0
+    assert u.tolist() == [1.0, 2.0]
+
+
 def _chain_complex(segments):
     """A base point, then segments of a 0-cell, an edge onto the last end and
     a 2-cell wrapped on the edge."""
@@ -634,6 +679,50 @@ def test_array_lift_matches_the_scalar_lift(segments, seed, via_hep):
     target(worst, label="worst |rows - scalar|")
     assert worst <= TOL_LIFT
     assert walls > 0
+
+
+def _lifts_built_and_evaluated():
+    """Weak references to the bundled instances and to their chep homotopy
+    and extend_lift map, each built with rows and evaluated in both forms."""
+    inst, _ = bundled_chep_instance()
+    einst, _ = bundled_extend_instance()
+    H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k, rows=inst.rows())
+    lift = extend_lift(einst.oracle, einst.complex, einst.f, einst.bottom, rows=einst.rows())
+    rng = np.random.default_rng(3)
+    xs = [inst.complex.sample_point(rng) for _ in range(20)]
+    ts = rng.uniform(0.0, 1.0, len(xs))
+    [H(x, t) for x, t in zip(xs, ts)]
+    rows_at_points(H.rows, xs, ts)
+    xs = [einst.complex.sample_point(rng) for _ in range(20)]
+    [lift(x) for x in xs]
+    rows_at_points(lift.rows, xs)
+    return [weakref.ref(obj) for obj in (inst, einst, H, H.fn, H.rows, lift, lift.rows)]
+
+
+def test_lifts_hold_no_reference_cycles():
+    """Dropped, the lifts and their instances are freed by reference
+    counting alone: with the collector off, nothing is left for it."""
+    _lifts_built_and_evaluated()
+    gc.collect()
+    gc.disable()
+    try:
+        refs = _lifts_built_and_evaluated()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_wall_point_is_one_rule_for_floats_and_rows(width):
+    """The float and the array wall point agree bit for bit, on tiny and
+    huge rows too, and the rows keep the bits of numpy's row norm."""
+    v = np.random.default_rng(width).standard_normal((2000, width))
+    v = np.vstack([v, v * 1e-150, v * 1e150])
+    got = _rows(_wall_point(list(v.T), ARRAY_OPS), len(v))
+    assert got.tobytes() == (v / np.linalg.norm(v, axis=1)[:, None]).tobytes()
+    want = [[float(c).hex() for c in row] for row in got]
+    assert [[c.hex() for c in _wall_point(row, FLOAT_OPS)] for row in v.tolist()] == want
 
 
 def test_rows_off_the_cell_are_rejected_by_row():
