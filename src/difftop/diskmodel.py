@@ -24,14 +24,17 @@ coordinates for Q) and return arrays of rows that agree with the scalar
 function applied row by row within 1e-14 per coordinate (numpy's trig
 may round differently from math's).  q, Q, section and retract are each
 written once over coordinate columns (``_suspend``, ``_Q``, ``_section``,
-``_retract``), floats or (N,) arrays as smoothfn's FLOAT_OPS or ARRAY_OPS.
+``_retract``): (N,) arrays as smoothfn's ARRAY_OPS, or traced once per
+dimension on TRACE_OPS and compiled to straight-line float code
+(``_chart_form``), which gives their bits on FLOAT_OPS.
 """
 
+import functools
 import math
 
 import numpy as np
 
-from .smoothfn import ARRAY_OPS, FLOAT_OPS, lambda_fn
+from .smoothfn import ARRAY_OPS, TRACE_OPS, lambda_fn, straight_line
 
 __all__ = [
     "DomainError", "POINT_TOL", "EQ_TOL", "max_dev",
@@ -93,6 +96,15 @@ def check_disk(w, n):
     return w
 
 
+def _disk_floats(w, n):
+    """The coordinates of w as a list of floats, checked as check_disk checks."""
+    x = np.asarray(w, dtype=float).tolist()
+    if not (isinstance(x, list) and len(x) == n + 1 and abs(math.hypot(*x) - 1.0) <= POINT_TOL
+            and x[-1] >= -POINT_TOL):
+        check_disk(w, n)  # raises, with the message of the rule w breaks
+    return x
+
+
 def point_to_json(w):
     """Wire form of a disk point: coordinate list plus its dimension."""
     w = np.asarray(w, dtype=float)
@@ -121,7 +133,7 @@ def _floats(a):
 
 def _suspend(x, t, ops):
     """The suspension step x -> (x cos(pi t), x sin(pi t)) of q and Q."""
-    a = math.pi * t
+    a = ops.pi * t
     return [x * ops.cos(a), x * ops.sin(a)]
 
 
@@ -141,7 +153,7 @@ def _section(n, x, ops):
         rest[i - 1] = ops.sqrt(sq) if i < n else abs(x[n])
     t, live = [], True
     for r, c in zip(rest, x):
-        t.append(ops.where(live, ops.atan2(r, c) / math.pi, 0.0))
+        t.append(ops.where(live, ops.atan2(r, c) / ops.pi, 0.0))
         live = live & (r != 0.0)
     return t
 
@@ -149,6 +161,19 @@ def _section(n, x, ops):
 def _retract(x, ops):
     """The columns of retract at the columns x: fold the last two into one."""
     return x[:-2] + [ops.hypot(x[-2], x[-1])]
+
+
+@functools.lru_cache(maxsize=None)
+def _chart_form(chart, n):
+    """q, Q, section or retract on the floats of a point of disk^n (q: and a
+    time; Q: n cube coordinates), as one straight-line function."""
+    body, size = {
+        "q": (lambda x: x[:n] + _suspend(x[n], x[n + 1], TRACE_OPS), n + 2),
+        "Q": (lambda x: _Q(x, TRACE_OPS), n),
+        "section": (lambda x: _section(n, x, TRACE_OPS), n + 1),
+        "retract": (lambda x: _retract(x, TRACE_OPS), n + 1),
+    }[chart]
+    return straight_line(body, size, name=f"{chart} {n}")
 
 
 def _rows(cols, count):
@@ -166,8 +191,7 @@ def q(n, v, t):
     t = 0 is the inclusion as the upper hemisphere's equator-preserving
     copy, t = 1 lands in the reflected (lower) hemisphere.
     """
-    w = check_disk(v, n).tolist()
-    return np.array(w[:-1] + _suspend(w[-1], t, FLOAT_OPS))
+    return np.array(_chart_form("q", n)(*_disk_floats(v, n), t))
 
 
 def Q(n, t):
@@ -179,7 +203,7 @@ def Q(n, t):
     t = _floats(t)
     if len(t) != n:
         raise DomainError(f"expected {n} cube coordinates, got {len(t)}")
-    return np.array(_Q(t, FLOAT_OPS))
+    return np.array(_chart_form("Q", n)(*t))
 
 
 def gen_plot(n, x):
@@ -200,7 +224,7 @@ def section(n, w):
     vanishes exactly the remaining slots are 0, a fixed fiber representative
     at the poles.  Q(n, section(n, w)) == w within 1e-10 for n <= 3.
     """
-    return np.array(_section(n, check_disk(w, n).tolist(), FLOAT_OPS))
+    return np.array(_chart_form("section", n)(*_disk_floats(w, n)))
 
 
 def include_j(n, v):
@@ -216,7 +240,7 @@ def include_k(n, w):
 
     Agrees exactly with q(n, w, 0).
     """
-    return np.array(check_disk(w, n).tolist() + [0.0])
+    return np.array(_disk_floats(w, n) + [0.0])
 
 
 def reflect(n, w):
@@ -232,7 +256,7 @@ def retract(n, w):
     Q(n+1, t) splits the last coordinate x >= 0 of Q(n, t[:n]) into
     (x cos(pi t_n), x sin(pi t_n)); the retraction folds that pair back.
     """
-    return np.array(_retract(check_disk(w, n + 1).tolist(), FLOAT_OPS))
+    return np.array(_chart_form("retract", n + 1)(*_disk_floats(w, n + 1)))
 
 
 def random_disk(n, rng):
@@ -267,10 +291,10 @@ def retract_homotopy(n, w, s):
     s = 0 returns w; s = 1 returns include_k(n, retract(n, w)).  The
     lambda reparameterization makes the track stationary near both ends.
     """
-    w = check_disk(w, n + 1).tolist()
+    w = _disk_floats(w, n + 1)
     t_n = math.atan2(abs(w[-1]), w[-2]) / math.pi  # section's last slot
-    *v, x = _retract(w, FLOAT_OPS)
-    return np.array(v + _suspend(x, t_n * (1.0 - lambda_fn(s)), FLOAT_OPS))
+    v = _chart_form("retract", n + 1)(*w)
+    return np.array(_chart_form("q", n)(*v, t_n * (1.0 - lambda_fn(s))))
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,17 @@ file raises InstanceError there and never a TypeError deep in the lifting.
 What the file fixes is worked out once, at load: each expression becomes
 one straight-line function, an assignment per node in the order the
 definition evaluates them (a fold of n arguments is n - 1 infix steps),
-compiled once and run over a float table and an array table that bind
-its unary functions and constants by name, and each complex gets one
-position table, the positions of its 0-cells and of the ends of its
-1-cells and of the edges its 2-cells wrap.  Evaluation computes only
-what depends on the point, in the order the definitions state, so every
-value keeps its bits.
+compiled once per source (smoothfn's ``compiled``) and run over a float
+table and an array table that bind its unary functions and constants by
+name, and each complex gets one position table, the positions of its
+0-cells and of the ends of its 1-cells and of the edges its 2-cells wrap.
+The position map's point body is traced once per cell dimension into one
+float function that takes those ends as arguments.  Evaluation computes
+only what depends on the point, in the order the definitions state, so
+every value keeps its bits.
 """
 
+import functools
 import json
 import math
 import operator
@@ -34,9 +37,9 @@ import sys
 
 import numpy as np
 
-from .smoothfn import (ARRAY_OPS, FLOAT_OPS, gamma, gamma_batch, lambda_fn, lambda_fn_batch, xi,
-                       xi_batch)
-from .diskmodel import DomainError, Q, _Q, _section, check_disk, check_disk_batch, section
+from .smoothfn import (ARRAY_OPS, FLOAT_OPS, TRACE_OPS, compiled, gamma, gamma_batch, lambda_fn,
+                       lambda_fn_batch, straight_line, xi, xi_batch)
+from .diskmodel import DomainError, Q, _disk_floats, _Q, _section, check_disk_batch, section
 from .cellcomplex import BOUNDARY_TOL, CellComplex, ComplexPoint
 from .lifting import (ChepRows, ExtendRows, TrivialProductFibration, point_fibration,
                       product_fibration)
@@ -150,7 +153,7 @@ def _compile(node, nvars, field):
     lines, consts = [], []
     out = _emit(node, nvars, lines, consts, {})
     body = "".join(f"    {line}\n" for line in lines + [f"return {out}"])
-    code = compile(f"def expression(u):\n{body}", f"<{field}>", "exec")
+    code = compiled(f"def expression(u):\n{body}", f"<{field}>")
     forms = []
     for rows, table in enumerate(_TABLES):
         namespace = dict(table, **{f"c{i}": np.full(1, c) if rows else c
@@ -251,7 +254,7 @@ def _attach_target(t, cx):
 
 def _wrap_slot(u0, u1, ops):
     """The slot |atan2(u1, u0)|/pi of the edge point the wrap sends (u0, u1) to."""
-    return abs(ops.atan2(u1, u0)) / math.pi
+    return abs(ops.atan2(u1, u0)) / ops.pi
 
 
 def complex_from_json(desc):
@@ -315,6 +318,32 @@ def _fibration(desc, kinds, what):
     return build(_keys(desc, keys, f"{kind} {what}"))
 
 
+def _edge_position(dim, w, pos_at, neg_at, ops, slot):
+    """The position at the checked columns w of a point of a 1-cell, or of a
+    2-cell wrapped on one, whose ends sit at pos_at and neg_at; slot(e) is
+    section's slot at the columns e of an edge point."""
+    if dim == 2:
+        pole = ops.hypot(w[0], w[1]) < 1e-12
+        w = _Q([_wrap_slot(w[0], w[1], ops)], ops)
+    s = slot(w)
+    at = ops.where(abs(w[1]) <= BOUNDARY_TOL, ops.where(w[0] > 0, pos_at, neg_at),
+                   (1.0 - s) * pos_at + s * neg_at)
+    return at if dim == 1 else ops.where(pole, pos_at, at)
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_form(dim):
+    """_edge_position on a point's dim + 1 floats and its two ends, as one
+    straight-line function; its slot is a call, passed at each call."""
+    return straight_line(lambda x, slot: _edge_position(dim, x[:-2], *x[-2:], TRACE_OPS, slot),
+                         dim + 3, ("slot",), name=f"chain_position {dim}")
+
+
+def _section_slot(e):
+    """The slot of section(1, e): the point map's slot of an edge point."""
+    return float(section(1, e)[0])
+
+
 def chain_position(cx):
     """The scalar position map x -> float of a chain-shaped complex.
 
@@ -332,38 +361,34 @@ def chain_position(cx):
     ``rows(cell, w)`` is the position of every row of the (N, dim+1) array
     w of points of one cell, and ``rows(-1, payloads)`` that of N base
     points; its DomainError names the first bad row.  The point map and
-    ``rows`` run one body, on a point's floats (FLOAT_OPS) or on columns of
-    rows (ARRAY_OPS), so a 2-cell row may differ in the last bit.
+    ``rows`` run one body, ``_edge_position``: on a point's floats, compiled
+    once per cell dimension with the ends as arguments (``_edge_form``), or
+    on columns of rows (ARRAY_OPS), so a 2-cell row may differ in the last
+    bit.
     """
     table = []    # per cell: its position, or the positions of its edge's ends
 
-    def body(cell, w, ops, slot):
-        """The position at the checked columns w of a point of cell (-1: base)."""
-        if cell == -1:
-            if cx.base is None:
-                raise DomainError("a base point, but the complex has no base")
-            return 0.0
-        dim, ends = cx.cells[cell].dim, table[cell]
-        if dim == 0:
-            return ends
-        if dim == 2:
-            pole = ops.hypot(w[0], w[1]) < 1e-12
-            w = _Q([_wrap_slot(w[0], w[1], ops)], ops)
-        s, (pos_at, neg_at) = slot(w), ends
-        at = ops.where(abs(w[1]) <= BOUNDARY_TOL, ops.where(w[0] > 0, pos_at, neg_at),
-                       (1.0 - s) * pos_at + s * neg_at)
-        return at if dim == 1 else ops.where(pole, pos_at, at)
+    def base():
+        if cx.base is None:
+            raise DomainError("a base point, but the complex has no base")
+        return 0.0
 
     def position(x):
         if x.kind == "base":
-            return body(-1, None, FLOAT_OPS, None)
-        dim = cx.cell(x.cell).dim
-        w = x.point if dim == 1 else check_disk(x.point, dim)  # section checks a 1-cell point
-        return body(x.cell, w.tolist(), FLOAT_OPS, lambda e: float(section(1, e)[0]))
+            return base()
+        dim, ends = cx.cell(x.cell).dim, table[x.cell]
+        w = _disk_floats(x.point, dim)
+        return ends if dim == 0 else _edge_form(dim)(*w, *ends, _section_slot)
 
     def position_rows(cell, w):
-        cols = None if cell == -1 else list(check_disk_batch(w, cx.cell(cell).dim).T)
-        return np.full(len(w), body(cell, cols, ARRAY_OPS, lambda e: _section(1, e, ARRAY_OPS)[0]))
+        if cell == -1:
+            return np.full(len(w), base())
+        dim, ends = cx.cell(cell).dim, table[cell]
+        cols = list(check_disk_batch(w, dim).T)
+        if dim > 0:
+            ends = _edge_position(dim, cols, *ends, ARRAY_OPS,
+                                  lambda e: _section(1, e, ARRAY_OPS)[0])
+        return np.full(len(w), ends)
 
     position.rows = position_rows
     for i, cell in enumerate(cx.cells):

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .smoothfn import ARRAY_OPS, FLOAT_OPS, lambda_fn, lambda_fn_batch
-from .diskmodel import (Q, Q_batch, DomainError, _rows, check_disk_batch, include_k, max_dev,
-                        reflect, retract, retract_batch, section, section_batch)
+from .diskmodel import (Q, Q_batch, DomainError, _rows, check_disk_batch, include_j, include_k,
+                        max_dev, reflect, retract, retract_batch, section, section_batch)
 from .subdivision import L_TOL, CylPoint, in_L, psi, psi_batch, psi_inv, psi_inv_batch
 from .cellcomplex import BOUNDARY_TOL, ComplexPoint
 from .homotopy import Homotopy
@@ -415,7 +415,8 @@ def _extend_cell(g, complex_, beta, bottom, rows, below):
     lift_below, lift_locus_below = below
 
     def top(v):
-        return lift_below(cell.attach(np.asarray(v, dtype=float)))
+        # a point of the boundary sphere, checked as top_rows checks its rows
+        return lift_below(cell.attach(include_j(cell.dim, v)[:-1]))
 
     def square_bottom(w):
         return bottom(complex_.canonicalize(ComplexPoint.in_cell(beta, w)))

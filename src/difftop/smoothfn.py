@@ -11,6 +11,12 @@ The three profiles built here drive everything else in the package:
   identity near 0 and 1, fixes 1/3 and 2/3 while flattening every
   derivative there, and commutes with the reflection s -> 1-s.
 
+Formulas written once over coordinate columns take an ops table: FLOAT_OPS
+for floats, ARRAY_OPS for (N,) arrays, and TRACE_OPS, which records the
+operations of one run so that ``straight_line`` compiles them into one
+float function (the float entry points of diskmodel, subdivision and
+instances call such functions).
+
 ``smoothness_check`` is the numerical surrogate for smoothness claims:
 it estimates derivatives by central and one-sided finite differences on a
 shrinking step ladder with Richardson extrapolation, and reports whether
@@ -270,9 +276,10 @@ def xi_inv_batch(y):
     return out
 
 
-# The two backends of a formula written once over coordinate columns (floats,
-# or (N,) arrays): where(c, a, b) is a if c else b, both evaluated on every row
-# of an array; pick(table, k, x, y) is table[k](x, y).  Shared code never asks.
+# The backends of a formula written once over coordinate columns (floats, or
+# (N,) arrays, or traced values below): where(c, a, b) is a if c else b, both
+# evaluated on every row of an array; pick(table, k, x, y) is table[k](x, y);
+# pi is math.pi in every table.  Shared code never asks which table it has.
 
 def _pick_rows(table, k, x, y):
     """table[k[i]](x[i], y[i]) for every entry i of the arrays, as two arrays."""
@@ -287,12 +294,107 @@ FLOAT_OPS = SimpleNamespace(
     cos=math.cos, sin=math.sin, atan2=math.atan2, sqrt=math.sqrt, hypot=math.hypot, all=bool,
     log=math.log, log1p=math.log1p, exp=math.exp, where=lambda c, a, b: a if c else b,
     clip01=lambda x: min(1.0, max(0.0, x)), pick=lambda table, k, x, y: table[k](x, y),
-    lambda_fn=lambda_fn, lambda_inv=lambda_inv)
+    lambda_fn=lambda_fn, lambda_inv=lambda_inv, pi=math.pi)
 ARRAY_OPS = SimpleNamespace(
     cos=np.cos, sin=np.sin, atan2=np.arctan2, sqrt=np.sqrt, hypot=np.hypot,
     log=np.log, log1p=np.log1p, exp=np.exp, all=np.all, where=np.where,
     clip01=lambda x: np.clip(x, 0.0, 1.0), pick=_pick_rows,
-    lambda_fn=lambda_fn_batch, lambda_inv=lambda_inv_batch)
+    lambda_fn=lambda_fn_batch, lambda_inv=lambda_inv_batch, pi=math.pi)
+
+
+# The third backend, TRACE_OPS, records instead of computing: a value is the
+# name of the line of its tape that computes it, and lines come in the order
+# the body evaluates.  ``straight_line`` runs a body once on traced arguments
+# and compiles its tape into one function of floats that calls FLOAT_OPS's
+# functions by name, so it gives the body's bits on FLOAT_OPS.  A traced value
+# in a Python condition raises TypeError, so a body that branches on its data
+# never compiles; a table entry of ``pick`` and a callable argument stay
+# calls, made when the function runs.
+
+@functools.lru_cache(maxsize=256)
+def compiled(source, filename):
+    """The code object of source, compiled once per source and file name."""
+    return compile(source, filename, "exec")
+
+
+def _src(v):
+    """The source of a traced value, a finite constant, or a list of them."""
+    if isinstance(v, (list, tuple)):
+        return f"[{', '.join(map(_src, v))}]"
+    if isinstance(v, _Traced):
+        return v.name
+    if type(v) in (bool, int, float) and math.isfinite(v):
+        return f"({v!r})"  # repr keeps every bit of a float, -0.0 too
+    raise TypeError(f"cannot trace the constant {v!r}")
+
+
+def _emit(tape, expr, count=1):
+    """Add the line ``t<j> = expr`` to tape (a dict from each line's names to its
+    expression, and from ``pick``'s names to its tables); its value or values."""
+    names = [f"t{len(tape)}"] if count == 1 else [f"t{len(tape)}_{i}" for i in range(count)]
+    tape[", ".join(names)] = expr
+    out = [_Traced(tape, name) for name in names]
+    return out if count > 1 else out[0]
+
+
+class _Traced:
+    """A value of TRACE_OPS, the name of a line of ``tape``, or a function
+    of FLOAT_OPS (``tape`` None) that records on its arguments' tape."""
+    __slots__ = ("tape", "name")
+
+    def __init__(self, tape, name):
+        self.tape, self.name = tape, name
+
+    def __bool__(self):
+        raise TypeError("a traced value has no truth value: the body branches on its data")
+
+    def __call__(self, *args):
+        tapes = [a.tape for a in (self, *args) if isinstance(a, _Traced) and a.tape is not None]
+        if not tapes:  # a table function of constants: the value itself
+            return getattr(FLOAT_OPS, self.name)(*args)
+        return _emit(tapes[0], f"{self.name}({', '.join(map(_src, args))})")
+
+
+def _op(form):
+    return lambda *args: _emit(args[0].tape, form.format(*map(_src, args)))
+
+
+_Traced.__neg__, _Traced.__abs__ = _op("-{0}"), _op("abs({0})")
+for _symbol, _name in zip("+ - * / ** & | ^ < <= > >= == !=".split(),
+                          "add sub mul truediv pow and or xor lt le gt ge eq ne".split()):
+    setattr(_Traced, f"__{_name}__", _op(f"{{0}} {_symbol} {{1}}"))
+    if _symbol[0] not in "<>=!":  # Python mirrors a comparison: 0.0 < t asks t > 0.0
+        setattr(_Traced, f"__r{_name}__", _op(f"{{1}} {_symbol} {{0}}"))
+
+
+def _traced_pick(table, k, x, y):
+    if not isinstance(k, _Traced):
+        return table[k](x, y)
+    name = f"table{len(k.tape)}"
+    k.tape[name] = table
+    return _emit(k.tape, f"{name}[{k.name}]({_src(x)}, {_src(y)})", count=2)
+
+
+TRACE_OPS = SimpleNamespace(
+    **{name: _Traced(None, name) for name in ("cos", "sin", "atan2", "sqrt", "hypot", "log",
+                                              "log1p", "exp", "clip01", "lambda_fn", "lambda_inv")},
+    where=lambda c, a, b: _op("{1} if {0} else {2}")(c, a, b) if isinstance(c, _Traced) else (
+        a if c else b),
+    all=bool, pick=_traced_pick, pi=math.pi)
+
+
+def straight_line(body, size, fns=(), name="body"):
+    """body(x, *fns) on floats, compiled to one function of x_0..x_{size-1}, *fns:
+    the body runs once on traced arguments; it returns a value or nested lists
+    or tuples of values (the function, lists).  Its file name is ``<name>``."""
+    tape, args = {}, [f"x{i}" for i in range(size)] + list(fns)
+    out = _src(body([_Traced(tape, a) for a in args[:size]], *(_Traced(tape, f) for f in fns)))
+    lines = "".join(f"    {k} = {v}\n" for k, v in tape.items() if isinstance(v, str))
+    namespace = {"__builtins__": {}, "abs": abs, **vars(FLOAT_OPS),
+                 **{k: v for k, v in tape.items() if not isinstance(v, str)}}
+    source = f"def form({', '.join(args)}):\n{lines}    return {out}\n"
+    exec(compiled(source, f"<{name}>"), namespace)
+    return namespace.pop("form")
 
 
 # ---------------------------------------------------------------------------

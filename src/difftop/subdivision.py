@@ -32,17 +32,21 @@ psi picks its branch by PHI_BRANCHES[phi_branch(s)], psi_inv by
 PHI_INVERSES[target_region(a, b)], each written once over coordinate
 columns (``_psi``, ``_psi_inv``).  The array entry points psi_batch and
 psi_inv_batch run them on N points at once, as rows, with one mask per
-branch, and agree with psi and psi_inv row by row.
+branch, and agree with psi and psi_inv row by row.  psi and psi_inv run
+one straight-line float function per dimension (``_psi_form``), traced
+from section followed by ``_psi`` or ``_psi_inv`` on smoothfn's
+TRACE_OPS; the wrinkle, xi or xi_inv, stays a call, passed at each call.
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
 
-from .smoothfn import (ARRAY_OPS, FLOAT_OPS, lambda_fn, lambda_inv, xi, xi_batch, xi_inv,
-                       xi_inv_batch)
-from .diskmodel import (DomainError, Q, _Q, _rows, _section, check_disk, q, section,
-                        section_batch)
+from .smoothfn import (ARRAY_OPS, TRACE_OPS, lambda_fn, lambda_inv, straight_line, xi, xi_batch,
+                       xi_inv, xi_inv_batch)
+from .diskmodel import (DomainError, Q, _disk_floats, _Q, _rows, _section, check_disk, q,
+                        section, section_batch)
 
 __all__ = [
     "CylPoint", "source_point", "PHI_BRANCHES", "phi_branch", "target_walls",
@@ -158,7 +162,7 @@ def _psi(n, c, ops, wrinkle):
     if n == 0:
         return [1.0], c[0]
     s, t = ops.lambda_inv(c[n - 1]), ops.lambda_inv(c[n])
-    s = wrinkle(s) if wrinkle else s
+    s = s if wrinkle is None else wrinkle(s)
     a, b = ops.pick(PHI_BRANCHES, phi_branch(s), s, t)
     return _Q(c[:n - 1] + [ops.lambda_fn(a)], ops), ops.lambda_fn(b)
 
@@ -171,8 +175,22 @@ def _psi_inv(n, e, y, ops, wrinkle):
     a, b = ops.lambda_inv(e[n - 1]), ops.lambda_inv(y)
     s, t = ops.pick(PHI_INVERSES, target_region(a, b), a, b)
     s, t = ops.clip01(s), ops.clip01(t)
-    s = wrinkle(s) if wrinkle else s
+    s = s if wrinkle is None else wrinkle(s)
     return _Q(e[:n - 1] + [ops.lambda_fn(s), ops.lambda_fn(t)], ops)
+
+
+@functools.lru_cache(maxsize=None)
+def _psi_form(n, inverse, wrinkle):
+    """psi (inverse: psi_inv) in dimension n as one straight-line function of
+    the n + 2 floats of its point (inverse: the disk's, then the time) and
+    the profile ``wrinkle`` it calls, unless wrinkle is False."""
+    def body(x, fn):
+        fn = fn if wrinkle else None
+        if inverse:
+            return _psi_inv(n, _section(n, x[:-1], TRACE_OPS), x[-1], TRACE_OPS, fn)
+        return _psi(n, _section(n + 1, x, TRACE_OPS), TRACE_OPS, fn)
+    return straight_line(body, n + 2, ("wrinkle",),
+                         name=f"psi{'_inv' * inverse} {n}{'' if wrinkle else ' unwrinkled'}")
 
 
 def psi(n, w, wrinkle=True):
@@ -183,8 +201,7 @@ def psi(n, w, wrinkle=True):
     skips the reparameterization and exposes the raw piecewise chart at
     point level -- the negative control for the seam smoothness checks.
     """
-    c = _section(n + 1, check_disk(w, n + 1).tolist(), FLOAT_OPS)
-    disk, time = _psi(n, c, FLOAT_OPS, xi if wrinkle else None)
+    disk, time = _psi_form(n, False, bool(wrinkle))(*_disk_floats(w, n + 1), xi)
     return CylPoint(np.array(disk), time)
 
 
@@ -195,11 +212,11 @@ def psi_inv(n, cyl, wrinkle=True):
     the matching phi branch by PHI_INVERSES, undoes the wrinkle by
     xi_inv, and reassembles through the canonical chart.
     """
-    e = _section(n, check_disk(cyl[0], n).tolist(), FLOAT_OPS)
+    e = _disk_floats(cyl[0], n)
     y = float(cyl[1])
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"time {y!r} outside [0,1]")
-    return np.array(_psi_inv(n, e, y, FLOAT_OPS, xi_inv if wrinkle else None))
+    return np.array(_psi_form(n, True, bool(wrinkle))(*e, y, xi_inv))
 
 
 def psi_batch(n, w):

@@ -10,7 +10,7 @@ from difftop.diskmodel import (
 )
 from difftop import diskmodel
 from difftop.smoothfn import lambda_fn, lambda_inv
-from difftop.subdivision import CylPoint
+from difftop.subdivision import CylPoint, psi, psi_inv
 
 RNG = np.random.default_rng(1234)
 
@@ -395,6 +395,8 @@ DISK_CHECKS = {
     "include_k": lambda w: include_k(2, w),
     "retract": lambda w: retract(1, w),
     "retract_homotopy": lambda w: retract_homotopy(1, w, 0.5),
+    "psi": lambda w: psi(1, w),
+    "psi_inv": lambda w: psi_inv(2, CylPoint(w, 0.5)),
 }
 SPHERE_CHECKS = {"check_sphere": check_sphere, "include_j": lambda v: include_j(3, v)}
 

@@ -823,6 +823,30 @@ def test_the_array_form_needs_rows_and_the_oracles_array_method():
     assert built == []
 
 
+def test_an_off_sphere_boundary_point_raises_in_both_forms():
+    """extend_lift's scalar top checks the boundary point an oracle hands
+    it, as top_rows checks its rows: an oracle that scales that point off
+    the sphere gets DomainError from both forms, not a lift."""
+    inst, _ = bundled_extend_instance()
+    g = inst.oracle
+
+    class Scaling:
+        project = g.project
+
+        def lift_j(self, n, top, square_bottom):
+            return g.lift_j(n, top and (lambda v: top(2.0 * np.asarray(v))), square_bottom)
+
+        def lift_j_rows(self, n, top, square_bottom):
+            return g.lift_j_rows(n, top and (lambda v: top(2.0 * v)), square_bottom)
+
+    lift = extend_lift(Scaling(), inst.complex, inst.f, inst.bottom, rows=inst.rows())
+    w = np.array([0.6, 0.8])
+    with pytest.raises(DomainError, match=r"^\|point\| = 2\.0 is not 1"):
+        lift(ComplexPoint.in_cell(1, w))
+    with pytest.raises(DomainError, match=r"^row 0: \|point\| = 2\.0 is not 1"):
+        lift.rows(1, w[None])
+
+
 def _slice_off_L(psi_batch_):
     """A broken psi that sends hemisphere slice points (last coordinate 0)
     with a positive first coordinate to (0.6, 0, ..., 0.8) at time 0.5: a
