@@ -56,7 +56,7 @@ class Parameterization:
         return len(self.lo)
 
     def __call__(self, u):
-        return self.fn(np.atleast_1d(np.asarray(u, dtype=float)))
+        return self.fn(_as_vector(u))
 
     def admits(self, p):
         """Whether ``valid`` accepts the image point p; True without a filter."""
@@ -102,7 +102,7 @@ WINDOW = 5.0
 
 
 def _as_vector(p):
-    return np.atleast_1d(np.asarray(p, dtype=float))
+    return np.array(p, dtype=float, ndmin=1)
 
 
 def euclidean(n):
@@ -358,9 +358,6 @@ def smooth_check(f, config=None):
                 d = rng.standard_normal(gen.dim)
                 dirs.append(d / np.linalg.norm(d))
 
-            def composite(u_):
-                return f.target.flatten(f.fn(gen.fn(u_)))
-
             try:
                 y = f.fn(gen.fn(u))
                 y_flat = f.target.flatten(y)
@@ -371,6 +368,14 @@ def smooth_check(f, config=None):
 
             if len(y_flat) == 0:
                 dirs = []  # a map into a point has nothing to differentiate
+            # a one-coordinate image is probed as a float: the check gives it
+            # the bits of its one-element array at less cost
+            one = len(y_flat) == 1
+
+            def composite(u_):
+                p = f.target.flatten(f.fn(gen.fn(u_)))
+                return p.item() if one else p
+
             for d in dirs:
                 rep = smoothness_check(lambda s, d=d: composite(u + s * d), 0.0,
                                        _LINE_ORDER)
@@ -442,7 +447,7 @@ def d_topology_open_sample(X, set_membership, probes=None):
     for gi, gen in enumerate(X.generators):
         if gen.dim == 0:
             continue
-        explicit = [np.atleast_1d(np.asarray(u, dtype=float)) for u in (probes or [])]
+        explicit = [_as_vector(u) for u in (probes or [])]
         explicit = [u for u in explicit if len(u) == gen.dim and set_membership(gen(u))]
         sampled = [u for u in gen.sample(rng, 4 * _PROBES_PER_GENERATOR)
                    if set_membership(gen(u))][:_PROBES_PER_GENERATOR]

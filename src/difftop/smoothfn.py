@@ -451,22 +451,26 @@ _MAX_ORDER = 6
 
 @functools.lru_cache(maxsize=None)
 def _plan(order):
-    """The step ladder of one derivative order, compiled to (offsets, matrix).
+    """The step ladders of orders 1..order, compiled to what a check reads.
 
-    ``offsets`` are the distinct nodes of all sides and FD_LEVELS levels in
-    finest steps, ordered by the lowest order that needs them (so each
-    order's nodes are a prefix of the next order's), then by distance from
-    x.  For the central, left and right stencil in turn, ``matrix`` maps
-    node values to the entries after the first of that side's
-    Neville/Richardson table, with 1/h**order folded in, then to their
-    error terms: the distance to the left neighbour in the previous column,
-    the larger disagreement, as t - col[i-1] = fac * (t - col[i]), fac >= 4.
+    Returns (offsets, matrix, steps, sizes, matrices).  ``offsets`` are the
+    distinct nodes of all sides and FD_LEVELS levels in finest steps,
+    ordered by the lowest order that needs them (so each order's nodes are a
+    prefix of the next order's), then by distance from x; ``steps`` are
+    the same nodes as argument steps m h, with h the finest step.  For the
+    central, left and right stencil in turn, ``matrix`` maps node values to
+    the entries after the first of that side's Neville/Richardson table,
+    with 1/h**order folded in, then to their error terms: the distance to
+    the left neighbour in the previous column, the larger disagreement, as
+    t - col[i-1] = fac * (t - col[i]), fac >= 4.  ``sizes`` and
+    ``matrices`` hold the node count and the matrix of each order 1..order,
+    so a check reads one plan and builds nothing.
     """
     shift = FD_LEVELS - 1  # the finest step is FD_STEP / 2**shift
     used = {o << (shift - level) for o in range(-order - 1, order + 2)
             for level in range(FD_LEVELS)}
-    lower = _plan(order - 1)[0] if order > 1 else ()
-    offsets = lower + tuple(sorted(used.difference(lower), key=lambda m: (abs(m), m)))
+    lower = _plan(order - 1) if order > 1 else ((), None, (), (), ())
+    offsets = lower[0] + tuple(sorted(used.difference(lower[0]), key=lambda m: (abs(m), m)))
     column = {m: i for i, m in enumerate(offsets)}
     rows = []
     for side in (0, -1, +1):
@@ -490,7 +494,9 @@ def _plan(order):
         rows += entries + errors
     matrix = np.array(rows)
     matrix.setflags(write=False)  # one array serves every caller
-    return offsets, matrix
+    h = FD_STEP * 0.5 ** shift
+    return (offsets, matrix, tuple(m * h for m in offsets),
+            lower[3] + (len(offsets),), lower[4] + (matrix,))
 
 
 @dataclass
@@ -531,12 +537,14 @@ def smoothness_check(f, point, max_order):
     inconclusive report never counts as passing.
 
     Per order, the Richardson tables of all three sides are one linear map
-    of the node values (``_plan``), and each side keeps its first entry of
-    least error.  All sides, orders and ladder levels share nodes, and each
-    distinct argument is evaluated once per check: an order-3 check calls f
-    at 25 arguments, an order-1 check at 13.  f must be a function of its
-    argument alone that returns a fresh value on each call; a call that
-    raises stores nothing.
+    of the node values, and each side keeps its first entry of least error.
+    All sides, orders and ladder levels share nodes, and each distinct
+    argument is evaluated once per check: an order-3 check calls f at 25
+    arguments, an order-1 check at 13.  A call does no set-up: it reads the
+    argument steps, node counts and matrices from one cached ``_plan`` and
+    makes one matrix-vector product per order and component.  f must be a
+    function of its argument alone that returns a fresh value on each call;
+    a call that raises stores nothing, and the next order asks again.
 
     f may return a float or a non-empty 1-D array; each component gets its
     own matrix-vector product, so a one-component array gets a float's
@@ -547,58 +555,56 @@ def smoothness_check(f, point, max_order):
     """
     if not 1 <= max_order <= _MAX_ORDER:
         raise ValueError(f"max_order {max_order} outside 1..{_MAX_ORDER}")
-    report = SmoothnessReport(point=float(point), max_order_tested=max_order,
-                              tolerance_used=FD_TOL)
-    h = FD_STEP * 0.5 ** (FD_LEVELS - 1)
-    args = [point + m * h for m in _plan(max_order)[0]]
+    _, matrix, steps, sizes, matrices = _plan(max_order)
+    args = [point + m for m in steps]
     distinct = len(args)  # args before the first that rounds onto an earlier one
     if len(set(args)) < distinct:
         distinct = next(i for i, t in enumerate(args) if t in args[:i])
-    values, evaluated = {}, []  # argument -> f(argument); orders with every node
-    for k in range(1, max_order + 1):
-        if len(_plan(k)[0]) > distinct:
+    values, evaluated = [], []  # f on a prefix of args; orders with every node
+    for k, size in enumerate(sizes, 1):
+        if size > distinct:
             break  # no resolution left at this order, nor at those above
-        try:  # values holds a prefix of args
-            for t in args[len(values):len(_plan(k)[0])]:
-                values[t] = f(t)
+        try:
+            for t in args[len(values):size]:
+                values.append(f(t))
         except Exception:
             continue
         evaluated.append(k)
-    if evaluated:
-        nodes = np.array([values[t] for t in args[:len(_plan(evaluated[-1])[0])]], dtype=float)
-        if nodes.ndim > 2 or nodes.size == 0:
-            raise ValueError(f"smoothness_check: f returned a value of shape {nodes.shape[1:]}, "
-                             "not a float or a non-empty 1-D array")
-        nodes = nodes.reshape(1, -1) if nodes.ndim == 1 else nodes.T.copy()  # (component, node)
-        width = 3 * len(nodes)  # (component, side) pairs of an order
-        table = np.empty((len(evaluated), len(nodes), len(_plan(max_order)[1])))
-        # every node has a nonzero coefficient, so a non-finite node value,
-        # like an overflow in the products, leaves a non-finite entry
-        with np.errstate(over="ignore", invalid="ignore"):
-            nodes = nodes - nodes[:, :1]  # rows annihilate constants: keep f(x) out
-            for k, out in zip(evaluated, table):
-                offsets, matrix = _plan(k)
-                for row, product in zip(nodes, out):
-                    np.dot(matrix, row[:len(offsets)], out=product)
-        finite = np.isfinite(table).all(axis=(1, 2)).tolist()
-        table = table.reshape(len(evaluated) * width, 2, -1)  # (order, component, side), block
-        errors = np.abs(table[:, 1])
-        pick = np.arange(len(table)), errors.argmin(axis=1)
-        best, best_err = table[:, 0][pick].tolist(), errors[pick].tolist()
-    for k in range(1, max_order + 1):
-        if k not in evaluated or not finite[evaluated.index(k)]:
-            report.verdicts[k] = "inconclusive"
+    report = SmoothnessReport(point=float(point), max_order_tested=max_order,
+                              tolerance_used=FD_TOL,
+                              verdicts=dict.fromkeys(range(1, max_order + 1), "inconclusive"))
+    if not evaluated:
+        return report
+    nodes = np.array(values[:sizes[evaluated[-1] - 1]], dtype=float)
+    if nodes.ndim > 2 or nodes.size == 0:
+        raise ValueError(f"smoothness_check: f returned a value of shape {nodes.shape[1:]}, "
+                         "not a float or a non-empty 1-D array")
+    # every node has a nonzero coefficient, so a non-finite node value, like
+    # an overflow in the products, leaves a non-finite entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (component, node), less f(x): the rows annihilate constants
+        rows = [nodes - nodes[0]] if nodes.ndim == 1 else nodes.T.copy() - nodes[:1].T
+        # one matrix-vector product (np.dot) per order and component
+        table = np.array([matrices[k - 1].dot(row[:sizes[k - 1]])
+                          for k in evaluated for row in rows])
+    width = len(rows)
+    finite = np.isfinite(table).all(axis=1).tolist()  # per (order, component)
+    # per (order, component, side): the entries, then their error terms
+    table = table.reshape(-1, 2, len(matrix) // 6)
+    least = np.abs(table[:, 1]).argmin(axis=1)
+    picks = table[np.arange(len(table)), :, least].tolist()  # [entry, signed error]
+    judged = []  # per (order, component): (failed, dev, component, central, left, right)
+    for at in range(0, len(picks), 3):
+        (central, _), (left, err_l), (right, err_r) = picks[at:at + 3]
+        dev = abs(left - right)
+        ok = dev <= FD_TOL * max(1.0, abs(left), abs(right)) + 2.0 * (abs(err_l) + abs(err_r))
+        judged.append((not ok, dev, at // 3 % width, central, left, right))
+    for i, k in enumerate(evaluated):
+        if not all(finite[i * width:(i + 1) * width]):
             continue
-        at = width * evaluated.index(k)
-        est, err = best[at:at + width], best_err[at:at + width]
-        rows = []  # (failed, dev, component, central, left, right)
-        for j in range(len(nodes)):
-            central, left, right = est[3 * j:3 * j + 3]
-            err_l, err_r = err[3 * j + 1:3 * j + 3]
-            dev = abs(left - right)
-            ok = dev <= FD_TOL * max(1.0, abs(left), abs(right)) + 2.0 * (err_l + err_r)
-            rows.append((not ok, dev, j, central, left, right))
-        failed, dev, j, central, left, right = max(rows, key=lambda r: r[:2])
+        block = judged[i * width:(i + 1) * width]
+        failed, dev, j, central, left, right = block[0] if width == 1 else max(
+            block, key=lambda r: r[:2])
         report.fd_estimates[k] = central
         report.side_estimates[k] = (left, right)
         report.deviations[k] = dev

@@ -156,6 +156,43 @@ def test_smooth_check_witness_names_the_kinked_coordinate():
     assert all(w["coord"] == 1 for w in kinks) and [0.0] in [w["u"] for w in kinks]
 
 
+@pytest.mark.parametrize("target,fn,coord", [
+    (R, lambda x: np.abs(x), 0),
+    (product(R, R), lambda x: (np.sin(x), np.abs(x)), 1),
+], ids=["abs", "product"])
+def test_smooth_check_records_keep_the_bits_of_the_array_composite(target, fn, coord):
+    # abs on R is probed on floats, the map into R x R on arrays; each
+    # failure record is what smoothness_check reports on the array-valued
+    # composite along the record's line
+    f = MapEvaluator(R, target, fn, "kinked")
+    rep = smooth_check(f, CFG)
+    kinks = [r["witness"] for r in rep.records if r["kind"] == "smoothness"]
+    assert not rep.passed and [0.0] in [w["u"] for w in kinks]
+    for w in kinks:
+        gen, u, d = R.generators[w["generator"]], np.array(w["u"]), np.array(w["direction"])
+        want = smoothness_check(lambda s: target.flatten(fn(gen.fn(u + s * d))), 0.0, 1)
+        assert w["coord"] == want.component[1] == coord
+        assert w["estimates"] == want.side_estimates
+        assert repr(w["estimates"]) == repr(want.side_estimates)
+
+
+def test_a_one_coordinate_image_is_probed_on_floats(monkeypatch):
+    # the lifted R -> I~ chart still passes, with one probe per sample
+    values = []
+
+    def recording(f, point, max_order):
+        values.append(f(point))
+        return smoothness_check(f, point, max_order)
+
+    monkeypatch.setattr(diffeology, "smoothness_check", recording)
+    assert smooth_check(MapEvaluator(R, ITILDE, lambda x: lambda_fn(_scalar(x)), "lam"),
+                        CFG).passed
+    assert len(values) == 11 and all(type(v) is float for v in values)
+    values.clear()
+    smooth_check(MapEvaluator(R, product(R, R), lambda x: (x, x), "diagonal"), CFG)
+    assert len(values) == 11 and all(v.shape == (2,) for v in values)
+
+
 def test_smooth_check_probes_axes_and_random_directions_only_above_one_dimension(
         monkeypatch):
     # 5 grid + 6 sampled parameters on R, 25 + 6 on R^2; R^1's only unit

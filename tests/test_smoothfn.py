@@ -344,18 +344,143 @@ def test_every_plan_entry_differentiates_polynomials(order):
     # each row of the map is exact on polynomials of degree <= order + 1:
     # a table entry gives d^order/dx^order of x^order/order! = 1 and of
     # lower powers 0, and every error term is 0
-    offsets, matrix = smoothfn._plan(order)
+    offsets, matrix, steps, sizes, matrices = smoothfn._plan(order)
     assert offsets[0] == 0 and len(set(offsets)) == len(offsets)
     # a non-finite node value then reaches some entry of the order's table
     assert np.all(np.abs(matrix).max(axis=0) > 0)
+    # the plan carries the orders below it, and the steps a check adds to x
+    assert sizes == tuple(len(smoothfn._plan(k)[0]) for k in range(1, order + 1))
+    assert all(m is smoothfn._plan(k)[1] for k, m in enumerate(matrices, 1))
+    assert matrices[-1] is matrix
     if order > 1:
         assert offsets[:len(smoothfn._plan(order - 1)[0])] == smoothfn._plan(order - 1)[0]
+    h = smoothfn.FD_STEP * 0.5 ** (smoothfn.FD_LEVELS - 1)
+    assert steps == tuple(m * h for m in offsets)
     x = np.array(offsets) * (smoothfn.FD_STEP / 2 ** (smoothfn.FD_LEVELS - 1))
     kinds = np.tile(np.repeat([1.0, 0.0], len(matrix) // 6), 3)  # entry or error row
     for degree in range(order + 2):
         v = x ** degree / math.factorial(degree)
         want = kinds if degree == order else 0.0
         assert np.all(np.abs(matrix @ v - want) <= 1e-12 * (np.abs(matrix) @ np.abs(v)) + 1e-12)
+
+
+def _pinned_check(f, point, max_order):
+    """smoothness_check's arithmetic spelled out one order at a time.
+
+    Each order's node values less the value at x, one ``np.dot`` of the
+    order's matrix per component, then per side the first entry of least
+    error; the verdict rule is the docstring's.  A report that matches this
+    one field for field keeps the bits of every estimate.
+    """
+    report = smoothfn.SmoothnessReport(point=float(point), max_order_tested=max_order,
+                                       tolerance_used=FD_TOL)
+    h = smoothfn.FD_STEP * 0.5 ** (smoothfn.FD_LEVELS - 1)
+    args = [point + m * h for m in smoothfn._plan(max_order)[0]]
+    distinct = next((i for i, t in enumerate(args) if t in args[:i]), len(args))
+    values = {}
+    for k in range(1, max_order + 1):
+        offsets, matrix = smoothfn._plan(k)[:2]
+        if len(offsets) > distinct:
+            report.verdicts.update({o: "inconclusive" for o in range(k, max_order + 1)})
+            break
+        try:
+            for t in args[:len(offsets)]:
+                if t not in values:
+                    values[t] = f(t)
+        except Exception:
+            report.verdicts[k] = "inconclusive"
+            continue
+        nodes = np.array([values[t] for t in args[:len(offsets)]], dtype=float)
+        nodes = nodes.reshape(1, -1) if nodes.ndim == 1 else nodes.T.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = nodes - nodes[:, :1]
+            table = np.array([np.dot(matrix, row) for row in nodes])
+        if not np.isfinite(table).all():
+            report.verdicts[k] = "inconclusive"
+            continue
+        rows = []
+        for j, out in enumerate(table):
+            picked = []
+            for entries, errors in out.reshape(3, 2, -1):  # central, left, right
+                i = int(np.argmin(np.abs(errors)))
+                picked.append((float(entries[i]), abs(float(errors[i]))))
+            (central, _), (left, err_l), (right, err_r) = picked
+            dev = abs(left - right)
+            ok = dev <= FD_TOL * max(1.0, abs(left), abs(right)) + 2.0 * (err_l + err_r)
+            rows.append((not ok, dev, j, central, left, right))
+        failed, dev, j, central, left, right = max(rows, key=lambda r: r[:2])
+        report.fd_estimates[k] = central
+        report.side_estimates[k] = (left, right)
+        report.deviations[k] = dev
+        report.component[k] = j
+        report.verdicts[k] = "fail" if failed else "pass"
+    return report
+
+
+def _assert_pinned(make, point):
+    """The check of a fresh ``make()`` matches the pinned one, at orders 1-3."""
+    for max_order in (1, 2, 3):
+        got = smoothness_check(make(), point, max_order)
+        want = _pinned_check(make(), point, max_order)
+        # repr spells each float's bits, so -0.0 differs from 0.0 there
+        assert got == want and repr(got) == repr(want), (point, max_order)
+
+
+def _forms(g):
+    """Factories of g as a float, a one-element array and the first of three components."""
+    return (lambda: g, lambda: lambda t: np.array([g(t)]),
+            lambda: lambda t: np.array([g(t), math.sin(3.0 * t), abs(t - 0.45)]))
+
+
+def test_reports_keep_the_bits_of_the_per_order_arithmetic():
+    # the flat ends and walls, a kink, and 200 seeded interior points each
+    cases = [(lambda_fn, 0.0), (lambda_fn, 1.0), (xi, 1.0 / 3.0), (xi, 2.0 / 3.0),
+             (lambda t: 0.01 * abs(t - 0.3) + lambda_fn(t), 0.3)]
+    rng = np.random.default_rng(29)
+    cases += [(g, float(p)) for g in (lambda_fn, xi) for p in rng.uniform(0.0, 1.0, 200)]
+    for g, p in cases:
+        for make in _forms(g):
+            _assert_pinned(make, p)
+
+
+def _raising_once(bad, form):
+    """A factory of one form of sin whose first call at ``bad`` raises."""
+    def make():
+        seen = []
+
+        def g(t):
+            if t == bad and not seen:
+                seen.append(t)
+                raise RuntimeError("first call fails")
+            return math.sin(t)
+
+        return _forms(g)[form]()
+
+    return make
+
+
+def test_inconclusive_reports_keep_the_bits_of_the_per_order_arithmetic():
+    # a node that raises on its first call only (x + 16 h is a node of every
+    # order, x + 64 h of order 3 alone), an inf node beyond the reach of
+    # order 2, and finite values near 1e300 whose tables overflow at some
+    # orders; warnings are errors in this suite
+    h = smoothfn.FD_STEP / 2 ** (smoothfn.FD_LEVELS - 1)
+    for point in (0.0, 0.25):
+        for bad in (point + 16 * h, point + 64 * h):
+            for form in range(3):
+                _assert_pinned(_raising_once(bad, form), point)
+        for make in _forms(lambda t, p=point: math.sin(t) if t <= p + 0.035 else math.inf):
+            _assert_pinned(make, point)
+        for scale in (1e300, 3e300, 1e303, 1e306):
+            for make in _forms(lambda t, s=scale: s * (1.0 + t) * (1.0 + 0.5 * t * t)):
+                _assert_pinned(make, point)
+    # kinks far from 0, where arguments start to round together
+    for x in (1e12, 2.0 ** 40, 1e13, -1e13, 1e14):
+        for make in _forms(lambda t, x=x: abs(t - x)):
+            _assert_pinned(make, x)
+    # the retried call leaves order 1 without a verdict and gives order 2 one
+    rep = smoothness_check(_raising_once(16 * h, 0)(), 0.0, 2)
+    assert rep.verdicts == {1: "inconclusive", 2: "pass"}
 
 
 # ---------------------------------------------------------------------------
