@@ -97,8 +97,8 @@ def check_disk(w, n):
 
 
 def _disk_floats(w, n):
-    """The coordinates of w as a list of floats, checked as check_disk checks."""
-    x = np.asarray(w, dtype=float).tolist()
+    """w's coordinates as a list of floats (a list without numpy), checked as check_disk checks."""
+    x = list(map(float, w)) if type(w) is list else np.asarray(w, dtype=float).tolist()
     if not (isinstance(x, list) and len(x) == n + 1 and abs(math.hypot(*x) - 1.0) <= POINT_TOL
             and x[-1] >= -POINT_TOL):
         check_disk(w, n)  # raises, with the message of the rule w breaks

@@ -24,9 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .smoothfn import ARRAY_OPS, FLOAT_OPS, lambda_fn, lambda_fn_batch
-from .diskmodel import (Q, Q_batch, DomainError, _rows, check_disk_batch, include_j, include_k,
-                        max_dev, reflect, retract, retract_batch, section, section_batch)
-from .subdivision import L_TOL, CylPoint, in_L, psi, psi_batch, psi_inv, psi_inv_batch
+from .diskmodel import (Q, Q_batch, DomainError, _disk_floats, _rows, check_disk_batch,
+                        check_sphere, include_j, max_dev, reflect, retract, retract_batch,
+                        section, section_batch)
+from .subdivision import L_TOL, _check_time, in_L, psi, psi_batch, psi_inv, psi_inv_batch
 from .cellcomplex import BOUNDARY_TOL, ComplexPoint
 from .homotopy import Homotopy
 
@@ -283,14 +284,13 @@ def _chep_descent(complex_, h, rows, lifts, lifts_rows):
     def H_eval(pt, t):
         cp = complex_.canonicalize(pt)
         if cp.kind == "base":
-            return h(cp.point, t)
-        return lifts[cp.cell](psi_inv(complex_.cells[cp.cell].dim,
-                                      CylPoint(cp.point, float(t))))
+            return h(cp.point, _check_time(float(t)))
+        return lifts[cp.cell](psi_inv(complex_.cells[cp.cell].dim, (cp.point, t)))
 
     def H_locus(cell, w, t):
         if cell < 0:
-            return rows.h(w, t)
-        return lifts_rows[cell](psi_inv_batch(complex_.cells[cell].dim, CylPoint(w, t)))
+            return rows.h(w, _check_time(t))
+        return lifts_rows[cell](psi_inv_batch(complex_.cells[cell].dim, (w, t)))
 
     return H_eval, H_locus
 
@@ -301,11 +301,11 @@ def _chep_cell(p, complex_, beta, f, k, rows, below):
     cell = complex_.cells[beta]
     H_below, H_locus_below = below
 
-    def charact(d):
-        return complex_.canonicalize(ComplexPoint.in_cell(beta, d))
+    def charact(d):  # d is psi's float array, as ComplexPoint.in_cell would make it
+        return complex_.canonicalize(ComplexPoint("cell", beta, d))
 
     def top(wd):
-        cyl = psi(cell.dim, include_k(cell.dim, wd))
+        cyl = psi(cell.dim, _disk_floats(wd, cell.dim) + [0.0])  # include_k's point
         d, tau = cyl
         # a slice outside L^n marks a defect in psi, not in the instance data
         if not in_L(cell.dim, cyl):
@@ -414,9 +414,9 @@ def _extend_cell(g, complex_, beta, bottom, rows, below):
     cell = complex_.cells[beta]
     lift_below, lift_locus_below = below
 
-    def top(v):
-        # a point of the boundary sphere, checked as top_rows checks its rows
-        return lift_below(cell.attach(include_j(cell.dim, v)[:-1]))
+    def top(v):  # a boundary sphere point, checked as include_j checks it (and raises)
+        v = check_sphere(v)
+        return lift_below(cell.attach(v if len(v) == cell.dim else include_j(cell.dim, v)))
 
     def square_bottom(w):
         return bottom(complex_.canonicalize(ComplexPoint.in_cell(beta, w)))

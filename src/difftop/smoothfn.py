@@ -26,6 +26,7 @@ reads the central estimates it reports (``fd_estimates``).
 
 import functools
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -59,8 +60,8 @@ def lambda_fn(t):
         return 0.0
     if t >= 1.0:
         return 1.0
-    g = gamma(t)
-    return g / (g + gamma(1.0 - t))
+    g = math.exp(-1.0 / float(t))  # gamma(t) and gamma(1 - t), both of positive arguments
+    return g / (g + math.exp(-1.0 / float(1.0 - t)))
 
 
 def _bisect_increasing(f, y, lo, hi):
@@ -309,7 +310,8 @@ ARRAY_OPS = SimpleNamespace(
 # functions by name, so it gives the body's bits on FLOAT_OPS.  A traced value
 # in a Python condition raises TypeError, so a body that branches on its data
 # never compiles; a table entry of ``pick`` and a callable argument stay
-# calls, made when the function runs.
+# calls, made when the function runs.  Unread lines (here float and bool
+# operators, which cannot raise) are dropped, and 1.0 * x emits x.
 
 @functools.lru_cache(maxsize=256)
 def compiled(source, filename):
@@ -356,7 +358,9 @@ class _Traced:
 
 
 def _op(form):
-    return lambda *args: _emit(args[0].tape, form.format(*map(_src, args)))
+    unit = 1.0 if " * " in form else None  # x * 1.0 and 1.0 * x are x, bit for bit
+    return lambda *args: args[0] if type(args[-1]) is float and args[-1] == unit else _emit(
+        args[0].tape, form.format(*map(_src, args)))
 
 
 _Traced.__neg__, _Traced.__abs__ = _op("-{0}"), _op("abs({0})")
@@ -389,7 +393,11 @@ def straight_line(body, size, fns=(), name="body"):
     or tuples of values (the function, lists).  Its file name is ``<name>``."""
     tape, args = {}, [f"x{i}" for i in range(size)] + list(fns)
     out = _src(body([_Traced(tape, a) for a in args[:size]], *(_Traced(tape, f) for f in fns)))
-    lines = "".join(f"    {k} = {v}\n" for k, v in tape.items() if isinstance(v, str))
+    read, lines = set(re.findall(r"\w+", out)), ""
+    for k, v in reversed(tape.items()):  # the lines that lead to the value
+        if isinstance(v, str) and read.intersection(k.split(", ")):
+            read.update(re.findall(r"\w+", v))
+            lines = f"    {k} = {v}\n" + lines
     namespace = {"__builtins__": {}, "abs": abs, **vars(FLOAT_OPS),
                  **{k: v for k, v in tape.items() if not isinstance(v, str)}}
     source = f"def form({', '.join(args)}):\n{lines}    return {out}\n"

@@ -65,6 +65,16 @@ class CylPoint(NamedTuple):
     time: float
 
 
+def _check_time(t):
+    """The float t, or the (N,) array t of the times of N rows, checked to lie in [0,1]."""
+    if isinstance(t, float) and not 0.0 <= t <= 1.0:
+        raise DomainError(f"time {t!r} outside [0,1]")
+    if isinstance(t, np.ndarray) and not (inside := (t >= 0.0) & (t <= 1.0)).all():
+        i = int(np.argmin(inside))
+        raise DomainError(f"row {i}: time {float(t[i])!r} outside [0,1]")
+    return t
+
+
 def _check_params(s, t):
     """Assert the chart parameters s and t lie in [0,1]."""
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
@@ -213,10 +223,7 @@ def psi_inv(n, cyl, wrinkle=True):
     xi_inv, and reassembles through the canonical chart.
     """
     e = _disk_floats(cyl[0], n)
-    y = float(cyl[1])
-    if not 0.0 <= y <= 1.0:
-        raise DomainError(f"time {y!r} outside [0,1]")
-    return np.array(_psi_form(n, True, bool(wrinkle))(*e, y, xi_inv))
+    return np.array(_psi_form(n, True, bool(wrinkle))(*e, _check_time(float(cyl[1])), xi_inv))
 
 
 def psi_batch(n, w):
@@ -239,11 +246,7 @@ def psi_inv_batch(n, cyl):
     y = np.asarray(cyl[1], dtype=float)
     if y.shape != (len(e),):
         raise DomainError(f"expected {len(e)} times, got an array of shape {y.shape}")
-    bad = ~((y >= 0.0) & (y <= 1.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(f"row {i}: time {float(y[i])!r} outside [0,1]")
-    return _rows(_psi_inv(n, list(e.T), y, ARRAY_OPS, xi_inv_batch), len(y))
+    return _rows(_psi_inv(n, list(e.T), _check_time(y), ARRAY_OPS, xi_inv_batch), len(y))
 
 
 def seam_curve(n, v, t, wrinkle=True):
@@ -270,7 +273,11 @@ L_TOL = 1e-8
 def in_L(n, cyl):
     """Membership in L^n: time 0, or disk component on the boundary sphere.
 
-    On a CylPoint of rows (see psi_batch) it gives one verdict per row.
+    On a CylPoint of rows (see psi_batch) it gives one verdict per row; on one point, a bool.
     """
-    disk = np.asarray(cyl[0], dtype=float)
-    return (cyl[1] <= L_TOL) | (np.abs(disk[..., -1]) <= L_TOL)
+    disk, time = cyl
+    if isinstance(time, np.ndarray):
+        last = np.asarray(disk, dtype=float)[..., -1]
+    else:
+        time, last = float(time), float(disk[-1])
+    return (time <= L_TOL) | (abs(last) <= L_TOL)

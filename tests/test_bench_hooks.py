@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from difftop import diffeology, lifting, subdivision
+from difftop import diffeology, instances, lifting, subdivision
+from difftop.cellcomplex import ComplexPoint
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,3 +48,20 @@ def test_chart_fd_smooth_check_config_builds():
                                        seed=1)
     for f, smooth in workloads._line_maps():
         assert diffeology.smooth_check(f, cfg).passed == smooth
+
+
+def test_a_scalar_lift_records_spans_at_every_patched_stage():
+    """One scalar H at a 1-cell point passes through lifting's psi and
+    psi_inv and instances' section as the module attributes the tracer
+    wraps: their spans are recorded, not only registered."""
+    tracing = _load("tracing")
+    tracer = tracing.Tracer().install()
+    try:
+        inst, _ = instances.bundled_chep_instance()
+        H = lifting.chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k)
+        H(ComplexPoint.in_cell(1, np.array([0.6, 0.8])), 0.5)
+    finally:
+        tracer.uninstall()
+    stats = tracer.layer_stats()
+    for name in ("subdivision.psi", "subdivision.psi_inv", "diskmodel.section", "lifting.H"):
+        assert stats[name][0] > 0, name

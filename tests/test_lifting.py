@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -22,7 +23,7 @@ from difftop.lifting import (
     point_fibration, product_fibration, rows_at_points,
 )
 from difftop.smoothfn import ARRAY_OPS, FLOAT_OPS, gamma, lambda_fn, xi
-from difftop.subdivision import L_TOL, CylPoint, psi_batch, psi_inv_batch
+from difftop.subdivision import L_TOL, CylPoint, psi_batch, psi_inv, psi_inv_batch
 from difftop.verify import TOL_LIFT
 
 RNG = np.random.default_rng(2024)
@@ -880,3 +881,184 @@ def test_a_slice_off_L_raises_in_both_forms(monkeypatch):
     with pytest.raises(LiftError, match=rf"^hemisphere slice left L\^n at cell 1, row {row}, "
                                         r"time 0\.5: disk "):
         H.rows(1, w, t)
+
+
+def _array_in_L(cyl):
+    """in_L as it decided one point on numpy scalars."""
+    disk = np.asarray(cyl[0], dtype=float)
+    return (cyl[1] <= L_TOL) | (np.abs(disk[..., -1]) <= L_TOL)
+
+
+def _pinned_chep(p, cx, f, h, k):
+    """A test copy of chep's scalar descent as each stage once built arrays:
+    the slice point through include_k into psi, the array in_L, and a
+    CylPoint into psi_inv.  It calls lifting's psi as the module holds it,
+    so a patched psi reaches it too."""
+    lifts = []
+
+    def H(pt, t):
+        cp = cx.canonicalize(pt)
+        if cp.kind == "base":
+            return h(cp.point, t)
+        return lifts[cp.cell](psi_inv(cx.cells[cp.cell].dim, CylPoint(cp.point, float(t))))
+
+    for beta, cell in enumerate(cx.cells):
+        def charact(d, beta=beta):
+            return cx.canonicalize(ComplexPoint.in_cell(beta, d))
+
+        def top(wd, beta=beta, cell=cell, charact=charact):
+            cyl = lifting.psi(cell.dim, include_k(cell.dim, wd))
+            d, tau = cyl
+            if not _array_in_L(cyl):
+                raise LiftError(f"hemisphere slice left L^n at cell {beta}: {cyl!r}")
+            if tau <= L_TOL:
+                return f(charact(d))
+            return H(cell.attach(np.array(_wall_point(d[:-1].tolist(), FLOAT_OPS))), tau)
+
+        def bottom(w, cell=cell, charact=charact):
+            d, tau = lifting.psi(cell.dim, w)
+            return k(charact(d), tau)
+
+        lifts.append(p.lift_k(cell.dim, top, bottom))
+    return H
+
+
+def _pinned_extend(g, cx, f, bottom):
+    """A test copy of extend_lift's scalar descent, whose top checked its
+    sphere point through include_j's array."""
+    lifts = []
+
+    def lift(pt):
+        cp = cx.canonicalize(pt)
+        return f(cp.point) if cp.kind == "base" else lifts[cp.cell](cp.point)
+
+    for beta, cell in enumerate(cx.cells):
+        def top(v, cell=cell):
+            return lift(cell.attach(include_j(cell.dim, v)[:-1]))
+
+        def square_bottom(w, beta=beta):
+            return bottom(cx.canonicalize(ComplexPoint.in_cell(beta, w)))
+
+        lifts.append(g.lift_j(cell.dim, top if cell.dim > 0 else None, square_bottom))
+    return lift
+
+
+def _exact(value):
+    """repr of value with every array as a list, so every bit shows."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_exact, value))})"
+    return repr(value.tolist() if isinstance(value, np.ndarray) else value)
+
+
+def _outcome(fn):
+    try:
+        return "value", _exact(fn())
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+
+
+def _unit(*v):
+    return (np.array(v) / np.linalg.norm(v)).tolist()
+
+
+# per cell dimension: wall points, poles, points near a wall (whose lift
+# descends through the cylinder's wall) and off-disk points
+PIN_POINTS = {
+    0: [[1.0], [2.0]],
+    1: [[1.0, 0.0], [-1.0, 0.0], [-1.0, 4e-10], [0.0, 1.0], [0.6, 0.8], [-0.8, 0.6],
+        _unit(0.8, 0.05), _unit(-0.6, 1e-3), [3.0, 4.0], [0.6, -0.8]],
+    2: [[0.0, 0.0, 1.0], [3e-13, -4e-13, 1.0], [0.6, -0.8, 0.0], [-1.0, 0.0, 0.0],
+        [0.48, 0.6, 0.64], [-0.36, 0.48, 0.8], _unit(0.6, -0.8, 0.05),
+        _unit(-0.28, 0.96, 1e-3), [5.0, 5.0, 5.0]],
+}
+PIN_TIMES = [0.0, 1e-8, 0.5, 1.0]
+
+
+def _pin_points(cx, rng):
+    points = [ComplexPoint.base(0.0)] if cx.base is not None else []
+    for i, cell in enumerate(cx.cells):
+        ws = PIN_POINTS[cell.dim] + list(random_disk_batch(cell.dim, 3, rng))
+        points += [ComplexPoint.in_cell(i, w) for w in ws]
+    return points
+
+
+def _pinned_instances():
+    """The bundled instances and the 0/1/2-cell chain of the lift-descent
+    benchmark, as (chep instance, extend instance) pairs."""
+    inst, chep_desc = bundled_chep_instance()
+    einst, ext_desc = bundled_extend_instance()
+    yield inst, einst
+    yield (chep_instance_from_json({**chep_desc, "complex": _chain_complex(2)}),
+           extend_instance_from_json({**ext_desc, "complex": _chain_complex(2)}))
+
+
+def test_the_scalar_descent_keeps_every_bit_and_error():
+    """H(x, t) and lift(x) equal a copy of the array stage chain bit for bit,
+    or raise the same exception with the same message: at wall points,
+    poles and off-disk points, at t in {0, 1e-8, 0.5, 1} and, at points
+    of an open cell, 1.5 (the base's own time check is newer than the copy)."""
+    rng = np.random.default_rng(30)
+    for inst, einst in _pinned_instances():
+        H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k)
+        ref = _pinned_chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k)
+        for x in _pin_points(inst.complex, rng):
+            on_cell = inst.complex.canonicalize(x).kind == "cell"
+            for t in PIN_TIMES + ([1.5] if on_cell else []):
+                assert _outcome(lambda: H(x, t)) == _outcome(lambda: ref(x, t)), (x, t)
+        lift = extend_lift(einst.oracle, einst.complex, einst.f, einst.bottom)
+        ref = _pinned_extend(einst.oracle, einst.complex, einst.f, einst.bottom)
+        for x in _pin_points(einst.complex, rng):
+            assert _outcome(lambda: lift(x)) == _outcome(lambda: ref(x)), x
+
+
+def test_the_scalar_descent_keeps_its_errors_under_broken_maps(monkeypatch):
+    """A psi whose slice leaves L^n, and an oracle that scales its boundary
+    points off the sphere or into the wrong dimension, raise the same
+    exception with the same message as the copy of the array stage chain."""
+    inst, _ = bundled_chep_instance()
+    broken = _slice_off_L(lifting.psi_batch)
+    monkeypatch.setattr(lifting, "psi", lambda n, w: CylPoint(*(a[0] for a in broken(n, w))))
+    H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k)
+    ref = _pinned_chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k)
+    rng = np.random.default_rng(31)
+    raised = 0
+    for x in _pin_points(inst.complex, rng):
+        for t in PIN_TIMES:
+            got = _outcome(lambda: H(x, t))
+            assert got == _outcome(lambda: ref(x, t)), (x, t)
+            raised += got[0] is LiftError
+    assert raised > 0
+    monkeypatch.undo()
+    einst, _ = bundled_extend_instance()
+    g = einst.oracle
+    for scale in (lambda v: 2.0 * np.asarray(v), lambda v: np.append(v, 0.0)):
+        class Broken:
+            project = g.project
+
+            def lift_j(self, n, top, square_bottom, scale=scale):
+                return g.lift_j(n, top and (lambda v: top(scale(v))), square_bottom)
+
+        lift = extend_lift(Broken(), einst.complex, einst.f, einst.bottom)
+        ref = _pinned_extend(Broken(), einst.complex, einst.f, einst.bottom)
+        outcomes = [_outcome(lambda: lift(x)) for x in _pin_points(einst.complex, rng)]
+        assert outcomes == [_outcome(lambda: ref(x)) for x in _pin_points(einst.complex, rng)]
+        assert any(kind is DomainError for kind, _ in outcomes)
+
+
+def test_a_base_time_outside_the_unit_interval_is_rejected():
+    """The base checks its time as a cell does, in both forms of H: a time
+    outside [0,1], or NaN, raises DomainError and never reaches h."""
+    inst, _ = bundled_chep_instance()
+    H = chep(inst.fibration, inst.complex, inst.f, inst.h, inst.k, rows=inst.rows())
+    base, edge = ComplexPoint.base(0.0), ComplexPoint.in_cell(1, np.array([0.6, 0.8]))
+    for t in (1.5, -1e-9, 1.0 + 2 ** -52, math.nan, math.inf):
+        for x in (base, edge):
+            with pytest.raises(DomainError, match=rf"^time {re.escape(repr(t))} outside \[0,1\]$"):
+                H(x, t)
+        with pytest.raises(DomainError, match=rf"^row 1: time {re.escape(repr(t))} outside"):
+            H.rows(-1, [0.0, 0.0], [0.5, t])
+        with pytest.raises(DomainError, match=rf"^row 0: time {re.escape(repr(t))} outside"):
+            H.rows(1, [[0.6, 0.8]], [t])
+    for t in (0.0, 1.0):
+        assert H(base, t) == inst.h(0.0, t)
+        assert H.rows(-1, [0.0], [t]).tolist() == [list(inst.h(0.0, t))]

@@ -9,6 +9,7 @@ the same exception type and message.  The draws hold poles whose tails are
 times outside [0,1].
 """
 
+import dis
 import math
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from difftop import subdivision
+from difftop import smoothfn, subdivision
 from difftop.diskmodel import _Q, _chart_form, _retract, _section, _suspend
 from difftop.instances import _edge_form, _edge_position, _section_slot
 from difftop.smoothfn import (FLOAT_OPS, TRACE_OPS, _blend_inverse, lambda_fn, straight_line, xi,
@@ -158,3 +159,36 @@ def test_forms_compile_on_first_use_not_at_import():
             "diskmodel.section(1, [0.6, 0.8])\n"
             "assert diskmodel._chart_form.cache_info().currsize == 1\n")
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def _loaded(code):
+    """The local names a code object reads."""
+    names = set()
+    for ins in dis.get_instructions(code):
+        if ins.opname.startswith("LOAD_FAST"):  # LOAD_FAST_LOAD_FAST reads a pair
+            names.update(ins.argval if isinstance(ins.argval, tuple) else [ins.argval])
+    return names
+
+
+@pytest.mark.parametrize("name, form", [f[:2] for f in FORMS], ids=[f[0] for f in FORMS])
+def test_every_line_of_a_form_is_read(name, form):
+    """A form assigns no name that nothing reads: unread lines are dropped."""
+    code = form().__code__
+    assert set(code.co_varnames[code.co_argcount:]) <= _loaded(code)
+
+
+def test_times_one_emits_its_operand_and_plus_zero_stays(monkeypatch):
+    """1.0 * x and x * 1.0 are x, bit for bit, and emit no product; 0.0 + x
+    turns -0.0 into 0.0, so it stays.  An unread line is dropped."""
+    sources = []
+    monkeypatch.setattr(smoothfn, "compiled",
+                        lambda source, filename: sources.append(source) or compile(
+                            source, filename, "exec"))
+    form = straight_line(lambda x: [1.0 * x[0], x[0] * 1.0, 0.0 + x[0], -x[0]], 1)
+    lines = sources[0].splitlines()[1:]
+    assert lines == ["    t0 = (0.0) + x0", "    t1 = -x0", "    return [x0, x0, t0, t1]"]
+    for v in (-0.0, 0.5, math.inf, math.nan):
+        assert _bits(form(v)) == _bits([1.0 * v, v * 1.0, 0.0 + v, -v])
+    form = straight_line(lambda x: [x[0] * 3.0, x[0] - 1.0][1:], 1)
+    assert sources[-1].splitlines()[1:] == ["    t1 = x0 - (1.0)", "    return [t1]"]
+    assert form(0.25) == [-0.75]

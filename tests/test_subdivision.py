@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from difftop.diskmodel import DomainError, include_k, q, random_disk, section
 from difftop.smoothfn import lambda_fn, lambda_inv, smoothness_check, xi
 from difftop.subdivision import (
-    PHI_BRANCHES, PHI_INVERSES, CylPoint, in_L, phi_branch, phi_map, psi, psi_inv,
+    L_TOL, PHI_BRANCHES, PHI_INVERSES, CylPoint, in_L, phi_branch, phi_map, psi, psi_inv,
     rho, seam_curve, source_point, target_region,
 )
 
@@ -201,6 +201,31 @@ def test_in_L_examples():
     assert in_L(1, CylPoint(np.array([0.6, 0.8]), 0.0))
     assert in_L(1, CylPoint(np.array([1.0, 0.0]), 0.7))
     assert not in_L(1, CylPoint(np.array([math.cos(1.0), math.sin(1.0)]), 0.5))
+
+
+def _near(v):
+    """v and the floats one ulp either side of it."""
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+# times and last coordinates at the edges of L^n's slack
+EDGES = sorted({x for v in (0.0, L_TOL, -L_TOL) for x in _near(v)} | {-0.0}) + [
+    math.nan, math.inf, -math.inf]
+
+
+@given(st.integers(0, 3), st.sampled_from(EDGES) | st.floats(-1.0, 1.0),
+       st.sampled_from(EDGES) | st.floats(-1.0, 2.0), st.floats(-1.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_in_L_of_a_point_is_a_bool_equal_to_its_row_verdict(n, last, time, head):
+    """One point is decided by the rule that decides rows, and gives a
+    Python bool; the disk need not be on the sphere, in_L reads its last
+    coordinate only."""
+    disk = np.array([head] * n + [last])
+    verdict = in_L(n, CylPoint(disk, time))
+    assert type(verdict) is bool
+    rows = in_L(n, CylPoint(disk[None], np.array([time])))
+    assert rows.shape == (1,) and verdict == bool(rows[0])
+    assert verdict == (time <= L_TOL or abs(last) <= L_TOL)
 
 
 def test_seam_smoothness_with_and_without_wrinkle():
