@@ -16,17 +16,17 @@ expressed in, written once over coordinate columns as diskmodel's charts
 are.  Every node is type-checked when the file is loaded, so a malformed
 file raises InstanceError there and never a TypeError deep in the lifting.
 
-What the file fixes is worked out once, at load: each expression becomes
-one straight-line function, an assignment per node in the order the
-definition evaluates them (a fold of n arguments is n - 1 infix steps),
-compiled once per source (smoothfn's ``compiled``) and run over a float
-table and an array table that bind its unary functions and constants by
-name, and each complex gets one position table, the positions of its
-0-cells and of the ends of its 1-cells and of the edges its 2-cells wrap.
-The position map's point body is traced once per cell dimension into one
-float function that takes those ends as arguments.  Evaluation computes
-only what depends on the point, in the order the definitions state, so
-every value keeps its bits.
+What the file fixes is worked out once, at load.  Each expression is
+walked once on smoothfn's TRACE_OPS, checking every node, and compiled by
+``straight_line`` into one function of the list of its variables: a line
+per node in the order the definition evaluates them (a fold of n arguments
+is n - 1 infix steps); its constants are arguments with default values,
+never folded at load.  The same code on ARRAY_OPS's names, a constant an
+array of one entry, evaluates rows.  Each complex gets one position table,
+the positions of its 0-cells and of the ends of its 1-cells and of the
+edges its 2-cells wrap, and its point body is traced once per cell
+dimension.  Evaluation computes only what depends on the point, in the
+order the definitions state, so every value keeps its bits.
 """
 
 import functools
@@ -37,8 +37,8 @@ import sys
 
 import numpy as np
 
-from .smoothfn import (ARRAY_OPS, FLOAT_OPS, TRACE_OPS, compiled, gamma, gamma_batch, lambda_fn,
-                       lambda_fn_batch, straight_line, xi, xi_batch)
+from .smoothfn import (ARRAY_OPS, FLOAT_OPS, TRACE_OPS, lambda_fn, lambda_fn_batch, rebind,
+                       straight_line)
 from .diskmodel import DomainError, Q, _disk_floats, _Q, _section, check_disk_batch, section
 from .cellcomplex import BOUNDARY_TOL, CellComplex, ComplexPoint
 from .lifting import (ChepRows, ExtendRows, TrivialProductFibration, point_fibration,
@@ -82,86 +82,55 @@ def _number(node, what):
     return float(node)
 
 
-# op -> (float function, array function), bound by name in the emitted code
-_UNARY = {
-    "sin": (math.sin, np.sin), "cos": (math.cos, np.cos), "exp": (math.exp, np.exp),
-    "neg": (operator.neg,) * 2, "abs": (abs,) * 2, "lambda": (lambda_fn, lambda_fn_batch),
-    "xi": (xi, xi_batch), "gamma": (gamma, gamma_batch),
-}
+# op -> its value at a value v of the ops table o
+_UNARY = {"sin": lambda o, v: o.sin(v), "cos": lambda o, v: o.cos(v),
+          "exp": lambda o, v: o.exp(v), "lambda": lambda o, v: o.lambda_fn(v),
+          "xi": lambda o, v: o.xi(v), "gamma": lambda o, v: o.gamma(v),
+          "neg": lambda o, v: -v, "abs": lambda o, v: abs(v)}
 
-# op -> the infix operator its arguments fold left with; it serves numpy
-# arrays as it serves floats
-_FOLD = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "**"}
-
-# the names the emitted code calls: ``load`` reads a variable (float() on a
-# list of floats, the array itself on a list of arrays), ``<op>_`` is a unary op
-_TABLES = tuple({"__builtins__": {}, "load": load,
-                 **{f"{op}_": fns[rows] for op, fns in _UNARY.items()}}
-                for rows, load in enumerate((float, lambda v: v)))
+# op -> the infix operator its arguments fold left with
+_FOLD = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+         "div": operator.truediv, "pow": operator.pow}
 
 
-def _emit(node, nvars, lines, consts, loaded):
-    """Check node and append the statements computing it to lines.
+def _constants(node):
+    """How many constants node holds; never fewer than _walk reads of it."""
+    if not isinstance(node, dict) or node.get("op") == "const":
+        return 1
+    args = node.get("args")
+    return sum(map(_constants, args)) if isinstance(args, list) else 0
 
-    Returns the name holding its value: ``c<i>`` for the i-th entry of
-    consts, ``v<i>`` for variable i (loaded once, where it is first read),
-    ``t<j>`` for the node's one assignment.  Statements come in the order
-    the definition evaluates: an op's arguments left to right, each fold
-    step as soon as its right argument is known.
+
+def _walk(node, ops, c, u, consts):
+    """Check node and return its value on the ops table, from the values c
+    of its constants and u of its variables; append each constant's float
+    to consts.  Ops run in the order the definition evaluates: an op's
+    arguments left to right, each fold step as soon as its right argument
+    is known.
     """
-    if not isinstance(node, dict):
-        consts.append(_number(node, "an expression that is not an object"))
-        return f"c{len(consts) - 1}"
-    op = node.get("op")
-    if op == "const":
-        consts.append(_number(_keys(node, ("op", "value"), "const").get("value"), "const value"))
-        return f"c{len(consts) - 1}"
+    op = node.get("op") if isinstance(node, dict) else None
+    if op == "const" or not isinstance(node, dict):
+        consts.append(_number(_keys(node, ("op", "value"), "const").get("value"), "const value")
+                      if op else _number(node, "an expression that is not an object"))
+        return c[len(consts) - 1]
     if op == "var":
         index = _typed(_keys(node, ("op", "index"), "var").get("index", 0), int, "var index")
-        if not 0 <= index < nvars:
-            raise InstanceError(f"var index {index} is not one of the {nvars} "
+        if not 0 <= index < len(u):
+            raise InstanceError(f"var index {index} is not one of the {len(u)} "
                                 "variables of this expression")
-        if index not in loaded:
-            loaded[index] = f"v{index}"
-            lines.append(f"v{index} = load(u[{index}])")
-        return loaded[index]
+        return u[index]
     if not isinstance(op, str) or (op not in _UNARY and op not in _FOLD):
         raise InstanceError(f"unknown expression op {op!r:.80}")
     args = _keys(node, ("op", "args"), op).get("args", [])
     out = None
     for arg in _typed(args, list, f"args of {op}"):
-        name = _emit(arg, nvars, lines, consts, loaded)
-        if op in _FOLD and out is not None:
-            lines.append(f"t{len(lines)} = {out} {_FOLD[op]} {name}")
-            name = f"t{len(lines) - 1}"
-        out = name
-    if op in _UNARY:
-        if len(args) != 1:
-            raise InstanceError(f"{op} takes one argument")
-        lines.append(f"t{len(lines)} = {op}_({out})")
-        return f"t{len(lines) - 1}"
-    if len(args) < 2:
+        value = _walk(arg, ops, c, u, consts)
+        out = value if out is None or op in _UNARY else _FOLD[op](out, value)
+    if op in _UNARY and len(args) != 1:
+        raise InstanceError(f"{op} takes one argument")
+    if op in _FOLD and len(args) < 2:
         raise InstanceError(f"{op} takes at least two arguments")
-    return out
-
-
-def _compile(node, nvars, field):
-    """The straight-line functions of node: on a list of floats, and on a
-    list of 1-D arrays (a constant is then an array of one entry).  One
-    code object serves both; only the names it calls and reads differ.
-    Its file name is ``<field>``, so a profile tells the fields apart."""
-    lines, consts = [], []
-    out = _emit(node, nvars, lines, consts, {})
-    body = "".join(f"    {line}\n" for line in lines + [f"return {out}"])
-    code = compiled(f"def expression(u):\n{body}", f"<{field}>")
-    forms = []
-    for rows, table in enumerate(_TABLES):
-        namespace = dict(table, **{f"c{i}": np.full(1, c) if rows else c
-                                   for i, c in enumerate(consts)})
-        exec(code, namespace)
-        # popped, so that the function's globals do not hold it in a cycle
-        forms.append(namespace.pop("expression"))
-    return forms
+    return _UNARY[op](ops, out) if op in _UNARY else out
 
 
 def _float_evaluator(fn, field):
@@ -183,8 +152,8 @@ def _float_evaluator(fn, field):
 def compile_expr(node, nvars, field="expression"):
     """The evaluator of an expression AST over nvars variables.
 
-    Ops, arity and var indices are checked here, when the instance is
-    loaded, so evaluation never meets a malformed node.  The evaluator
+    Ops, keys, arity and var indices are checked here, when the instance
+    is loaded, so evaluation never meets a malformed node.  The evaluator
     takes a list of the variables' values.  An evaluation that raises
     (exp overflow, sin(inf), division by zero) or yields a non-real or
     non-finite value raises InstanceError naming ``field``.
@@ -197,7 +166,14 @@ def compile_expr(node, nvars, field="expression"):
     again by the float evaluator, so each gets that evaluator's value or
     error; the InstanceError then names the field and the first bad row.
     """
-    fn, fn_rows = _compile(node, nvars, field)
+    consts = []
+
+    def body(x, *c):  # x[0] is the list of the variables' values, c the constants
+        return _walk(node, TRACE_OPS, c, [TRACE_OPS.load(x[0][i]) for i in range(nvars)], consts)
+
+    fn = straight_line(body, 1, [f"c{i}" for i in range(_constants(node))], name=field)
+    fn_rows = rebind(fn, ARRAY_OPS)
+    fn.__defaults__, fn_rows.__defaults__ = tuple(consts), tuple(np.full(1, c) for c in consts)
     # a constant or a variable returns an array the code holds or was given
     fresh = isinstance(node, dict) and node.get("op") not in ("const", "var")
     # the rows form falls back on a copy of the float evaluator, so evaluate

@@ -262,7 +262,10 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
     H_eval, H_locus = _chep_descent(complex_, h, rows, lifts, lifts_rows)
 
     def H_rows(cell, w, t):
-        return _on_loci(H_locus, _by_locus(complex_, cell, w), np.asarray(t, dtype=float))
+        groups, t = list(_by_locus(complex_, cell, w)), np.asarray(t, dtype=float)
+        if t.shape == (len(w),):  # a t of another shape gets _on_loci's shape error
+            _check_time(t)  # in the caller's row order, before the rows part by locus
+        return _on_loci(H_locus, groups, t)
 
     return Homotopy(H_eval, "I_tilde", rows=None if rows is None else H_rows)
 
@@ -287,9 +290,9 @@ def _chep_descent(complex_, h, rows, lifts, lifts_rows):
             return h(cp.point, _check_time(float(t)))
         return lifts[cp.cell](psi_inv(complex_.cells[cp.cell].dim, (cp.point, t)))
 
-    def H_locus(cell, w, t):
+    def H_locus(cell, w, t):  # t is checked: by H.rows, or psi's time of a wall row
         if cell < 0:
-            return rows.h(w, _check_time(t))
+            return rows.h(w, t)
         return lifts_rows[cell](psi_inv_batch(complex_.cells[cell].dim, (w, t)))
 
     return H_eval, H_locus

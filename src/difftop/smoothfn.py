@@ -14,8 +14,10 @@ The three profiles built here drive everything else in the package:
 Formulas written once over coordinate columns take an ops table: FLOAT_OPS
 for floats, ARRAY_OPS for (N,) arrays, and TRACE_OPS, which records the
 operations of one run so that ``straight_line`` compiles them into one
-float function (the float entry points of diskmodel, subdivision and
-instances call such functions).
+float function.  All three hold the same names: math functions, lambda_fn,
+lambda_inv, xi, gamma, where, pick, clip01, all, pi and load, which reads a
+variable.  The float entry points of diskmodel, subdivision and instances
+call compiled functions; instances runs the same code on ARRAY_OPS's names.
 
 ``smoothness_check`` is the numerical surrogate for smoothness claims:
 it estimates derivatives by central and one-sided finite differences on a
@@ -29,7 +31,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import numpy as np
 
@@ -280,7 +282,8 @@ def xi_inv_batch(y):
 # The backends of a formula written once over coordinate columns (floats, or
 # (N,) arrays, or traced values below): where(c, a, b) is a if c else b, both
 # evaluated on every row of an array; pick(table, k, x, y) is table[k](x, y);
-# pi is math.pi in every table.  Shared code never asks which table it has.
+# load(v) is float(v) on floats and v itself on arrays; pi is math.pi in every
+# table.  Shared code never asks which table it has.
 
 def _pick_rows(table, k, x, y):
     """table[k[i]](x[i], y[i]) for every entry i of the arrays, as two arrays."""
@@ -295,23 +298,24 @@ FLOAT_OPS = SimpleNamespace(
     cos=math.cos, sin=math.sin, atan2=math.atan2, sqrt=math.sqrt, hypot=math.hypot, all=bool,
     log=math.log, log1p=math.log1p, exp=math.exp, where=lambda c, a, b: a if c else b,
     clip01=lambda x: min(1.0, max(0.0, x)), pick=lambda table, k, x, y: table[k](x, y),
-    lambda_fn=lambda_fn, lambda_inv=lambda_inv, pi=math.pi)
+    lambda_fn=lambda_fn, lambda_inv=lambda_inv, xi=xi, gamma=gamma, load=float, pi=math.pi)
 ARRAY_OPS = SimpleNamespace(
     cos=np.cos, sin=np.sin, atan2=np.arctan2, sqrt=np.sqrt, hypot=np.hypot,
     log=np.log, log1p=np.log1p, exp=np.exp, all=np.all, where=np.where,
-    clip01=lambda x: np.clip(x, 0.0, 1.0), pick=_pick_rows,
-    lambda_fn=lambda_fn_batch, lambda_inv=lambda_inv_batch, pi=math.pi)
+    clip01=lambda x: np.clip(x, 0.0, 1.0), pick=_pick_rows, load=lambda v: v, pi=math.pi,
+    lambda_fn=lambda_fn_batch, lambda_inv=lambda_inv_batch, xi=xi_batch, gamma=gamma_batch)
 
 
 # The third backend, TRACE_OPS, records instead of computing: a value is the
 # name of the line of its tape that computes it, and lines come in the order
 # the body evaluates.  ``straight_line`` runs a body once on traced arguments
-# and compiles its tape into one function of floats that calls FLOAT_OPS's
-# functions by name, so it gives the body's bits on FLOAT_OPS.  A traced value
-# in a Python condition raises TypeError, so a body that branches on its data
-# never compiles; a table entry of ``pick`` and a callable argument stay
-# calls, made when the function runs.  Unread lines (here float and bool
-# operators, which cannot raise) are dropped, and 1.0 * x emits x.
+# and compiles its tape into one function that calls FLOAT_OPS's functions by
+# name, so it gives the body's bits on FLOAT_OPS (``rebind``: another table's).
+# A traced value in a Python condition raises TypeError, so a body that
+# branches on its data never compiles; a table entry of ``pick`` and a callable
+# argument stay calls, made when the function runs.  Unread lines (here float
+# and bool operators, which cannot raise, and loads of variables nothing
+# reads) are dropped, and 1.0 * x emits x.
 
 @functools.lru_cache(maxsize=256)
 def compiled(source, filename):
@@ -364,6 +368,7 @@ def _op(form):
 
 
 _Traced.__neg__, _Traced.__abs__ = _op("-{0}"), _op("abs({0})")
+_Traced.__getitem__ = lambda self, i: _Traced(self.tape, f"{self.name}[{_src(i)}]")  # no line
 for _symbol, _name in zip("+ - * / ** & | ^ < <= > >= == !=".split(),
                           "add sub mul truediv pow and or xor lt le gt ge eq ne".split()):
     setattr(_Traced, f"__{_name}__", _op(f"{{0}} {_symbol} {{1}}"))
@@ -379,12 +384,11 @@ def _traced_pick(table, k, x, y):
     return _emit(k.tape, f"{name}[{k.name}]({_src(x)}, {_src(y)})", count=2)
 
 
-TRACE_OPS = SimpleNamespace(
-    **{name: _Traced(None, name) for name in ("cos", "sin", "atan2", "sqrt", "hypot", "log",
-                                              "log1p", "exp", "clip01", "lambda_fn", "lambda_inv")},
-    where=lambda c, a, b: _op("{1} if {0} else {2}")(c, a, b) if isinstance(c, _Traced) else (
+TRACE_OPS = SimpleNamespace(**{
+    **{name: _Traced(None, name) for name in vars(FLOAT_OPS)},
+    "where": lambda c, a, b: _op("{1} if {0} else {2}")(c, a, b) if isinstance(c, _Traced) else (
         a if c else b),
-    all=bool, pick=_traced_pick, pi=math.pi)
+    "all": bool, "pick": _traced_pick, "pi": math.pi})
 
 
 def straight_line(body, size, fns=(), name="body"):
@@ -403,6 +407,12 @@ def straight_line(body, size, fns=(), name="body"):
     source = f"def form({', '.join(args)}):\n{lines}    return {out}\n"
     exec(compiled(source, f"<{name}>"), namespace)
     return namespace.pop("form")
+
+
+def rebind(form, ops):
+    """The code of form, a function of ``straight_line``, on ops's entries; on
+    ARRAY_OPS it takes arrays if its body traced no ``where`` on data."""
+    return FunctionType(form.__code__, {**form.__globals__, **vars(ops)})
 
 
 # ---------------------------------------------------------------------------

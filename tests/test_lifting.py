@@ -310,6 +310,44 @@ def test_expression_language():
         compile_expr({"op": "mul", "args": [1e308, 10.0]}, 0, "big")([])
 
 
+@pytest.mark.parametrize("node, message", [
+    ({"op": "add", "args": [1.0]}, "add takes at least two arguments"),
+    ({"op": "add", "args": 5}, "args of add must be a JSON list, not 5"),
+    ({"op": "const", "value": 1.0, "x": 2}, "unknown key 'x' in const; accepted: op, value"),
+    ({"op": "const", "value": math.inf}, "const value must be a finite number, not inf"),
+    (True, "an expression that is not an object must be a finite number, not True"),
+    ({"op": "var", "index": True}, "var index must be an integer, not True"),
+    ({"op": 3, "args": [1.0]}, "unknown expression op 3"),
+    ({"op": "zap", "args": [1.0]}, "unknown expression op 'zap'"),
+    ({"op": "sin"}, "sin takes one argument"),
+    ({"op": "sin", "args": [{"op": "zap"}, 1.0]}, "unknown expression op 'zap'"),
+    ({"op": "add", "args": [{"op": "zap"}, {"op": "var", "index": 9}]},
+     "unknown expression op 'zap'"),
+    ({"op": "add", "args": [{"op": "var", "index": 9}, {"op": "zap"}]},
+     "var index 9 is not one of the 2 variables of this expression"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_malformed_expressions_fail_at_load_with_their_first_fault(node, message):
+    """Every node is checked when the expression is loaded, in the order the
+    definition evaluates; the first fault met is the one named."""
+    with pytest.raises(InstanceError, match=rf"^{re.escape(message)}$"):
+        compile_expr(node, 2, "probe")
+
+
+@pytest.mark.parametrize("node", [
+    {"op": "exp", "args": [1000.0]},
+    {"op": "div", "args": [1.0, 0.0]},
+    {"op": "pow", "args": [-8.0, 1 / 3]},
+], ids=["exp overflow", "division by zero", "complex power"])
+def test_constant_only_expressions_fail_only_when_evaluated(node):
+    """An expression of constants alone loads, and both forms raise on
+    evaluation, naming the field (the array form also the first row)."""
+    evaluate = compile_expr(node, 1, "probe")
+    with pytest.raises(InstanceError, match=r"^probe cannot be evaluated at \(0\.5\): "):
+        evaluate([0.5])
+    with pytest.raises(InstanceError, match=r"^row 0: probe cannot be evaluated at \(0\): "):
+        evaluate.rows([np.zeros(2)])
+
+
 _REF_UNARY = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "neg": lambda v: -v,
               "abs": abs, "lambda": lambda_fn, "xi": xi, "gamma": gamma}
 _REF_FOLD = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
@@ -1059,6 +1097,12 @@ def test_a_base_time_outside_the_unit_interval_is_rejected():
             H.rows(-1, [0.0, 0.0], [0.5, t])
         with pytest.raises(DomainError, match=rf"^row 0: time {re.escape(repr(t))} outside"):
             H.rows(1, [[0.6, 0.8]], [t])
+        # the row named is the caller's, wherever its point's locus puts it:
+        # an open-cell row after a wall row, a wall row after an open-cell one
+        with pytest.raises(DomainError, match=rf"^row 1: time {re.escape(repr(t))} outside"):
+            H.rows(1, [[1.0, 0.0], [0.6, 0.8]], [0.5, t])
+        with pytest.raises(DomainError, match=rf"^row 1: time {re.escape(repr(t))} outside"):
+            H.rows(1, [[0.6, 0.8], [1.0, 0.0]], [0.5, t])
     for t in (0.0, 1.0):
         assert H(base, t) == inst.h(0.0, t)
         assert H.rows(-1, [0.0], [t]).tolist() == [list(inst.h(0.0, t))]

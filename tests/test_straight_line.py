@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from difftop import smoothfn, subdivision
+from difftop import instances, smoothfn, subdivision
 from difftop.diskmodel import _Q, _chart_form, _retract, _section, _suspend
 from difftop.instances import _edge_form, _edge_position, _section_slot
-from difftop.smoothfn import (FLOAT_OPS, TRACE_OPS, _blend_inverse, lambda_fn, straight_line, xi,
-                              xi_inv)
+from difftop.smoothfn import (ARRAY_OPS, FLOAT_OPS, TRACE_OPS, _blend_inverse, lambda_fn,
+                              straight_line, xi, xi_inv)
 from difftop.subdivision import _psi, _psi_form, _psi_inv
 
 F = FLOAT_OPS
@@ -170,7 +170,27 @@ def _loaded(code):
     return names
 
 
-@pytest.mark.parametrize("name, form", [f[:2] for f in FORMS], ids=[f[0] for f in FORMS])
+def _expression_form(field):
+    """The float form ``compile_expr`` compiles for a field of the bundled instances."""
+    forms = {}
+
+    def recording(body, size, fns=(), name="body"):
+        forms[name] = straight_line(body, size, fns, name)
+        return forms[name]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(instances, "straight_line", recording)
+        instances.bundled_chep_instance()
+        instances.bundled_extend_instance()
+    return forms[field]
+
+
+EXPRESSION_FORMS = [(f"expression {field}", lambda field=field: _expression_form(field))
+                    for field in ("k", "fiber0", "fiber_base", "bottom")]
+
+
+@pytest.mark.parametrize("name, form", [f[:2] for f in FORMS] + EXPRESSION_FORMS,
+                         ids=[f[0] for f in FORMS + EXPRESSION_FORMS])
 def test_every_line_of_a_form_is_read(name, form):
     """A form assigns no name that nothing reads: unread lines are dropped."""
     code = form().__code__
@@ -192,3 +212,11 @@ def test_times_one_emits_its_operand_and_plus_zero_stays(monkeypatch):
     form = straight_line(lambda x: [x[0] * 3.0, x[0] - 1.0][1:], 1)
     assert sources[-1].splitlines()[1:] == ["    t1 = x0 - (1.0)", "    return [t1]"]
     assert form(0.25) == [-0.75]
+
+
+def test_the_ops_tables_hold_one_set_of_names():
+    """Shared code and the code ``straight_line`` emits find every name in
+    every table, the instance expressions' xi, gamma and load among them."""
+    names = set(vars(FLOAT_OPS))
+    assert names == set(vars(ARRAY_OPS)) == set(vars(TRACE_OPS))
+    assert {"xi", "gamma", "load"} <= names
