@@ -82,11 +82,9 @@ def _number(node, what):
     return float(node)
 
 
-# op -> its value at a value v of the ops table o
-_UNARY = {"sin": lambda o, v: o.sin(v), "cos": lambda o, v: o.cos(v),
-          "exp": lambda o, v: o.exp(v), "lambda": lambda o, v: o.lambda_fn(v),
-          "xi": lambda o, v: o.xi(v), "gamma": lambda o, v: o.gamma(v),
-          "neg": lambda o, v: -v, "abs": lambda o, v: abs(v)}
+# op -> its function on traced values
+_UNARY = {"neg": operator.neg, "abs": abs, "lambda": TRACE_OPS.lambda_fn,
+          **{op: getattr(TRACE_OPS, op) for op in ("sin", "cos", "exp", "xi", "gamma")}}
 
 # op -> the infix operator its arguments fold left with
 _FOLD = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
@@ -101,10 +99,10 @@ def _constants(node):
     return sum(map(_constants, args)) if isinstance(args, list) else 0
 
 
-def _walk(node, ops, c, u, consts):
-    """Check node and return its value on the ops table, from the values c
-    of its constants and u of its variables; append each constant's float
-    to consts.  Ops run in the order the definition evaluates: an op's
+def _walk(node, c, u, consts):
+    """Check node and return its traced value, from the traced values c of
+    its constants and u of its variables; append each constant's float to
+    consts.  Ops run in the order the definition evaluates: an op's
     arguments left to right, each fold step as soon as its right argument
     is known.
     """
@@ -124,13 +122,13 @@ def _walk(node, ops, c, u, consts):
     args = _keys(node, ("op", "args"), op).get("args", [])
     out = None
     for arg in _typed(args, list, f"args of {op}"):
-        value = _walk(arg, ops, c, u, consts)
+        value = _walk(arg, c, u, consts)
         out = value if out is None or op in _UNARY else _FOLD[op](out, value)
     if op in _UNARY and len(args) != 1:
         raise InstanceError(f"{op} takes one argument")
     if op in _FOLD and len(args) < 2:
         raise InstanceError(f"{op} takes at least two arguments")
-    return _UNARY[op](ops, out) if op in _UNARY else out
+    return _UNARY[op](out) if op in _UNARY else out
 
 
 def _float_evaluator(fn, field):
@@ -169,7 +167,7 @@ def compile_expr(node, nvars, field="expression"):
     consts = []
 
     def body(x, *c):  # x[0] is the list of the variables' values, c the constants
-        return _walk(node, TRACE_OPS, c, [TRACE_OPS.load(x[0][i]) for i in range(nvars)], consts)
+        return _walk(node, c, [TRACE_OPS.load(x[0][i]) for i in range(nvars)], consts)
 
     fn = straight_line(body, 1, [f"c{i}" for i in range(_constants(node))], name=field)
     fn_rows = rebind(fn, ARRAY_OPS)

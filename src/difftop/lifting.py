@@ -261,11 +261,9 @@ def chep(p, complex_, f, h, k, precheck=None, tol=1e-6, rows=None):
 
     H_eval, H_locus = _chep_descent(complex_, h, rows, lifts, lifts_rows)
 
-    def H_rows(cell, w, t):
+    def H_rows(cell, w, t):  # t checked in the caller's row order; _on_loci rejects other shapes
         groups, t = list(_by_locus(complex_, cell, w)), np.asarray(t, dtype=float)
-        if t.shape == (len(w),):  # a t of another shape gets _on_loci's shape error
-            _check_time(t)  # in the caller's row order, before the rows part by locus
-        return _on_loci(H_locus, groups, t)
+        return _on_loci(H_locus, groups, _check_time(t) if t.shape == (len(w),) else t)
 
     return Homotopy(H_eval, "I_tilde", rows=None if rows is None else H_rows)
 
